@@ -32,7 +32,14 @@ from .free_model import (
 )
 from .independence import build_independent_partition, check_cor37
 from .matrix_io import load_matrix
-from .paving import compress, dixmier_average, pave_search, paving_number_exact, roots_of_unity_tuple
+from .paving import (
+    STRATEGIES,
+    compress,
+    dixmier_average,
+    pave_search,
+    paving_number_exact,
+    roots_of_unity_tuple,
+)
 from .reduction import reduce_and_pave
 from .seeds import map_over_seeds
 
@@ -294,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if strategy:
-            p.add_argument("--strategy", default="anneal",
-                           choices=("exhaustive", "sign_split", "arc", "anneal", "roots_of_unity"))
+            p.add_argument("--strategy", default="anneal", choices=STRATEGIES)
 
     common(sub.add_parser("pave", help="search for a paving partition"), strategy=True)
     common(sub.add_parser("pave-exact", help="exhaustive paving number (dim <= 12)"))

@@ -8,7 +8,7 @@ conditional expectation onto a frame, and the discrete-Fourier frame that
 is perpendicular to the diagonal one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,16 +78,20 @@ class MasaFrame:
     """
 
     basis: np.ndarray
+    # Derived from basis once; to_frame/from_frame consult it on every call.
+    _is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.array(self.basis, dtype=np.complex128, copy=True)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("frame basis must be square")
-        dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+        eye = np.eye(u.shape[0])
+        dev = np.abs(u.conj().T @ u - eye).max()
         if dev > UNITARY_TOL:
             raise ValueError(f"frame basis is not unitary (deviation {dev:.3e})")
         u.setflags(write=False)
         object.__setattr__(self, "basis", u)
+        object.__setattr__(self, "_is_identity", bool(np.array_equal(u, eye)))
 
     @property
     def dim(self) -> int:
@@ -95,7 +99,7 @@ class MasaFrame:
 
     @property
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.basis, np.eye(self.dim)))
+        return self._is_identity
 
     @classmethod
     def identity(cls, dim: int) -> "MasaFrame":
@@ -150,7 +154,8 @@ def op_norm(x) -> float:
     a = _as_entries(x)
     dim = a.shape[0]
     if dim <= SVD_DIM_LIMIT:
-        return float(np.linalg.norm(a, 2))
+        # Same LAPACK call as np.linalg.norm(a, 2), without its axis handling.
+        return float(np.linalg.svd(a, compute_uv=False)[0])
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)

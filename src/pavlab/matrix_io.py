@@ -27,11 +27,17 @@ def to_json_obj(x: TracedMatrix) -> dict:
 
 
 def from_json_obj(obj: dict) -> TracedMatrix:
-    dim = int(obj["dim"])
-    rows = obj["entries"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError("entries shape does not match dim")
-    a = np.array([[complex(re, im) for re, im in row] for row in rows])
+    """Parse the JSON layout; any malformed input raises ValueError."""
+    try:
+        dim = int(obj["dim"])
+        rows = obj["entries"]
+        if len(rows) != dim or any(len(r) != dim for r in rows):
+            raise ValueError("entries shape does not match dim")
+        a = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except KeyError as exc:
+        raise ValueError(f"matrix JSON lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from exc
     return TracedMatrix(a)
 
 

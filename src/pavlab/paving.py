@@ -120,20 +120,22 @@ def compress(x, part: Partition) -> TracedMatrix:
     return TracedMatrix(part.frame.from_frame(y * _block_mask(part.assignment)))
 
 
+def _tail_fraction(sv: np.ndarray, eps: float) -> float:
+    return float(np.count_nonzero(sv > eps) / sv.size)
+
+
 def spectral_tail_mass(y, eps: float) -> float:
     """Normalized trace of the spectral projection of |y| on (eps, inf)."""
-    a = _as_entries(y)
-    sv = np.linalg.svd(a, compute_uv=False)
-    return float(np.count_nonzero(sv > eps) / a.shape[0])
+    return _tail_fraction(np.linalg.svd(_as_entries(y), compute_uv=False), eps)
 
 
-def _defect_parts(x, part: Partition) -> tuple[float, float, np.ndarray]:
-    """(defect, baseline ||x - E_A x||, defect matrix in frame coords)."""
+def _defect_parts(x, part: Partition) -> tuple[np.ndarray, float]:
+    """(singular values of the defect matrix in frame coords, baseline ||x - E_A x||)."""
     a = _as_entries(x)
     y = part.frame.to_frame(a)
     off = y - np.diag(np.diagonal(y))
     dm = off * _block_mask(part.assignment)
-    return op_norm(dm), op_norm(off), dm
+    return np.linalg.svd(dm, compute_uv=False), op_norm(off)
 
 
 def paving_defect(x, part: Partition, eps: float | None = None,
@@ -143,12 +145,15 @@ def paving_defect(x, part: Partition, eps: float | None = None,
     When the baseline norm vanishes the ratio is defined as 0.  If eps is
     given, the spectral tail of the defect matrix is measured above
     eps * ||x - E_A(x)||; otherwise above the achieved defect (tail 0).
+    The defect and the tail come from one SVD of the defect matrix, so the
+    defect is exact at every dimension.
     """
     t0 = time.perf_counter()
-    defect, base, dm = _defect_parts(x, part)
+    sv, base = _defect_parts(x, part)
+    defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
     threshold = defect if eps is None else eps * base
-    tail = spectral_tail_mass(dm, threshold + 1e-15)
+    tail = _tail_fraction(sv, threshold + 1e-15)
     return PavingReport(
         n_blocks=part.n_blocks,
         effective_blocks=part.effective_blocks,
@@ -259,10 +264,24 @@ def _rgs_with_blocks(dim: int, k: int):
 
 
 class _Objective:
-    """Defect of a masked off-diagonal matrix, evaluated per assignment.
+    """Defect of a masked off-diagonal matrix, as the max of per-block norms.
 
     The masked matrix is block diagonal up to permutation, so its norm is
     the max over per-block norms; that keeps large-dimension sweeps cheap.
+
+    ``defect`` evaluates an assignment from scratch.  Local searches also
+    keep a committed assignment with one norm per label: ``reset`` evaluates
+    an assignment in full and commits it; ``propose`` recomputes only the
+    blocks whose labels occur at indices where the trial differs from the
+    committed assignment (none when nothing changed) and returns the
+    trial's defect; ``commit`` adopts the last proposal.  The state is the
+    committed assignment plus one float per label, whatever the budget.
+
+    Every block is ``off[np.ix_(idx, idx)]`` with ``idx`` ascending.  A
+    permuted index order has the same singular values in exact arithmetic
+    but not always in the last bits, and such a difference can flip an
+    accept decision; with one ordering, ``propose`` returns exactly what
+    ``defect`` returns for the same trial.
     """
 
     def __init__(self, x, frame: MasaFrame):
@@ -271,20 +290,44 @@ class _Objective:
         self.base = op_norm(self.off)
         self.frame = frame
         self.dim = y.shape[0]
+        self._committed = None
+        self._norms = {}
+        self._pending = None
+
+    def _block_norms(self, assignment: np.ndarray, labels) -> dict:
+        out = {}
+        for label in labels:
+            idx = np.flatnonzero(assignment == label)
+            out[label] = op_norm(self.off[np.ix_(idx, idx)]) if idx.size >= 2 else 0.0
+        return out
 
     def defect(self, assignment: np.ndarray) -> float:
-        worst = 0.0
-        for label in np.unique(assignment):
-            idx = np.flatnonzero(assignment == label)
-            if idx.size < 2:
-                continue
-            worst = max(worst, op_norm(self.off[np.ix_(idx, idx)]))
-        return worst
+        return max(self._block_norms(assignment, np.unique(assignment).tolist()).values(),
+                   default=0.0)
 
     def ratio(self, assignment: np.ndarray) -> float:
         if self.base < DEGENERATE_NORM:
             return 0.0
         return self.defect(assignment) / self.base
+
+    def reset(self, assignment: np.ndarray) -> float:
+        self._committed = np.array(assignment, dtype=np.int64)
+        self._norms = self._block_norms(self._committed, np.unique(self._committed).tolist())
+        self._pending = None
+        return max(self._norms.values(), default=0.0)
+
+    def propose(self, trial: np.ndarray) -> float:
+        changed = np.flatnonzero(trial != self._committed)
+        moved = trial[changed]
+        labels = set(self._committed[changed].tolist()) | set(moved.tolist())
+        norms = {**self._norms, **self._block_norms(trial, labels)}
+        self._pending = (changed, moved, norms)
+        return max(norms.values(), default=0.0)
+
+    def commit(self) -> None:
+        changed, moved, self._norms = self._pending
+        self._committed[changed] = moved
+        self._pending = None
 
 
 def paving_number_exact(x, eps: float, frame: MasaFrame, max_n: int | None = None):
@@ -327,7 +370,7 @@ def _random_assignment(dim: int, n: int, rng) -> np.ndarray:
 def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple[float, np.ndarray]:
     dim = obj.dim
     cur = _random_assignment(dim, n, rng)
-    cur_d = obj.defect(cur)
+    cur_d = obj.reset(cur)
     best, best_d = cur.copy(), cur_d
     temp = max(cur_d, 1e-6)
     target = eps * obj.base
@@ -340,9 +383,10 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
             trial[i], trial[j] = trial[j], trial[i]
         else:
             trial[rng.integers(0, dim)] = rng.integers(0, n)
-        d = obj.defect(trial)
+        d = obj.propose(trial)
         delta = d - cur_d
         if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
+            obj.commit()
             cur, cur_d = trial, d
             if d < best_d:
                 best, best_d = trial.copy(), d
@@ -351,6 +395,7 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
     improved = True
     while improved and spent < budget and best_d > target:
         improved = False
+        obj.reset(best)
         for i in range(dim):
             orig = best[i]
             for v in range(n):
@@ -358,8 +403,9 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
                     continue
                 spent += 1
                 best[i] = v
-                d = obj.defect(best)
+                d = obj.propose(best)
                 if d < best_d - 1e-15:
+                    obj.commit()
                     best_d = d
                     improved = True
                     break
@@ -427,7 +473,7 @@ def _search_sign_split(obj, eps, budget, seed):
             rng.shuffle(s)
             signs[idx] = s
         trial = assignment * 2 + signs
-        d = obj.defect(trial)
+        d = obj.reset(trial)
         spent += 1
         # pairwise +/- swaps within blocks, first-improvement
         stuck = 0
@@ -443,9 +489,10 @@ def _search_sign_split(obj, eps, budget, seed):
             j = int(minus[rng.integers(0, minus.size)])
             signs[i], signs[j] = signs[j], signs[i]
             cand = assignment * 2 + signs
-            cd = obj.defect(cand)
+            cd = obj.propose(cand)
             spent += 1
             if cd < d - 1e-15:
+                obj.commit()
                 d, trial = cd, cand
                 stuck = 0
             else:

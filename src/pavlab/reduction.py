@@ -28,9 +28,7 @@ from .finite_vn import (
     op_norm,
     perpendicular_frame,
 )
-from .paving import Partition, PavingReport, paving_defect, refine
-
-DEGENERATE_NORM = 1e-12
+from .paving import DEGENERATE_NORM, Partition, PavingReport, paving_defect, refine
 
 
 @dataclass(frozen=True)

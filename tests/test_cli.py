@@ -47,6 +47,19 @@ def test_unknown_strategy_exit_code(capsys):
     assert json.loads(out)["code"] == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {"entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+    {"dim": 2, "entries": [[[0.0, 0.0], ["one", 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+])
+def test_malformed_input_exit_code(tmp_path, capsys, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out = run(capsys, "pave", "--input", str(p), "--budget", "10")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["code"] == 2 and payload["error"]
+
+
 def test_pave_exact_guard_exit_code(capsys):
     code, out = run(capsys, "pave-exact", "--dim", "16")
     assert code == 2

@@ -62,3 +62,17 @@ def test_dispatch_on_content(tmp_path):
     save_binary(x, pb)
     assert np.array_equal(load_matrix(pj).entries, x.entries)
     assert np.array_equal(load_matrix(pb).entries, x.entries)
+
+
+@pytest.mark.parametrize("obj", [
+    {"entries": [[[1.0, 0.0]]]},
+    {"dim": 1, "entries": [[["a", 0.0]]]},
+    {"dim": 1, "entries": [[[None, 0.0]]]},
+    {"dim": 1},
+    [1, 2],
+])
+def test_malformed_json_raises_value_error(tmp_path, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ValueError):
+        load_json(p)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavlab import (
     MasaFrame,
@@ -20,11 +22,14 @@ from pavlab import (
     pave_search,
     paving_defect,
     paving_number_exact,
+    perpendicular_frame,
     refine,
     roots_of_unity_tuple,
     sign_split,
     spectral_tail_mass,
 )
+from pavlab import paving
+from pavlab.paving import _Objective
 
 
 def random_matrix(dim, seed):
@@ -397,6 +402,70 @@ def test_paving_number_respects_max_n():
 def test_paving_number_dim_guard():
     with pytest.raises(ValueError):
         paving_number_exact(np.eye(13), 0.5, MasaFrame.identity(13))
+
+
+# -- incremental objective ---------------------------------------------------
+
+MOVES = ("swap", "relabel", "same_block_swap", "noop_relabel", "empty_block", "high_label")
+
+
+def _move(data, cur, n):
+    trial = cur.copy()
+    dim = trial.size
+    kind = data.draw(st.sampled_from(MOVES))
+    i = data.draw(st.integers(0, dim - 1))
+    if kind == "swap":
+        j = data.draw(st.integers(0, dim - 1))
+        trial[i], trial[j] = trial[j], trial[i]
+    elif kind == "relabel":
+        trial[i] = data.draw(st.integers(0, n - 1))
+    elif kind == "same_block_swap":
+        mates = np.flatnonzero(trial == trial[i])
+        j = int(mates[data.draw(st.integers(0, mates.size - 1))])
+        trial[i], trial[j] = trial[j], trial[i]
+    elif kind == "empty_block":
+        trial[trial == trial[i]] = data.draw(st.integers(0, 2 * dim))
+    elif kind == "high_label":
+        # sign_split proposes labels up to twice its block count
+        trial[i] = data.draw(st.integers(n, 2 * dim + 1))
+    return trial
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_objective_propose_equals_full_defect(data):
+    dim = data.draw(st.integers(2, 9))
+    x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    n = data.draw(st.integers(1, dim))
+    cur = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim)),
+                   dtype=np.int64)
+    obj, fresh = _Objective(x, frame), _Objective(x, frame)
+    assert obj.reset(cur) == obj.defect(cur)
+    for _ in range(data.draw(st.integers(1, 12))):
+        trial = _move(data, cur, n)
+        d = obj.propose(trial)
+        assert d == fresh.defect(trial)
+        if data.draw(st.booleans()):
+            obj.commit()
+            cur = trial
+            assert fresh.reset(cur) == d
+
+
+def test_objective_unchanged_trial_makes_no_norm_call(monkeypatch):
+    obj = _Objective(random_matrix(8, 5), MasaFrame.identity(8))
+    cur = np.array([0, 1, 1, 0, 2, 2, 0, 1])
+    d = obj.reset(cur)
+    calls = []
+    monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a) or op_norm(a))
+    same_block_swap = cur.copy()
+    same_block_swap[[0, 3]] = same_block_swap[[3, 0]]
+    assert obj.propose(same_block_swap) == d
+    assert calls == []
+    relabel = cur.copy()
+    relabel[0] = 1
+    obj.propose(relabel)
+    assert sorted(a.shape[0] for a in calls) == [2, 4]
 
 
 # -- pave_search ---------------------------------------------------------
