@@ -24,6 +24,7 @@ from .free_model import (
     EnsembleSpec,
     calibrate,
     conjugation_paving_experiment,
+    equal_block_partition,
     kesten_norm_oracle,
     make_block_paver,
     power_conjugation_growth,
@@ -254,8 +255,6 @@ def cmd_dixmier(cfg: RunConfig) -> int:
     """Averaging over the W-tuple must reproduce the block compression."""
     x = _input_matrix(cfg)
     dim = x.shape[0]
-    from .free_model import equal_block_partition
-
     part = equal_block_partition(dim, cfg.n, cfg.seed)
     tw = dixmier_average(x, roots_of_unity_tuple(part), part.frame)
     comp = compress(x, part)

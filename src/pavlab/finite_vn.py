@@ -187,11 +187,10 @@ def l1_norm(x) -> float:
 
 
 def norm_triple(x) -> NormTriple:
+    """All three norms from one SVD, so op is exact at every dimension."""
     a = _as_entries(x)
-    sv = np.linalg.svd(a, compute_uv=False) if a.shape[0] <= SVD_DIM_LIMIT else None
-    if sv is not None:
-        return NormTriple(op=float(sv[0]), l2=l2_norm(a), l1=float(sv.sum() / a.shape[0]))
-    return NormTriple(op=op_norm(a), l2=l2_norm(a), l1=l1_norm(a))
+    sv = np.linalg.svd(a, compute_uv=False)
+    return NormTriple(op=float(sv[0]), l2=l2_norm(a), l1=float(sv.sum() / a.shape[0]))
 
 
 def absolute_value(x) -> TracedMatrix:

@@ -8,6 +8,11 @@ by shuffled equal blocks, and the Kesten norm of a sum of independent
 Haar unitaries.  Every bound check carries an explicit additive tolerance
 because freeness only holds in the large-dimension limit; tolerances are
 pinned by the calibration run (see calibrate) rather than invented.
+
+Equal shuffled blocks and block-diagonal norms come from ``paving``
+(``_equal_blocks``, ``_block_diagonal_norm``, ``_Objective``), the same
+code the paving searches use; reports serialize through
+``matrix_io.JsonReport``.
 """
 
 import itertools
@@ -16,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_vn import MasaFrame, TracedMatrix, _as_entries, op_norm
-from .paving import Partition
+from .matrix_io import JsonReport
+from .paving import (
+    DEGENERATE_NORM,
+    Partition,
+    _block_diagonal_norm,
+    _block_mask,
+    _equal_blocks,
+    _Objective,
+)
 from .seeds import rng_for
 
 ENSEMBLE_KINDS = ("haar_unitary", "zero_diag_haar", "random_projection", "roots_of_unity_diag")
@@ -51,23 +64,13 @@ class EnsembleSpec:
 
 
 @dataclass(frozen=True)
-class NormExperimentReport:
+class NormExperimentReport(JsonReport):
     measured_norm: float
     paper_bound: float
     slack: float
     n: int
     dim: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "measured_norm": self.measured_norm,
-            "paper_bound": self.paper_bound,
-            "slack": self.slack,
-            "n": self.n,
-            "dim": self.dim,
-            "seed": self.seed,
-        }
 
 
 def _haar(dim: int, rng) -> np.ndarray:
@@ -108,19 +111,11 @@ def sample(spec: EnsembleSpec) -> TracedMatrix:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(JsonReport):
     max_k: int
-    residual_per_level: dict
+    residual_per_level: dict    # level -> residual, levels ascending
     word_count: int
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "residual_per_level": {str(k): v for k, v in sorted(self.residual_per_level.items())},
-            "word_count": self.word_count,
-            "residual": self.residual,
-        }
 
 
 def freeness_residual(elements, k: int = 3, budget: int = 20_000, seed: int = 0) -> FreenessReport:
@@ -206,21 +201,6 @@ def kesten_norm_oracle(m: int, dim: int, seed: int) -> float:
     return op_norm(acc)
 
 
-def _block_slices(perm: np.ndarray, n: int) -> list[np.ndarray]:
-    return [np.sort(chunk) for chunk in np.array_split(perm, n)]
-
-
-def _blockdiag_norm(a: np.ndarray, blocks, shift: float = 0.0) -> float:
-    """||sum_k q_k a q_k - shift * 1||: max over diagonal blocks."""
-    worst = 0.0
-    for idx in blocks:
-        sub = a[np.ix_(idx, idx)]
-        if shift:
-            sub = sub - shift * np.eye(idx.size)
-        worst = max(worst, op_norm(sub))
-    return worst
-
-
 def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperimentReport:
     """Compression of a zero-diagonal Haar model by roots-of-unity eigenblocks.
 
@@ -245,14 +225,10 @@ def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperiment
     avg /= n
     ang = np.mod(np.angle(d) * n / (2 * np.pi), n)
     labels = np.round(ang).astype(np.int64) % n
-    blocks = [np.flatnonzero(labels == k) for k in range(n)]
-    comp = np.zeros_like(u)
-    for idx in blocks:
-        comp[np.ix_(idx, idx)] = u[np.ix_(idx, idx)]
-    dev = np.abs(avg - comp).max()
+    dev = np.abs(avg - u * _block_mask(labels)).max()
     if dev > 1e-12:
         raise AssertionError(f"averaging identity violated: deviation {dev:.3e}")
-    measured = _blockdiag_norm(u, blocks)
+    measured = _block_diagonal_norm(u, labels)
     bound = (np.sqrt(n - 1) + 1) / n
     return NormExperimentReport(float(measured), float(bound), float(measured - bound), n, dim, seed)
 
@@ -272,14 +248,14 @@ def projection_paving_experiment(t: float, n: int, dim: int,
         raise ValueError("n must divide dim")
     e = sample(EnsembleSpec("random_projection", dim, seed, trace=t)).entries
     rng = rng_for(seed, 0x480)
-    blocks = _block_slices(rng.permutation(dim), n)
-    measured = _blockdiag_norm(e, blocks, shift=t)
+    measured = _block_diagonal_norm(e, _equal_blocks(rng.permutation(dim), n), shift=t)
     bound = 2.0 / np.sqrt(n)
     block_report = NormExperimentReport(float(measured), float(bound), float(measured - bound),
                                         n, dim, seed)
-    half = np.sort(rng.permutation(dim)[: dim // 2])
-    rest = np.setdiff1d(np.arange(dim), half)
-    measured_half = _blockdiag_norm(e, [half, rest])
+    # block 0 holds dim // 2 indices (array_split would give it the odd one)
+    halves = np.ones(dim, dtype=np.int64)
+    halves[rng.permutation(dim)[: dim // 2]] = 0
+    measured_half = _block_diagonal_norm(e, halves)
     bound_half = np.sqrt(t * (1 - t)) + 0.5
     half_report = NormExperimentReport(float(measured_half), float(bound_half),
                                        float(measured_half - bound_half), 2, dim, seed)
@@ -287,21 +263,12 @@ def projection_paving_experiment(t: float, n: int, dim: int,
 
 
 @dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(JsonReport):
     values: tuple
     fitted_exponent: float
     dim: int
     n_max: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": list(self.values),
-            "fitted_exponent": self.fitted_exponent,
-            "dim": self.dim,
-            "n_max": self.n_max,
-            "seed": self.seed,
-        }
 
 
 def power_conjugation_growth(dim: int, N: int, seed: int) -> GrowthReport:
@@ -333,35 +300,26 @@ def power_conjugation_growth(dim: int, N: int, seed: int) -> GrowthReport:
 def equal_block_partition(dim: int, n: int, seed: int) -> Partition:
     """Seeded-shuffled equal blocks in the diagonal frame (the free paver)."""
     rng = rng_for(seed, 0x480)
-    assignment = np.empty(dim, dtype=np.int64)
-    for i, chunk in enumerate(np.array_split(rng.permutation(dim), n)):
-        assignment[chunk] = i
-    return Partition(assignment, n, MasaFrame.identity(dim))
+    return Partition(_equal_blocks(rng.permutation(dim), n), n, MasaFrame.identity(dim))
 
 
-def make_block_paver(max_blocks: int | None = None):
+def make_block_paver():
     """Projection paver callback: doubles the shuffled-block count until
-    the corner target ratio is met (singletons reach ratio 0)."""
+    the corner target ratio is met.  Singletons have ratio 0, so the
+    doubling returns at the latest at n = dim."""
 
     def paver(corner: np.ndarray, target_ratio: float, seed: int) -> Partition:
         dim = corner.shape[0]
         frame = MasaFrame.identity(dim)
-        off = corner - np.diag(np.diagonal(corner))
-        base = op_norm(off)
-        if base < 1e-12:
+        obj = _Objective(corner, frame)
+        if obj.base < DEGENERATE_NORM:
             return Partition.one_block(frame)
-        cap = min(max_blocks or dim, dim)
         n = 1
-        best = None
         while True:
             part = equal_block_partition(dim, n, seed) if n < dim else Partition.singletons(frame)
-            mask = part.assignment[:, None] == part.assignment[None, :]
-            ratio = op_norm(off * mask) / base
-            if best is None or ratio < best[0]:
-                best = (ratio, part)
-            if ratio <= target_ratio or n >= cap:
-                return part if ratio <= target_ratio else best[1]
-            n = min(2 * n, cap)
+            if obj.ratio(part.assignment) <= target_ratio:
+                return part
+            n = min(2 * n, dim)
 
     return paver
 
@@ -391,7 +349,7 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
     for s in seeds:
         u = _haar(dim_conj, rng_for(s, 0xCA1))
         mom = max(abs(np.trace(np.linalg.matrix_power(u, k))) / dim_conj for k in range(1, 5))
-        haar_hits += mom <= 3.0 / np.sqrt(dim_conj)
+        haar_hits += bool(mom <= 3.0 / np.sqrt(dim_conj))
     manifest["haar_moment_pass_rate"] = haar_hits / len(seeds)
 
     conj = {}

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finite_vn import MasaFrame, TracedMatrix, _as_entries, conditional_expectation, l2_norm
+from .matrix_io import JsonReport
 from .paving import Partition
 from .seeds import rng_for
 
@@ -47,23 +48,13 @@ class WordSpec:
 
 
 @dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(JsonReport):
     max_k: int
-    residual_per_level: dict
+    residual_per_level: dict    # level -> residual, levels ascending
     word_count: int
     achieved_alpha: float
     coverage_per_level: dict = field(default_factory=dict)
     worst_word: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "residual_per_level": {str(k): v for k, v in sorted(self.residual_per_level.items())},
-            "word_count": self.word_count,
-            "achieved_alpha": self.achieved_alpha,
-            "coverage_per_level": {str(k): v for k, v in sorted(self.coverage_per_level.items())},
-            "worst_word": self.worst_word,
-        }
 
 
 def _center_and_normalize(X, frame: MasaFrame) -> list[np.ndarray]:
@@ -358,11 +349,11 @@ class ConditionCheck:
 
 
 @dataclass(frozen=True)
-class Cor37Report:
+class Cor37Report(JsonReport):
     """The measured alpha and the consequence suite it implies.
 
-    ``to_json_dict`` returns only plain Python values, which plain
-    ``json.dumps`` accepts, like the ``pave`` and ``reduce`` reports.
+    ``conditions`` maps condition names, in sorted order, to their
+    ``ConditionCheck``.
     """
 
     n_levels: int
@@ -373,15 +364,15 @@ class Cor37Report:
     def all_hold(self) -> bool:
         return all(c.ok for c in self.conditions.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_levels": self.n_levels,
-            "measured_alpha": self.measured_alpha,
-            "conditions": {
-                k: {"bound": c.bound, "measured": c.measured, "ok": c.ok}
-                for k, c in sorted(self.conditions.items())
-            },
-        }
+
+def _alpha_inputs(xs: list[np.ndarray], Y, frame: MasaFrame):
+    """(letters, etas) for ``_measured_alpha`` from frame-coordinate test
+    elements xs: the letters are each x and x*, the etas are Y in frame
+    coordinates followed by a b* for every ordered pair of letters."""
+    letters = [y for x in xs for y in (x, x.conj().T)]
+    etas = [frame.to_frame(_as_entries(y)) for y in Y]
+    etas += [a @ b.conj().T for a in letters for b in letters]
+    return letters, etas
 
 
 def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray]):
@@ -436,17 +427,8 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
     n = part.n_blocks
     t = 1.0 / n
     xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
-    xs_full = []
-    for x in xs:
-        xs_full.append(x)
-        xs_full.append(x.conj().T)
-    etas = [frame.to_frame(_as_entries(y)) for y in Y]
-    etas_full = list(etas)
-    for a in xs_full:
-        for b in xs_full:
-            etas_full.append(a @ b.conj().T)
-
-    alpha_a, alpha_b = _measured_alpha(part, xs_full, etas_full)
+    letters, etas = _alpha_inputs(xs, Y, frame)
+    alpha_a, alpha_b = _measured_alpha(part, letters, etas)
     alpha = max(alpha_a, alpha_b)
     slack = 1e-9
 
@@ -466,7 +448,7 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
                     worst_d2 = max(worst_d2, float(sv.sum() / dim))
         worst_c2b = max(worst_c2b, comp_sq)
     worst_b2 = 0.0
-    for eta in etas_full:
+    for eta in etas:
         d = np.diagonal(eta)
         tau_eta = d.sum() / dim
         for mi in masks:
@@ -478,11 +460,11 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
 
     corner = np.sqrt(t) + 2 * np.sqrt(alpha)
     level = int(round(np.log2(n))) if n > 1 else 0
-    conditions = {
+    conditions = {  # keys in sorted order
         "a2_l2_blocks": check(3 * t * alpha, worst_a2),
         "b2_trace_products": check(alpha, worst_b2),
-        "c2_corner_l2": check(corner * np.sqrt(t), worst_c2a),
         "c2_compression_l2sq": check(t + 3 * alpha, worst_c2b),
+        "c2_corner_l2": check(corner * np.sqrt(t), worst_c2a),
         "d2_corner_l1": check(corner * t, worst_d2),
     }
     return Cor37Report(n_levels=level, measured_alpha=float(alpha), conditions=conditions)
@@ -520,13 +502,8 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     if n == 0:
         report = IndependenceReport(2, {1: 0.0, 2: 0.0}, 0, 0.0, {1: 1.0, 2: 1.0}, "")
         return part, report
-    xs_frame = [frame.to_frame(m) for m in xs_mats]
-    xs_full = [y for x in xs_frame for y in (x, x.conj().T)]
-    etas_frame = [frame.to_frame(_as_entries(y)) for y in etas]
-    for a in xs_full:
-        for b in xs_full:
-            etas_frame.append(a @ b.conj().T)
-    alpha_a, alpha_b = _measured_alpha(part, xs_full, etas_frame)
+    letters, etas_frame = _alpha_inputs([frame.to_frame(m) for m in xs_mats], etas, frame)
+    alpha_a, alpha_b = _measured_alpha(part, letters, etas_frame)
     report = IndependenceReport(
         max_k=2,
         residual_per_level={1: float(alpha_b), 2: float(alpha_a)},
@@ -543,21 +520,12 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PatchReport:
+class PatchReport(JsonReport):
     power_residual: float      # eta: max |tau(v^k)|, 1 <= |k| <= n
     word_residual: float       # delta': max |tau(word)| over sampled words
     words_evaluated: int
     coverage: float
     chunk_size: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "power_residual": self.power_residual,
-            "word_residual": self.word_residual,
-            "words_evaluated": self.words_evaluated,
-            "coverage": self.coverage,
-            "chunk_size": self.chunk_size,
-        }
 
 
 def _scrambled_cycle(dim: int, rng) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Matrix file formats.
+"""Matrix file formats, and the one JSON encoding of every report.
 
 JSON format (bit-exact round trip through repr of doubles):
 
@@ -7,8 +7,12 @@ JSON format (bit-exact round trip through repr of doubles):
 Binary format: 16-byte header -- magic ``PVLB``, u32 little-endian dim,
 two reserved u32 fields (zero) -- followed by dim*dim interleaved
 little-endian f64 pairs (re, im), row-major.
+
+Reports: every report dataclass derives from :class:`JsonReport`, whose
+``to_json_dict`` is the single path from a report to plain JSON values.
 """
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -19,6 +23,29 @@ from .finite_vn import TracedMatrix
 
 MAGIC = b"PVLB"
 _HEADER = struct.Struct("<4sIII")
+
+
+def _plain(value):
+    """Dataclass fields in declaration order, str dict keys, lists for
+    tuples, Python scalars for numpy scalars; anything else as it is."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+class JsonReport:
+    """Base of the report dataclasses: ``to_json_dict`` holds only values
+    plain ``json.dumps`` accepts, keyed in field declaration order (dict
+    fields keep their insertion order), so artifacts are reproducible."""
+
+    def to_json_dict(self) -> dict:
+        return _plain(self)
 
 
 def to_json_obj(x: TracedMatrix) -> dict:

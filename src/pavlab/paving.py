@@ -5,7 +5,9 @@ summing to 1; compressing x by it and comparing against the conditional
 expectation gives the paving defect.  Alongside the exact (enumerative)
 paving number this module provides heuristic searches: simulated
 annealing, recursive sign splitting, spectral arcs of a random unitary,
-and equal shuffled blocks (the free-paving model).
+and equal shuffled blocks (the free-paving model).  The block helpers
+here (equal blocks, block-diagonal norms, the block objective) are the
+only copies; free_model and reduction call them.
 """
 
 import time
@@ -13,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finite_vn import MasaFrame, TracedMatrix, _as_entries, conditional_expectation, op_norm
-from .seeds import rng_for, worker_count
+from .finite_vn import MasaFrame, TracedMatrix, _as_entries, op_norm
+from .matrix_io import JsonReport
+from .seeds import rng_for
 
 EXHAUSTIVE_DIM_LIMIT = 12
 DEGENERATE_NORM = 1e-12
@@ -77,7 +80,7 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class PavingReport:
+class PavingReport(JsonReport):
     """Measured outcome of compressing one element by one partition."""
 
     n_blocks: int
@@ -89,19 +92,6 @@ class PavingReport:
     seed: int
     elapsed_ms: float
 
-    def to_json_dict(self) -> dict:
-        # fixed key order for reproducible artifacts
-        return {
-            "n_blocks": self.n_blocks,
-            "effective_blocks": self.effective_blocks,
-            "defect": self.defect,
-            "ratio": self.ratio,
-            "spectral_tail": self.spectral_tail,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
 
 def _same_frame(p: Partition, q: Partition) -> bool:
     return p.frame is q.frame or np.array_equal(p.frame.basis, q.frame.basis)
@@ -109,6 +99,34 @@ def _same_frame(p: Partition, q: Partition) -> bool:
 
 def _block_mask(assignment: np.ndarray) -> np.ndarray:
     return assignment[:, None] == assignment[None, :]
+
+
+def _equal_blocks(order: np.ndarray, n: int) -> np.ndarray:
+    """Labels of ``np.array_split(order, n)``: index order[j] lies in the
+    block of the chunk holding position j."""
+    labels = np.empty(order.size, dtype=np.int64)
+    for i, chunk in enumerate(np.array_split(order, n)):
+        labels[chunk] = i
+    return labels
+
+
+def _block_norm(a: np.ndarray, idx: np.ndarray, shift: float = 0.0) -> float:
+    """||a[idx, idx] - shift * 1|| with idx ascending.
+
+    One index order for every caller: a permuted order has the same
+    singular values in exact arithmetic but not always in the last bits.
+    """
+    sub = a[np.ix_(idx, idx)]
+    if shift:
+        sub = sub - shift * np.eye(idx.size)
+    return op_norm(sub)
+
+
+def _block_diagonal_norm(a: np.ndarray, labels: np.ndarray, shift: float = 0.0) -> float:
+    """||sum_k q_k a q_k - shift * 1|| for the blocks q_k of a label array:
+    the masked matrix is block diagonal, so this is the max block norm."""
+    return max((_block_norm(a, np.flatnonzero(labels == label), shift)
+                for label in np.unique(labels)), default=0.0)
 
 
 def compress(x, part: Partition) -> TracedMatrix:
@@ -277,11 +295,9 @@ class _Objective:
     trial's defect; ``commit`` adopts the last proposal.  The state is the
     committed assignment plus one float per label, whatever the budget.
 
-    Every block is ``off[np.ix_(idx, idx)]`` with ``idx`` ascending.  A
-    permuted index order has the same singular values in exact arithmetic
-    but not always in the last bits, and such a difference can flip an
-    accept decision; with one ordering, ``propose`` returns exactly what
-    ``defect`` returns for the same trial.
+    Every block goes through ``_block_norm``, whose single index order
+    keeps ``propose`` returning exactly what ``defect`` returns for the
+    same trial; a last-bit difference could flip an accept decision.
     """
 
     def __init__(self, x, frame: MasaFrame):
@@ -298,7 +314,7 @@ class _Objective:
         out = {}
         for label in labels:
             idx = np.flatnonzero(assignment == label)
-            out[label] = op_norm(self.off[np.ix_(idx, idx)]) if idx.size >= 2 else 0.0
+            out[label] = _block_norm(self.off, idx) if idx.size >= 2 else 0.0
         return out
 
     def defect(self, assignment: np.ndarray) -> float:
@@ -330,6 +346,17 @@ class _Objective:
         self._pending = None
 
 
+def _first_paving(obj: _Objective, eps: float, max_n: int):
+    """(assignment, n) of the first partition with ratio <= eps, sweeping
+    n = 1..max_n and restricted-growth strings within each n; None if none."""
+    for n in range(1, min(max_n, obj.dim) + 1):
+        for rgs in _rgs_with_blocks(obj.dim, n):
+            cand = np.array(rgs, dtype=np.int64)
+            if obj.ratio(cand) <= eps:
+                return cand, n
+    return None
+
+
 def paving_number_exact(x, eps: float, frame: MasaFrame, max_n: int | None = None):
     """Smallest block count achieving ratio <= eps, by full enumeration.
 
@@ -342,16 +369,11 @@ def paving_number_exact(x, eps: float, frame: MasaFrame, max_n: int | None = Non
         raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if max_n is None:
-        max_n = dim
     obj = _Objective(a, frame)
     if obj.base < DEGENERATE_NORM:
         return 1
-    for n in range(1, min(max_n, dim) + 1):
-        for rgs in _rgs_with_blocks(dim, n):
-            if obj.ratio(np.array(rgs, dtype=np.int64)) <= eps:
-                return n
-    return None
+    found = _first_paving(obj, eps, dim if max_n is None else max_n)
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +454,7 @@ def _search_roots(obj, eps, budget, seed, n, tries=8):
     best_d, best_a = np.inf, None
     for w in range(max(1, min(tries, budget))):
         rng = rng_for(seed, 0x700, n, w)
-        order = rng.permutation(obj.dim)
-        a = np.empty(obj.dim, dtype=np.int64)
-        for i, chunk in enumerate(np.array_split(order, n)):
-            a[chunk] = i
+        a = _equal_blocks(rng.permutation(obj.dim), n)
         d = obj.defect(a)
         if d < best_d:
             best_d, best_a = d, a
@@ -539,12 +558,8 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
     if strategy == "exhaustive":
         if dim > EXHAUSTIVE_DIM_LIMIT:
             raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
-        for n in range(1, min(max_n, dim) + 1):
-            for rgs in _rgs_with_blocks(dim, n):
-                cand = np.array(rgs, dtype=np.int64)
-                if obj.ratio(cand) <= eps:
-                    return finish(Partition(cand, n, frame))
-        return finish(Partition.singletons(frame))
+        found = _first_paving(obj, eps, max_n)
+        return finish(Partition(*found, frame) if found else Partition.singletons(frame))
 
     if strategy == "sign_split":
         d, assignment, n = _search_sign_split(obj, eps, budget, seed)

@@ -28,33 +28,33 @@ from .finite_vn import (
     op_norm,
     perpendicular_frame,
 )
-from .paving import DEGENERATE_NORM, Partition, PavingReport, paving_defect, refine
+from .matrix_io import JsonReport
+from .paving import (
+    DEGENERATE_NORM,
+    Partition,
+    PavingReport,
+    _block_diagonal_norm,
+    paving_defect,
+    refine,
+)
 
 
 @dataclass(frozen=True)
-class Stage:
+class Stage(JsonReport):
     label: str
     measured: float
     bound: float
     ok: bool
     detail: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "measured": self.measured,
-            "bound": self.bound,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
-
 
 @dataclass
-class ReductionTrace:
+class ReductionTrace(JsonReport):
+    # field order is the key order of to_json_dict
     eps: float
-    stages: list = field(default_factory=list)
     band_count: int = 0
     anchors: tuple = ()
+    stages: list = field(default_factory=list)
 
     def add(self, label: str, measured: float, bound: float, **detail) -> None:
         self.stages.append(Stage(label, float(measured), float(bound),
@@ -63,14 +63,6 @@ class ReductionTrace:
     @property
     def all_ok(self) -> bool:
         return all(s.ok for s in self.stages)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "band_count": self.band_count,
-            "anchors": list(self.anchors),
-            "stages": [s.to_json_dict() for s in self.stages],
-        }
 
 
 def split_real_imag(x) -> tuple[TracedMatrix, TracedMatrix]:
@@ -332,11 +324,9 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFram
                     assignment[quarter[epos]] = next_label
                     next_label += 1
             # measured corner defect on y against the band anchor
-            local = part.assignment[:s]
-            mask = local[:, None] == local[None, :]
             corner_y = y[np.ix_(quarter, quarter)]
-            comp = corner_y * mask
-            worst_corner = max(worst_corner, op_norm(comp - band.anchor * np.eye(s)))
+            worst_corner = max(worst_corner, _block_diagonal_norm(
+                corner_y, part.assignment[:s], shift=band.anchor))
     trace.add("dilation_idempotent", worst_g2, 1e-8)
     trace.add("dilation_constant_diagonal", worst_diag, 1e-8)
     trace.add("dilation_rounding_shift", worst_gamma[0], worst_gamma[1])

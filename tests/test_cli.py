@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pavlab import TracedMatrix
+from pavlab import TracedMatrix, cli
 from pavlab.cli import main, strip_timing
 from pavlab.matrix_io import save_json
 
@@ -156,3 +156,44 @@ def test_calibrate_small(capsys):
     payload = json.loads(out)["calibration"]
     assert "conjugation" in payload and "kesten" in payload
     assert payload["kesten"]["2"]["free_value"] == pytest.approx(2.0)
+
+
+PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def assert_plain(value):
+    assert type(value) in PLAIN_TYPES, type(value)
+    if isinstance(value, dict):
+        for k, v in value.items():
+            assert type(k) is str
+            assert_plain(v)
+    elif isinstance(value, list):
+        for v in value:
+            assert_plain(v)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pave", "--dim", "8", "--strategy", "exhaustive", "--eps", "0.6"],
+    ["pave", "--dim", "16", "--strategy", "sign_split", "--budget", "200"],
+    ["pave-exact", "--dim", "6", "--eps", "0.6"],
+    ["curve", "--dim", "16", "--budget", "50", "--eps-grid", "0.6", "0.5"],
+    ["indep", "--dim", "32", "--levels", "2", "--budget", "400", "--seed", "1"],
+    ["free", "--op", "conj", "--dim", "16", "--n", "4"],
+    ["free", "--op", "proj", "--dim", "15", "--n", "5", "--t", "0.2"],
+    ["free", "--op", "kesten", "--dim", "16"],
+    ["free", "--op", "growth", "--dim", "16", "--n-max", "4"],
+    ["reduce", "--dim", "16", "--eps", "0.6"],
+    ["dixmier", "--dim", "12", "--n", "3"],
+    ["calibrate", "--seeds", "2", "--dim-conj", "16", "--dim-proj", "64", "--dim-kesten", "16"],
+], ids=lambda argv: "-".join(a for a in argv[:5] if not a.startswith("-") and not a.isdigit()))
+def test_out_artifact_holds_plain_json(tmp_path, capsys, monkeypatch, argv):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda cfg, payload, *rest, **kw:
+                        payloads.append(payload) or emit(cfg, payload, *rest, **kw))
+    out_path = tmp_path / "out.json"
+    code, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert_plain(payloads[0])
+    assert json.loads(out_path.read_text()) == payloads[0]
+    assert_plain(json.loads((tmp_path / "out.json.manifest.json").read_text()))

@@ -90,6 +90,16 @@ def test_op_norm_power_iteration_path_matches_svd():
     assert abs(approx - np.linalg.norm(a, 2)) < 1e-6 * np.linalg.norm(a, 2)
 
 
+def test_norm_triple_op_is_exact_above_svd_limit():
+    import pavlab.finite_vn as fv
+
+    a = np.asarray(random_matrix(fv.SVD_DIM_LIMIT + 1, 12), dtype=np.complex128)
+    t = norm_triple(a)
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert t.op == sv[0]
+    assert t.l1 == sv.sum() / a.shape[0]
+
+
 def test_l2_l1_identity():
     assert l2_norm(TracedMatrix.identity(7)) == pytest.approx(1.0)
     assert l1_norm(TracedMatrix.identity(7)) == pytest.approx(1.0)

@@ -260,6 +260,26 @@ def test_cor37_report_holds_plain_python_values():
     assert all(c["ok"] is True for c in payload["conditions"].values())
 
 
+def test_report_json_key_order():
+    # artifacts are compared byte for byte, so the key order is part of the format
+    dim = 32
+    x = haar_model(dim, 5)
+    part, built = build_independent_partition([x], [], 2, 0.01, MasaFrame.identity(dim),
+                                              budget=400, seed=1)
+    cert = check_cor37(part, [x]).to_json_dict()
+    assert list(cert) == ["n_levels", "measured_alpha", "conditions"]
+    assert list(cert["conditions"]) == sorted(cert["conditions"])
+    assert list(cert["conditions"]) == ["a2_l2_blocks", "b2_trace_products",
+                                        "c2_compression_l2sq", "c2_corner_l2", "d2_corner_l1"]
+    assert all(list(c) == ["bound", "measured", "ok"] for c in cert["conditions"].values())
+    for rep in (built, k_independence_residual(part, [x], k=2)):
+        d = rep.to_json_dict()
+        assert list(d) == ["max_k", "residual_per_level", "word_count", "achieved_alpha",
+                           "coverage_per_level", "worst_word"]
+        assert list(d["residual_per_level"]) == ["1", "2"]
+        assert list(d["coverage_per_level"]) == ["1", "2"]
+
+
 # -- incremental_patch_haar -----------------------------------------------------
 
 def test_patch_empty_targets_scrambled_cycle():

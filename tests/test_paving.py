@@ -29,7 +29,7 @@ from pavlab import (
     spectral_tail_mass,
 )
 from pavlab import paving
-from pavlab.paving import _Objective
+from pavlab.paving import _block_diagonal_norm, _block_mask, _Objective
 
 
 def random_matrix(dim, seed):
@@ -213,6 +213,19 @@ def test_w_tuple_identity():
         assert np.abs(tw.entries - compress(x, part).entries).max() < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_w_tuple_average_equals_compression_property(data):
+    dim = data.draw(st.integers(2, 10))
+    n = data.draw(st.integers(1, dim))
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim))
+    part = Partition(np.array(labels), n, frame)
+    x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    tw = dixmier_average(x, roots_of_unity_tuple(part), frame)
+    assert np.abs(tw.entries - compress(x, part).entries).max() < 1e-10
+
+
 # -- sign_split and arc_partition --------------------------------------------
 
 def test_sign_split_identity_unitary():
@@ -326,6 +339,23 @@ def test_refine_never_increases_defect():
         p = Partition(rng.integers(0, 3, size=12), 3, frame)
         q = Partition(rng.integers(0, 3, size=12), 3, frame)
         assert paving_defect(x, refine(p, q)).defect <= paving_defect(x, p).defect + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_refine_never_increases_defect_property(data):
+    dim = data.draw(st.integers(2, 10))
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    parts = []
+    for _ in range(2):
+        n = data.draw(st.integers(1, dim))
+        labels = data.draw(st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim))
+        parts.append(Partition(np.array(labels), n, frame))
+    fine = paving_defect(x, refine(*parts)).defect
+    for coarse in parts:
+        d = paving_defect(x, coarse).defect
+        assert fine <= d + 1e-12 * max(d, 1.0)
 
 
 def test_refine_rejects_frame_mismatch():
@@ -450,6 +480,25 @@ def test_objective_propose_equals_full_defect(data):
             obj.commit()
             cur = trial
             assert fresh.reset(cur) == d
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_diagonal_norm_equals_masked_norm(data):
+    dim = data.draw(st.integers(1, 9))
+    a = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    kind = data.draw(st.sampled_from(["singletons", "one_block", "gapped"]))
+    if kind == "singletons":
+        labels = np.arange(dim)
+    elif kind == "one_block":
+        labels = np.zeros(dim, dtype=np.int64)
+    else:
+        # labels drawn from a wide range leave gaps between used labels
+        labels = np.array(data.draw(st.lists(st.integers(0, 3 * dim), min_size=dim,
+                                             max_size=dim)))
+    shift = data.draw(st.sampled_from([0.0, 0.5, -1.25, 1 / 3]))
+    want = op_norm(a * _block_mask(labels) - shift * np.eye(dim))
+    assert abs(_block_diagonal_norm(a, labels, shift) - want) <= 1e-12 * want
 
 
 def test_objective_unchanged_trial_makes_no_norm_call(monkeypatch):

@@ -1,11 +1,14 @@
 """The reduction pipeline: normalization, bands, flattening, dilation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pavlab import MasaFrame, Partition, TracedMatrix, compress, op_norm, paving_defect
 from pavlab.free_model import make_block_paver
 from pavlab.reduction import (
+    ReductionTrace,
     band_slices,
     dilate_to_projection,
     flatten,
@@ -311,3 +314,15 @@ def test_real_imag_recombination_bound():
         combined = refine(p, q)
         defect_x = paving_defect(x, combined).defect
         assert defect_x <= r1.defect + r2.defect + 1e-9
+
+
+def test_trace_json_bytes():
+    # artifacts are compared byte for byte, so the key order is part of the format
+    trace = ReductionTrace(eps=0.5)
+    trace.band_count = 2
+    trace.anchors = (0.25, 0.375)
+    trace.add("flatten_drift", 0.0625, 0.125, lo=0.5, n=3)
+    assert json.dumps(trace.to_json_dict()) == (
+        '{"eps": 0.5, "band_count": 2, "anchors": [0.25, 0.375], "stages": '
+        '[{"label": "flatten_drift", "measured": 0.0625, "bound": 0.125, "ok": true, '
+        '"detail": {"lo": 0.5, "n": 3}}]}')
