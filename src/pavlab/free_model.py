@@ -305,16 +305,17 @@ def equal_block_partition(dim: int, n: int, seed: int) -> Partition:
 
 def make_block_paver():
     """Projection paver callback: doubles the shuffled-block count until
-    the corner target ratio is met.  Singletons have ratio 0, so the
-    doubling returns at the latest at n = dim."""
+    the corner target ratio is met.  One block has ratio 1, so it answers
+    a target >= 1 without a block norm and the doubling starts at n = 2;
+    singletons have ratio 0, so it returns at the latest at n = dim."""
 
     def paver(corner: np.ndarray, target_ratio: float, seed: int) -> Partition:
         dim = corner.shape[0]
         frame = MasaFrame.identity(dim)
         obj = _Objective(corner, frame)
-        if obj.base < DEGENERATE_NORM:
+        if obj.base < DEGENERATE_NORM or target_ratio >= 1:
             return Partition.one_block(frame)
-        n = 1
+        n = 2
         while True:
             part = equal_block_partition(dim, n, seed) if n < dim else Partition.singletons(frame)
             if obj.ratio(part.assignment) <= target_ratio:

@@ -77,12 +77,8 @@ def load_json(path) -> TracedMatrix:
 
 
 def save_binary(x: TracedMatrix, path) -> None:
-    buf = bytearray(_HEADER.pack(MAGIC, x.dim, 0, 0))
-    inter = np.empty((x.dim, x.dim, 2), dtype="<f8")
-    inter[..., 0] = x.entries.real
-    inter[..., 1] = x.entries.imag
-    buf += inter.tobytes()
-    Path(path).write_bytes(bytes(buf))
+    body = np.ascontiguousarray(x.entries, dtype="<c16")  # (re, im) f64 pairs
+    Path(path).write_bytes(_HEADER.pack(MAGIC, x.dim, 0, 0) + body.tobytes())
 
 
 def load_binary(path) -> TracedMatrix:
@@ -92,11 +88,11 @@ def load_binary(path) -> TracedMatrix:
     magic, dim, _, _ = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    body = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if body.size != 2 * dim * dim:
-        raise ValueError(f"payload size {body.size} does not match dim {dim}")
-    pairs = body.reshape(dim, dim, 2)
-    return TracedMatrix(pairs[..., 0] + 1j * pairs[..., 1])
+    if len(raw) - _HEADER.size != 16 * dim * dim:
+        raise ValueError(f"payload of {len(raw) - _HEADER.size} bytes does not match dim {dim}")
+    # a view, not re + 1j * im, which turns a -0.0 real part into 0.0
+    body = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    return TracedMatrix(body.reshape(dim, dim))
 
 
 def load_matrix(path) -> TracedMatrix:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pavlab import MasaFrame, Partition, compress, normalized_trace, op_norm
+from pavlab import MasaFrame, Partition, compress, normalized_trace, op_norm, paving
 from pavlab.free_model import (
     EnsembleSpec,
     FreenessReport,
@@ -251,3 +251,24 @@ def test_block_paver_diagonal_input():
     paver = make_block_paver()
     part = paver(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), 0.3, seed=0)
     assert part.effective_blocks == 1
+
+
+def test_block_paver_takes_one_norm_of_the_whole_corner(monkeypatch):
+    # the one-block partition has ratio 1: its norm is the base norm already taken
+    shapes = []
+
+    def recording_norm(a):
+        shapes.append(a.shape)
+        return op_norm(a)
+
+    monkeypatch.setattr(paving, "op_norm", recording_norm)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    corner = (a + a.conj().T) / 2
+    paver = make_block_paver()
+    part = paver(corner, 0.5, seed=2)
+    assert shapes.count((32, 32)) == 1
+    assert part.effective_blocks >= 2
+    shapes.clear()
+    assert paver(corner, 1.0, seed=2).effective_blocks == 1
+    assert shapes == [(32, 32)]

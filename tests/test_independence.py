@@ -1,21 +1,36 @@
 """Independence residuals, sign-unitary search, doubling, patching."""
 
+import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavlab import MasaFrame, Partition, compress, l2_norm, normalized_trace, perpendicular_frame
 from pavlab.independence import (
     IndependenceReport,
     WordSpec,
+    _block_letters,
+    _center_and_normalize,
+    _letters_from,
+    _word_product,
+    _word_traces,
     build_independent_partition,
     check_cor37,
     find_mixing_sign_unitary,
     incremental_patch_haar,
     k_independence_residual,
 )
+from pavlab.seeds import rng_for
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def haar(dim, seed):
@@ -99,6 +114,154 @@ def test_residual_deterministic():
     r1 = k_independence_residual(part, xs, k=3, sampling_budget=40, seed=9)
     r2 = k_independence_residual(part, xs, k=3, sampling_budget=40, seed=9)
     assert r1.residual_per_level == r2.residual_per_level
+
+
+def reference_k_independence_residual(blocks, X, k=2, sampling_budget=100_000, seed=0,
+                                      frame=None):
+    """The per-word loop that k_independence_residual ran before its words
+    were screened by _word_traces: the reference its reports must equal."""
+    if isinstance(blocks, Partition):
+        frame = blocks.frame
+    labels, diags = _letters_from(blocks, frame)
+    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    dim = frame.dim
+    norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
+
+    def word_trace(a_diags, xis):
+        m = a_diags[0][:, None] * xis[0]
+        for d, x in zip(a_diags[1:], xis[1:]):
+            m = m @ (d[:, None] * x)
+        return complex(np.trace(m) / dim)
+
+    residuals, coverage = {}, {}
+    worst = (0.0, "")
+    total_words = 0
+    if not diags or not xs:
+        for j in range(1, k + 1):
+            residuals[j] = 0.0
+            coverage[j] = 1.0
+        return IndependenceReport(k, residuals, 0, 0.0, coverage, "")
+    n_a, n_x = len(diags), len(xs)
+    rng = rng_for(seed, 0x1DE)
+    for j in range(1, k + 1):
+        count = (n_a * n_x) ** j
+        level_best = 0.0
+        if count <= sampling_budget:
+            choices = itertools.product(range(n_a * n_x), repeat=j)
+            coverage[j] = 1.0
+            n_words = count
+        else:
+            picks = rng.integers(0, n_a * n_x, size=(sampling_budget, j))
+            choices = (tuple(row) for row in picks)
+            coverage[j] = sampling_budget / count
+            n_words = sampling_budget
+        for combo in choices:
+            a_idx = [c // n_x for c in combo]
+            x_idx = [c % n_x for c in combo]
+            val = word_trace([diags[a] for a in a_idx], [xs[x] for x in x_idx])
+            denom = float(np.prod([norms[a] for a in a_idx]))
+            if denom < 1e-30:
+                continue
+            r = abs(val) / denom
+            if r > level_best:
+                level_best = r
+            if r > worst[0]:
+                worst = (r, WordSpec(tuple(a_idx), tuple(x_idx)).label())
+        residuals[j] = level_best
+        total_words += n_words
+    return IndependenceReport(k, residuals, total_words, max(residuals.values()), coverage,
+                              worst[1])
+
+
+def draw_labels(data, dim):
+    """Equal congruence blocks, or random labels drawn from a gapped set."""
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(2, dim))
+        return np.arange(dim) % n, n
+    used = data.draw(st.lists(st.integers(0, 6), min_size=2, max_size=4, unique=True))
+    labels = np.array(data.draw(st.lists(st.sampled_from(used), min_size=dim, max_size=dim)))
+    return labels, 7
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_word_traces_equal_the_chain_property(data):
+    dim = data.draw(st.integers(2, 12))
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    labels, n = draw_labels(data, dim)
+    _, diags = _block_letters(Partition(labels, n, frame))
+    if not diags:
+        return
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=2))
+    xs = [frame.to_frame(x) for x in _center_and_normalize([haar_model(dim, s) for s in seeds],
+                                                          frame)]
+    j = data.draw(st.integers(1, 4))
+    n_letters = len(diags) * len(xs)
+    if n_letters ** j <= 300 and data.draw(st.booleans()):
+        combos = np.array(list(itertools.product(range(n_letters), repeat=j)))
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        combos = rng.integers(0, n_letters, size=(data.draw(st.integers(1, 60)), j))
+    a_idx, x_idx = np.divmod(combos, len(xs))
+    got = _word_traces(np.array(diags), xs, a_idx, x_idx)
+    for w in range(len(combos)):
+        m = _word_product([diags[a] for a in a_idx[w]], [xs[x] for x in x_idx[w]])
+        assert abs(got[w] - np.trace(m) / dim) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_k_independence_report_equals_reference_property(data):
+    dim = data.draw(st.integers(2, 10))
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    if data.draw(st.booleans()):
+        labels, n = draw_labels(data, dim)
+        blocks = Partition(labels, n, frame)
+    else:
+        # raw MASA elements; a scalar one gives a zero letter and a tiny one
+        # makes the denominators of words repeating it fall below 1e-30
+        scales = data.draw(st.lists(st.sampled_from([1.0, 0.0, 1e-20]), min_size=1, max_size=3))
+        blocks = [frame.diagonal_element(c * rng.standard_normal(dim) + 1.0) for c in scales]
+    x = haar_model(dim, data.draw(st.integers(0, 2 ** 16)))
+    X = [x, x] if data.draw(st.booleans()) else [x]  # a duplicate gives exact ties
+    if data.draw(st.booleans()):
+        X.append(haar_model(dim, data.draw(st.integers(0, 2 ** 16))))
+    k = data.draw(st.integers(1, 4))
+    budget = data.draw(st.sampled_from([10, 50, 100_000]))
+    seed = data.draw(st.integers(0, 100))
+    got = k_independence_residual(blocks, X, k=k, sampling_budget=budget, seed=seed, frame=frame)
+    want = reference_k_independence_residual(blocks, X, k=k, sampling_budget=budget, seed=seed,
+                                             frame=frame)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_cyclic_twin_words_keep_the_first_worst_word():
+    # tau(a x b x) = tau(b x a x): the twins tie, and the report names the first
+    part = Partition(np.arange(32) % 16, 16, MasaFrame.identity(32))
+    x = haar_model(32, 3)
+    got = k_independence_residual(part, [x], k=2)
+    want = reference_k_independence_residual(part, [x], k=2)
+    assert got.to_json_dict() == want.to_json_dict()
+    a, _, b, _ = got.worst_word.split(".")
+    assert a != b
+
+
+def test_cancelling_words_report_the_chain_values():
+    # for a symmetric zero-diagonal sign matrix x and letters w, w^2 of an
+    # order-8 w, every level-2 trace is a sum of +-1 terms that cancels
+    # exactly: both evaluations return rounding noise, rounded differently
+    dim = 32
+    frame = MasaFrame.identity(dim)
+    w = np.exp(2j * np.pi * (np.arange(dim) % 8) / 8)
+    blocks = [np.diag(w), np.diag(w ** 2)]
+    for seed in range(5):
+        x = np.triu(np.sign(np.random.default_rng(seed).standard_normal((dim, dim))), 1)
+        x = x + x.T
+        got = k_independence_residual(blocks, [x], k=3, frame=frame)
+        want = reference_k_independence_residual(blocks, [x], k=3, frame=frame)
+        assert got.residual_per_level[2] < 1e-15
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_builder_certificate_consistency():
@@ -338,6 +501,56 @@ def test_patch_haar_model_residuals_small():
     assert rep.power_residual <= 0.1
     assert rep.word_residual <= 0.15
     assert 0 < rep.coverage <= 1.0
+
+
+# (dim, test-element seeds, n, order_L, budget, seed): order_L ** chunk <= 64 at
+# dim 16 makes the candidates exhaustive; the dim-64 case has two test elements
+# and sampled level-2/3 words
+PATCH_CASES = [
+    (16, (16,), 2, 32, 2000, 4),
+    (64, (64, 65), 3, 256, 300, 7),
+    (128, (128,), 2, 512, 2000, 9),
+]
+# SHA-256 of the patch diagonal and of json.dumps of its report, recorded with
+# the earlier per-candidate loop of the patch (numpy 2.4 with OpenBLAS 0.3.31,
+# one BLAS thread as the benchmark runs: the dim-128 report's last digit
+# moves with the BLAS thread count)
+PATCH_PINS = [
+    ["1de1362e656732327d31a4a2be136c59c0720f0524ecbc5294fb2022b03f5657",
+     "2b7fac0867b583e4e93c3a7c6e943f53ee601c2fe95294b45e633f345ff71bcd"],
+    ["5cc49c3bd42add380902b2caebfd8b23c5675eac75b8e8575ad046633593cfb3",
+     "fd8617b5da9644e2426b23ee19521ea30b79da910efabfef1a5454ba1a4e037a"],
+    ["f48af670985cd8b309040a1bf03cfd12bca07b8d369a6ddf9e82aef201ac03c3",
+     "01d2ffbe2846701b57ff6193e3fb73776727dd52f09b0a8c6b4a86e507273622"],
+]
+
+
+def _patch_hashes(case):
+    dim, x_seeds, n, order_L, budget, seed = case
+    v, rep = incremental_patch_haar([haar_model(dim, s) for s in x_seeds], n, 0.1, order_L,
+                                    budget, seed)
+    d = np.ascontiguousarray(np.diagonal(v.entries))
+    return [hashlib.sha256(d.tobytes()).hexdigest(),
+            hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest()]
+
+
+def test_patch_outputs_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = ("import json, test_independence as t\n"
+            "print(json.dumps([t._patch_hashes(c) for c in t.PATCH_CASES]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == PATCH_PINS
+
+
+def test_indep_benchmark_digest_matches():
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--check-digest",
+                          "--workload", "indep"], cwd=ROOT, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_patch_deterministic():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavlab import TracedMatrix
 from pavlab.matrix_io import load_binary, load_json, load_matrix, save_binary, save_json
@@ -76,3 +78,19 @@ def test_malformed_json_raises_value_error(tmp_path, obj):
     p.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
         load_json(p)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)  # includes -0.0 and subnormals
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trips_bit_exact_property(tmp_path_factory, data):
+    dim = data.draw(st.integers(1, 4))
+    parts = data.draw(st.lists(finite, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    x = TracedMatrix(np.array(parts).view(np.complex128).reshape(dim, dim))
+    d = tmp_path_factory.mktemp("rt")
+    save_json(x, d / "m.json")
+    save_binary(x, d / "m.pvlb")
+    for y in (load_json(d / "m.json"), load_binary(d / "m.pvlb")):
+        assert y.entries.tobytes() == x.entries.tobytes()

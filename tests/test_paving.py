@@ -110,6 +110,25 @@ def test_compress_contracts_and_fixes_expectation():
         )
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compress_contracts_and_fixes_masa_property(data):
+    dim = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(1, dim))
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    part = Partition(np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=dim,
+                                                 max_size=dim))), n, frame)
+    seed = data.draw(st.integers(0, 2 ** 16))
+    x = random_matrix(dim, seed)
+    c = compress(x, part)
+    assert op_norm(c) <= op_norm(x) * (1 + 1e-12) + 1e-12
+    # E_A o compress = E_A, and compress fixes the MASA pointwise
+    assert np.abs(conditional_expectation(c, frame).entries
+                  - conditional_expectation(x, frame).entries).max() <= 1e-12
+    a = frame.diagonal_element(np.random.default_rng(seed).standard_normal(dim) + 1j)
+    assert np.abs(compress(a, part).entries - a.entries).max() <= 1e-12
+
+
 # -- paving_defect -----------------------------------------------------------
 
 def test_defect_zero_for_diagonal():
