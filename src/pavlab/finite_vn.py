@@ -74,7 +74,10 @@ class MasaFrame:
     """Unitary change of basis defining a MASA A = U . Diag . U*.
 
     The diagonal MASA is the identity frame; every frame is stored as an
-    explicit unitary so there is a single code path.
+    explicit unitary so there is a single code path.  A basis bit-equal to
+    the identity has u*u - 1 exactly 0 in floating point, so its unitarity
+    check is the O(dim^2) comparison; every other basis takes the product
+    u*u and is refused when it deviates from 1 by more than UNITARY_TOL.
     """
 
     basis: np.ndarray
@@ -86,12 +89,14 @@ class MasaFrame:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("frame basis must be square")
         eye = np.eye(u.shape[0])
-        dev = np.abs(u.conj().T @ u - eye).max()
-        if dev > UNITARY_TOL:
-            raise ValueError(f"frame basis is not unitary (deviation {dev:.3e})")
+        is_identity = bool(np.array_equal(u, eye))
+        if not is_identity:
+            dev = np.abs(u.conj().T @ u - eye).max()
+            if not dev <= UNITARY_TOL:  # also refuses a NaN deviation
+                raise ValueError(f"frame basis is not unitary (deviation {dev:.3e})")
         u.setflags(write=False)
         object.__setattr__(self, "basis", u)
-        object.__setattr__(self, "_is_identity", bool(np.array_equal(u, eye)))
+        object.__setattr__(self, "_is_identity", is_identity)
 
     @property
     def dim(self) -> int:

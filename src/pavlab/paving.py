@@ -7,7 +7,9 @@ paving number this module provides heuristic searches: simulated
 annealing, recursive sign splitting, spectral arcs of a random unitary,
 and equal shuffled blocks (the free-paving model).  The block helpers
 here (equal blocks, block-diagonal norms, the block objective) are the
-only copies; free_model and reduction call them.
+only copies; free_model and reduction call them.  Every block norm comes
+from one kernel, ``_block_norms``: blocks of one size share one batched
+SVD, which gives each block the same bits as its own ``op_norm``.
 """
 
 import time
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finite_vn import MasaFrame, TracedMatrix, _as_entries, op_norm
+from .finite_vn import SVD_DIM_LIMIT, MasaFrame, TracedMatrix, _as_entries, op_norm
 from .matrix_io import JsonReport
 from .seeds import rng_for
 
@@ -110,23 +112,41 @@ def _equal_blocks(order: np.ndarray, n: int) -> np.ndarray:
     return labels
 
 
-def _block_norm(a: np.ndarray, idx: np.ndarray, shift: float = 0.0) -> float:
-    """||a[idx, idx] - shift * 1|| with idx ascending.
+def _block_norms(a: np.ndarray, idx_list, shift: float = 0.0) -> list[float]:
+    """||a[idx, idx] - shift * 1|| for each ascending index array in idx_list.
 
+    Blocks of one size are gathered into a stack and take one batched SVD,
+    which gives each matrix the bits its own SVD gives; a size that only
+    one block has, or one above SVD_DIM_LIMIT, goes through ``op_norm``.
     One index order for every caller: a permuted order has the same
     singular values in exact arithmetic but not always in the last bits.
     """
-    sub = a[np.ix_(idx, idx)]
-    if shift:
-        sub = sub - shift * np.eye(idx.size)
-    return op_norm(sub)
+    a = np.asarray(a, dtype=np.complex128)
+    by_size = {}
+    for pos, idx in enumerate(idx_list):
+        by_size.setdefault(idx.size, []).append(pos)
+    out = [0.0] * len(idx_list)
+    for k, group in by_size.items():
+        if len(group) == 1 or k > SVD_DIM_LIMIT:
+            for pos in group:
+                idx = idx_list[pos]
+                sub = a[idx[:, None], idx]
+                out[pos] = op_norm(sub - shift * np.eye(k) if shift else sub)
+            continue
+        rows = np.stack([idx_list[pos] for pos in group])
+        stack = a[rows[:, :, None], rows[:, None, :]]
+        if shift:
+            stack = stack - shift * np.eye(k)
+        for pos, s in zip(group, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
+            out[pos] = s
+    return out
 
 
 def _block_diagonal_norm(a: np.ndarray, labels: np.ndarray, shift: float = 0.0) -> float:
     """||sum_k q_k a q_k - shift * 1|| for the blocks q_k of a label array:
     the masked matrix is block diagonal, so this is the max block norm."""
-    return max((_block_norm(a, np.flatnonzero(labels == label), shift)
-                for label in np.unique(labels)), default=0.0)
+    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    return max(_block_norms(a, blocks, shift), default=0.0)
 
 
 def compress(x, part: Partition) -> TracedMatrix:
@@ -295,9 +315,12 @@ class _Objective:
     trial's defect; ``commit`` adopts the last proposal.  The state is the
     committed assignment plus one float per label, whatever the budget.
 
-    Every block goes through ``_block_norm``, whose single index order
-    keeps ``propose`` returning exactly what ``defect`` returns for the
-    same trial; a last-bit difference could flip an accept decision.
+    Every block of two or more indices goes through ``_block_norms``, which
+    takes one batched SVD per stack of equal-size blocks (the blocks of an
+    equal-block partition, or the two blocks of a swap between them) and
+    gives each block the bits of its own SVD.  Its single index order keeps
+    ``propose`` returning exactly what ``defect`` returns for the same
+    trial; a last-bit difference could flip an accept decision.
     """
 
     def __init__(self, x, frame: MasaFrame):
@@ -310,15 +333,16 @@ class _Objective:
         self._norms = {}
         self._pending = None
 
-    def _block_norms(self, assignment: np.ndarray, labels) -> dict:
-        out = {}
-        for label in labels:
-            idx = np.flatnonzero(assignment == label)
-            out[label] = _block_norm(self.off, idx) if idx.size >= 2 else 0.0
+    def _label_norms(self, assignment: np.ndarray, labels) -> dict:
+        # a block of fewer than two indices sees only the zero diagonal
+        blocks = {label: np.flatnonzero(assignment == label) for label in labels}
+        out = dict.fromkeys(blocks, 0.0)
+        big = [label for label, idx in blocks.items() if idx.size >= 2]
+        out.update(zip(big, _block_norms(self.off, [blocks[label] for label in big])))
         return out
 
     def defect(self, assignment: np.ndarray) -> float:
-        return max(self._block_norms(assignment, np.unique(assignment).tolist()).values(),
+        return max(self._label_norms(assignment, np.unique(assignment).tolist()).values(),
                    default=0.0)
 
     def ratio(self, assignment: np.ndarray) -> float:
@@ -328,7 +352,7 @@ class _Objective:
 
     def reset(self, assignment: np.ndarray) -> float:
         self._committed = np.array(assignment, dtype=np.int64)
-        self._norms = self._block_norms(self._committed, np.unique(self._committed).tolist())
+        self._norms = self._label_norms(self._committed, np.unique(self._committed).tolist())
         self._pending = None
         return max(self._norms.values(), default=0.0)
 
@@ -336,7 +360,7 @@ class _Objective:
         changed = np.flatnonzero(trial != self._committed)
         moved = trial[changed]
         labels = set(self._committed[changed].tolist()) | set(moved.tolist())
-        norms = {**self._norms, **self._block_norms(trial, labels)}
+        norms = {**self._norms, **self._label_norms(trial, labels)}
         self._pending = (changed, moved, norms)
         return max(norms.values(), default=0.0)
 
@@ -405,13 +429,17 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
             trial[i], trial[j] = trial[j], trial[i]
         else:
             trial[rng.integers(0, dim)] = rng.integers(0, n)
-        d = obj.propose(trial)
-        delta = d - cur_d
-        if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
-            obj.commit()
-            cur, cur_d = trial, d
-            if d < best_d:
-                best, best_d = trial.copy(), d
+        # A same-label swap or a relabel to the current label would have
+        # delta exactly 0: accepted with no rng draw and no change to cur or
+        # best, so it skips the objective but still spends budget and cools.
+        if not np.array_equal(trial, cur):
+            d = obj.propose(trial)
+            delta = d - cur_d
+            if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
+                obj.commit()
+                cur, cur_d = trial, d
+                if d < best_d:
+                    best, best_d = trial.copy(), d
         temp *= 0.995
     # greedy polish: first-improvement single-index passes
     improved = True

@@ -73,12 +73,9 @@ def split_real_imag(x) -> tuple[TracedMatrix, TracedMatrix]:
     return TracedMatrix(y1), TracedMatrix(y2)
 
 
-def normalize_selfadjoint(x, frame: MasaFrame) -> TracedMatrix:
-    """y0 = (x + 5)/12 for centered unit-norm self-adjoint x.
-
-    The affine map puts the spectrum inside [1/3, 1/2] (checked within
-    1e-10); paving is invariant under the map, so nothing is lost.
-    """
+def _normalize_with_spectrum(x, frame: MasaFrame) -> tuple[np.ndarray, np.ndarray]:
+    """(y0, eigenvalues of y0): the checks and the one eigvalsh of
+    :func:`normalize_selfadjoint`, whose spectrum the pipeline records."""
     a = _as_entries(x)
     if np.abs(a - a.conj().T).max() > 1e-10:
         raise ValueError("input must be self-adjoint")
@@ -88,7 +85,16 @@ def normalize_selfadjoint(x, frame: MasaFrame) -> TracedMatrix:
     ev = np.linalg.eigvalsh(y0)
     if ev.min() < 1 / 3 - 1e-10 or ev.max() > 0.5 + 1e-10:
         raise ValueError("spectrum escaped [1/3, 1/2]; caller must rescale to unit norm")
-    return TracedMatrix(y0)
+    return y0, ev
+
+
+def normalize_selfadjoint(x, frame: MasaFrame) -> TracedMatrix:
+    """y0 = (x + 5)/12 for centered unit-norm self-adjoint x.
+
+    The affine map puts the spectrum inside [1/3, 1/2] (checked within
+    1e-10); paving is invariant under the map, so nothing is lost.
+    """
+    return TracedMatrix(_normalize_with_spectrum(x, frame)[0])
 
 
 @dataclass(frozen=True)
@@ -278,8 +284,7 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFram
     z must be self-adjoint, centered, unit operator norm.
     """
     dim = frame.dim
-    y0 = normalize_selfadjoint(z, frame).entries
-    ev = np.linalg.eigvalsh(y0)
+    y0, ev = _normalize_with_spectrum(z, frame)
     trace.add("normalize_window", max(1 / 3 - ev.min(), ev.max() - 0.5), 1e-10,
               lo=float(ev.min()), hi=float(ev.max()))
 

@@ -203,6 +203,26 @@ def test_perpendicular_frame_traceless_grid():
             assert abs(normalized_trace(a @ b)) <= 1e-12
 
 
+@pytest.mark.parametrize("basis", [
+    1.5 * np.eye(4),
+    np.eye(4) + 1e-8 * np.eye(4, k=1),
+    np.diag([1.0, 1.0 + 1e-8, 1.0, 1.0]),
+    np.diag([1.0, np.nan, 1.0, 1.0]),
+], ids=["scaled", "off_diagonal_1e-8", "diagonal_1e-8", "nan"])
+def test_masa_frame_refuses_non_unitary_basis(basis):
+    with pytest.raises(ValueError, match="not unitary"):
+        MasaFrame(basis)
+
+
+def test_masa_frame_accepts_permutation_basis():
+    perm = np.eye(5)[[2, 0, 4, 1, 3]]
+    frame = MasaFrame(perm)
+    assert not frame.is_identity
+    x = random_matrix(5, 4)
+    assert np.array_equal(frame.to_frame(x), perm.T @ x @ perm)
+    assert MasaFrame(np.eye(5)).is_identity
+
+
 def test_perpendicular_frame_is_unitary_and_guarded():
     for m in (2, 3, 8, 17):
         MasaFrame(perpendicular_frame(m).basis)  # re-validates unitarity

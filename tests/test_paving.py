@@ -29,7 +29,13 @@ from pavlab import (
     spectral_tail_mass,
 )
 from pavlab import paving
-from pavlab.paving import _block_diagonal_norm, _block_mask, _Objective
+from pavlab.paving import (
+    _block_diagonal_norm,
+    _block_mask,
+    _block_norms,
+    _equal_blocks,
+    _Objective,
+)
 
 
 def random_matrix(dim, seed):
@@ -518,6 +524,49 @@ def test_block_diagonal_norm_equals_masked_norm(data):
     shift = data.draw(st.sampled_from([0.0, 0.5, -1.25, 1 / 3]))
     want = op_norm(a * _block_mask(labels) - shift * np.eye(dim))
     assert abs(_block_diagonal_norm(a, labels, shift) - want) <= 1e-12 * want
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_block_norms_equal_each_blocks_own_norm(data):
+    # stacked SVDs must give every block the bits of its own op_norm
+    dim = data.draw(st.integers(1, 12))
+    a = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    if data.draw(st.booleans()):
+        a = a.real.copy()
+    perm = np.random.default_rng(data.draw(st.integers(0, 2 ** 16))).permutation(dim)
+    kind = data.draw(st.sampled_from(["equal", "mixed", "singletons", "gapped"]))
+    if kind == "equal":
+        n = data.draw(st.sampled_from([d for d in range(1, dim + 1) if dim % d == 0]))
+        labels = _equal_blocks(perm, n)
+    elif kind == "mixed":
+        # array_split sizes differ by one: two groups of equal-size blocks
+        labels = _equal_blocks(perm, data.draw(st.integers(1, dim)))
+    elif kind == "singletons":
+        labels = perm
+    else:
+        labels = np.array(data.draw(st.lists(st.integers(0, 3 * dim), min_size=dim,
+                                             max_size=dim)))
+    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    blocks = [blocks[i] for i in data.draw(st.permutations(range(len(blocks))))]
+    shift = data.draw(st.sampled_from([0.0, 0.5, -1.25, 1 / 3]))
+    want = [op_norm(a[np.ix_(idx, idx)] - shift * np.eye(idx.size)) for idx in blocks]
+    assert _block_norms(a, blocks, shift) == want
+
+
+def test_block_norms_send_lone_and_oversize_blocks_through_op_norm(monkeypatch):
+    a = random_matrix(19, 8)
+    sizes = [2, 2, 3, 4, 4, 4]
+    cuts = np.cumsum([0] + sizes)
+    blocks = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    want = [op_norm(a[np.ix_(idx, idx)]) for idx in blocks]
+    calls = []
+    monkeypatch.setattr(paving, "op_norm", lambda m: calls.append(m.shape[0]) or op_norm(m))
+    monkeypatch.setattr(paving, "SVD_DIM_LIMIT", 3)
+    assert _block_norms(a, blocks) == want
+    # the two 2x2 blocks share one stacked SVD; the lone 3x3 block and the
+    # 4x4 blocks above the limit each take op_norm
+    assert sorted(calls) == [3, 4, 4, 4]
 
 
 def test_objective_unchanged_trial_makes_no_norm_call(monkeypatch):

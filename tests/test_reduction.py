@@ -1,6 +1,9 @@
 """The reduction pipeline: normalization, bands, flattening, dilation."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from pavlab.reduction import (
     split_real_imag,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -326,3 +330,10 @@ def test_trace_json_bytes():
         '{"eps": 0.5, "band_count": 2, "anchors": [0.25, 0.375], "stages": '
         '[{"label": "flatten_drift", "measured": 0.0625, "bound": 0.125, "ok": true, '
         '"detail": {"lo": 0.5, "n": 3}}]}')
+
+
+def test_reduce_benchmark_digest_matches():
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--check-digest",
+                          "--workload", "reduce"], cwd=ROOT, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
