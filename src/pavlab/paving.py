@@ -2,18 +2,20 @@
 
 A partition of {0..dim-1} in a MASA frame realizes projections p_1..p_n
 summing to 1; compressing x by it and comparing against the conditional
-expectation gives the paving defect.  Alongside the exact (enumerative)
-paving number this module provides heuristic searches: simulated
-annealing, recursive sign splitting, spectral arcs of a random unitary,
-and equal shuffled blocks (the free-paving model).  The block helpers
-here (equal blocks, block-diagonal norms, the block objective) are the
-only copies; free_model and reduction call them.  Every block norm comes
+expectation gives the paving defect.  The exact paving number comes from
+a branch and bound over set partitions, which prunes by contractivity of
+compression: a block's norm bounds the norm of each of its principal
+sub-blocks.  Alongside it this module provides heuristic searches:
+simulated annealing, recursive sign splitting, spectral arcs of a random
+unitary, and equal shuffled blocks (the free-paving model).  The block
+helpers here (equal blocks, block-diagonal norms, the block objective) are
+the only copies; free_model and reduction call them.  Every block norm comes
 from one kernel, ``_block_norms``: blocks of one size share one batched
 SVD, which gives each block the same bits as its own ``op_norm``.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,13 +169,10 @@ def spectral_tail_mass(y, eps: float) -> float:
     return _tail_fraction(np.linalg.svd(_as_entries(y), compute_uv=False), eps)
 
 
-def _defect_parts(x, part: Partition) -> tuple[np.ndarray, float]:
-    """(singular values of the defect matrix in frame coords, baseline ||x - E_A x||)."""
-    a = _as_entries(x)
-    y = part.frame.to_frame(a)
-    off = y - np.diag(np.diagonal(y))
-    dm = off * _block_mask(part.assignment)
-    return np.linalg.svd(dm, compute_uv=False), op_norm(off)
+def _off_diagonal(x, frame: MasaFrame) -> np.ndarray:
+    """x - E_A(x) in frame coordinates."""
+    y = frame.to_frame(_as_entries(x))
+    return y - np.diag(np.diagonal(y))
 
 
 def paving_defect(x, part: Partition, eps: float | None = None,
@@ -187,7 +186,15 @@ def paving_defect(x, part: Partition, eps: float | None = None,
     defect is exact at every dimension.
     """
     t0 = time.perf_counter()
-    sv, base = _defect_parts(x, part)
+    off = _off_diagonal(x, part.frame)
+    return _defect_report(off, op_norm(off), part, eps, strategy, seed, t0)
+
+
+def _defect_report(off: np.ndarray, base: float, part: Partition, eps: float | None,
+                   strategy: str, seed: int, t0: float) -> PavingReport:
+    """The report of ``paving_defect`` from the off-diagonal part in frame
+    coordinates and its norm, timed from t0."""
+    sv = np.linalg.svd(off * _block_mask(part.assignment), compute_uv=False)
     defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
     threshold = defect if eps is None else eps * base
@@ -280,26 +287,8 @@ def refine(p: Partition, q: Partition) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# Exact paving number by exhaustive enumeration
+# Exact paving number by branch and bound
 # ---------------------------------------------------------------------------
-
-def _rgs_with_blocks(dim: int, k: int):
-    """Restricted-growth strings on dim symbols with exactly k blocks."""
-    a = [0] * dim
-
-    def rec(i: int, used: int):
-        if dim - i < k - used:
-            return
-        if i == dim:
-            if used == k:
-                yield tuple(a)
-            return
-        for v in range(min(used + 1, k)):
-            a[i] = v
-            yield from rec(i + 1, max(used, v + 1))
-
-    yield from rec(1, 1)
-
 
 class _Objective:
     """Defect of a masked off-diagonal matrix, as the max of per-block norms.
@@ -324,25 +313,29 @@ class _Objective:
     """
 
     def __init__(self, x, frame: MasaFrame):
-        y = frame.to_frame(_as_entries(x))
-        self.off = y - np.diag(np.diagonal(y))
+        self.off = _off_diagonal(x, frame)
         self.base = op_norm(self.off)
         self.frame = frame
-        self.dim = y.shape[0]
+        self.dim = self.off.shape[0]
         self._committed = None
         self._norms = {}
         self._pending = None
 
-    def _label_norms(self, assignment: np.ndarray, labels) -> dict:
-        # a block of fewer than two indices sees only the zero diagonal
-        blocks = {label: np.flatnonzero(assignment == label) for label in labels}
-        out = dict.fromkeys(blocks, 0.0)
-        big = [label for label, idx in blocks.items() if idx.size >= 2]
-        out.update(zip(big, _block_norms(self.off, [blocks[label] for label in big])))
+    def _label_norms(self, assignment: np.ndarray, labels, out: dict) -> dict:
+        """Write the block norm of each label into ``out`` and return it."""
+        big, blocks = [], []
+        for label in labels:
+            idx = (assignment == label).nonzero()[0]
+            if idx.size < 2:
+                out[label] = 0.0  # a lone index sees only the zero diagonal
+            else:
+                big.append(label)
+                blocks.append(idx)
+        out.update(zip(big, _block_norms(self.off, blocks)))
         return out
 
     def defect(self, assignment: np.ndarray) -> float:
-        return max(self._label_norms(assignment, np.unique(assignment).tolist()).values(),
+        return max(self._label_norms(assignment, np.unique(assignment).tolist(), {}).values(),
                    default=0.0)
 
     def ratio(self, assignment: np.ndarray) -> float:
@@ -352,15 +345,16 @@ class _Objective:
 
     def reset(self, assignment: np.ndarray) -> float:
         self._committed = np.array(assignment, dtype=np.int64)
-        self._norms = self._label_norms(self._committed, np.unique(self._committed).tolist())
+        self._norms = self._label_norms(self._committed, np.unique(self._committed).tolist(), {})
         self._pending = None
         return max(self._norms.values(), default=0.0)
 
     def propose(self, trial: np.ndarray) -> float:
-        changed = np.flatnonzero(trial != self._committed)
+        changed = (trial != self._committed).nonzero()[0]
         moved = trial[changed]
-        labels = set(self._committed[changed].tolist()) | set(moved.tolist())
-        norms = {**self._norms, **self._label_norms(trial, labels)}
+        labels = set(self._committed[changed].tolist())
+        labels.update(moved.tolist())
+        norms = self._label_norms(trial, labels, self._norms.copy())
         self._pending = (changed, moved, norms)
         return max(norms.values(), default=0.0)
 
@@ -371,21 +365,63 @@ class _Objective:
 
 
 def _first_paving(obj: _Objective, eps: float, max_n: int):
-    """(assignment, n) of the first partition with ratio <= eps, sweeping
-    n = 1..max_n and restricted-growth strings within each n; None if none."""
-    for n in range(1, min(max_n, obj.dim) + 1):
-        for rgs in _rgs_with_blocks(obj.dim, n):
-            cand = np.array(rgs, dtype=np.int64)
-            if obj.ratio(cand) <= eps:
-                return cand, n
+    """(assignment, n) of the first partition with ratio <= eps, in the order
+    of a sweep over n = 1..max_n and, within each n, over the restricted-growth
+    strings (RGS) with n blocks in lexicographic order; None if none.
+
+    A depth-first walk places indices 0, 1, 2, ... in that order and skips
+    the subtree below a partial block whose norm exceeds eps * base.
+    Compression is contractive, so a block's norm bounds the norm of every
+    principal sub-block, and no leaf below such a block can pass.  The cut
+    carries a relative slack of 1e-12, so rounding never cuts a leaf that
+    passes, and each leaf takes the full ``obj.ratio`` test: the walk
+    returns what scoring every RGS returns.  The walks for successive n and
+    sibling subtrees meet the same partial blocks again, so each block is
+    tested once per call.  (Set-partition enumeration by RGS: Knuth, TAOCP
+    Vol. 4A, 7.2.1.5.)
+    """
+    dim = obj.dim
+    cut = eps * obj.base * (1 + 1e-12) if obj.base >= DEGENERATE_NORM else np.inf
+    a = np.zeros(dim, dtype=np.int64)
+    blocks = []  # ascending members of each label placed so far
+    fits = {}  # partial block -> its norm is within the cut
+
+    def walk(i: int, n: int) -> bool:
+        if dim - i < n - len(blocks):
+            return False
+        if i == dim:
+            return obj.ratio(a) <= eps
+        for v in range(min(len(blocks) + 1, n)):
+            if v == len(blocks):
+                blocks.append([])
+            block = blocks[v]
+            block.append(i)
+            key = tuple(block)
+            if key not in fits:
+                fits[key] = len(key) < 2 or _block_norms(obj.off, [np.array(key)])[0] <= cut
+            a[i] = v
+            if fits[key] and walk(i + 1, n):
+                return True
+            block.pop()
+            if not block:
+                blocks.pop()
+        return False
+
+    for n in range(1, min(max_n, dim) + 1):
+        blocks[:] = [[0]]
+        if walk(1, n):
+            return a.copy(), n
     return None
 
 
 def paving_number_exact(x, eps: float, frame: MasaFrame, max_n: int | None = None):
-    """Smallest block count achieving ratio <= eps, by full enumeration.
+    """Smallest block count achieving ratio <= eps, by an exact branch and
+    bound over all set partitions (``_first_paving``).
 
-    Only available up to dim 12 (Bell-number explosion).  Returns None
-    when no partition within max_n blocks achieves the target.
+    Capped at dim EXHAUSTIVE_DIM_LIMIT: the walk prunes well at moderate
+    eps, but the number of set partitions (the Bell number) still bounds
+    its worst case.  Returns None when no partition within max_n blocks
+    achieves the target.
     """
     a = _as_entries(x)
     dim = a.shape[0]
@@ -423,16 +459,23 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
     spent = 0
     while spent < budget and best_d > target:
         spent += 1
-        trial = cur.copy()
         if n >= 2 and rng.random() < 0.5:
             i, j = rng.integers(0, dim, size=2)
-            trial[i], trial[j] = trial[j], trial[i]
+            moved = cur[i] != cur[j]
+            if moved:
+                trial = cur.copy()
+                trial[i], trial[j] = cur[j], cur[i]
         else:
-            trial[rng.integers(0, dim)] = rng.integers(0, n)
+            v = rng.integers(0, n)  # label before index keeps the recorded stream
+            i = rng.integers(0, dim)
+            moved = cur[i] != v
+            if moved:
+                trial = cur.copy()
+                trial[i] = v
         # A same-label swap or a relabel to the current label would have
         # delta exactly 0: accepted with no rng draw and no change to cur or
         # best, so it skips the objective but still spends budget and cools.
-        if not np.array_equal(trial, cur):
+        if moved:
             d = obj.propose(trial)
             delta = d - cur_d
             if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
@@ -501,20 +544,25 @@ def _search_arc(obj, eps, budget, seed, n, tries=8):
     return best_d, best_a
 
 
-def _search_sign_split(obj, eps, budget, seed):
-    """Recursive halving by balanced sign vectors tuned by local search."""
+def _search_sign_split(obj, eps, budget, seed, max_n):
+    """Recursive halving by balanced sign vectors tuned by local search.
+
+    Stops before a level would leave more than max_n nonempty blocks.
+    """
     dim = obj.dim
+    target = eps * obj.base
     assignment = np.zeros(dim, dtype=np.int64)
     n = 1
     best_d = obj.defect(assignment)
     spent = 0
     level = 0
-    while n < dim and best_d > eps * obj.base and spent < budget:
+    while (n < dim and best_d > target and spent < budget
+           and np.minimum(np.bincount(assignment), 2).sum() <= max_n):
         level += 1
         rng = rng_for(seed, 0x516, level)
         signs = np.empty(dim, dtype=np.int64)
-        for b in range(n):
-            idx = np.flatnonzero(assignment == b)
+        members = [np.flatnonzero(assignment == b) for b in range(n)]
+        for idx in members:
             half = idx.size // 2
             s = np.array([0] * half + [1] * (idx.size - half), dtype=np.int64)
             rng.shuffle(s)
@@ -524,26 +572,26 @@ def _search_sign_split(obj, eps, budget, seed):
         spent += 1
         # pairwise +/- swaps within blocks, first-improvement
         stuck = 0
-        while spent < budget and d > eps * obj.base and stuck < 2 * dim:
-            b = int(rng.integers(0, n))
-            idx = np.flatnonzero(assignment == b)
-            plus = idx[signs[idx] == 0]
-            minus = idx[signs[idx] == 1]
+        while spent < budget and d > target and stuck < 2 * dim:
+            idx = members[int(rng.integers(0, n))]
+            side = signs[idx]
+            plus = idx[side == 0]
+            minus = idx[side == 1]
             if plus.size == 0 or minus.size == 0:
                 stuck += 1
                 continue
             i = int(plus[rng.integers(0, plus.size)])
             j = int(minus[rng.integers(0, minus.size)])
-            signs[i], signs[j] = signs[j], signs[i]
-            cand = assignment * 2 + signs
+            cand = trial.copy()
+            cand[i], cand[j] = trial[j], trial[i]
             cd = obj.propose(cand)
             spent += 1
             if cd < d - 1e-15:
                 obj.commit()
+                signs[i], signs[j] = 1, 0
                 d, trial = cd, cand
                 stuck = 0
             else:
-                signs[i], signs[j] = signs[j], signs[i]
                 stuck += 1
         assignment = trial
         n *= 2
@@ -559,7 +607,8 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
     Deterministic given (strategy, budget, seed).  Except for sign_split
     (which doubles blocks), strategies sweep the block count upward and
     return at the first count achieving the target; the best partition
-    found is returned even when the target is missed.
+    found is returned even when the target is missed.  No strategy returns
+    more than max_n blocks: exhaustive then returns the one block.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -577,8 +626,8 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
         max_n = dim
 
     def finish(part: Partition) -> tuple[Partition, PavingReport]:
-        rep = paving_defect(a, part, eps=eps, strategy=strategy, seed=seed)
-        return part, replace(rep, elapsed_ms=(time.perf_counter() - t0) * 1e3)
+        # obj.off and obj.base come from the code paving_defect runs on a
+        return part, _defect_report(obj.off, obj.base, part, eps, strategy, seed, t0)
 
     if obj.base < DEGENERATE_NORM:
         return finish(Partition.one_block(frame))
@@ -587,10 +636,11 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
         if dim > EXHAUSTIVE_DIM_LIMIT:
             raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
         found = _first_paving(obj, eps, max_n)
-        return finish(Partition(*found, frame) if found else Partition.singletons(frame))
+        # no paving within max_n blocks: the one block every sweep starts from
+        return finish(Partition(*found, frame) if found else Partition.one_block(frame))
 
     if strategy == "sign_split":
-        d, assignment, n = _search_sign_split(obj, eps, budget, seed)
+        d, assignment, n = _search_sign_split(obj, eps, budget, seed, max_n)
         _, inverse = np.unique(assignment, return_inverse=True)
         return finish(Partition(inverse.astype(np.int64), int(inverse.max()) + 1, frame))
 

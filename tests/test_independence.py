@@ -228,7 +228,7 @@ def test_k_independence_report_equals_reference_property(data):
     if data.draw(st.booleans()):
         X.append(haar_model(dim, data.draw(st.integers(0, 2 ** 16))))
     k = data.draw(st.integers(1, 4))
-    budget = data.draw(st.sampled_from([10, 50, 100_000]))
+    budget = data.draw(st.sampled_from([10, 50, 2_000]))
     seed = data.draw(st.integers(0, 100))
     got = k_independence_residual(blocks, X, k=k, sampling_budget=budget, seed=seed, frame=frame)
     want = reference_k_independence_residual(blocks, X, k=k, sampling_budget=budget, seed=seed,

@@ -1,6 +1,12 @@
 """Compression, defects, Dixmier averaging, and the partition searches."""
 
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +34,17 @@ from pavlab import (
     sign_split,
     spectral_tail_mass,
 )
-from pavlab import paving
+from pavlab import free_model, paving
 from pavlab.paving import (
     _block_diagonal_norm,
     _block_mask,
     _block_norms,
     _equal_blocks,
+    _first_paving,
     _Objective,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_matrix(dim, seed):
@@ -657,3 +666,124 @@ def test_composition_refinement_small():
         q, rep2 = pave_search(y.entries, 0.6, "anneal", budget=800, seed=seed + 1, frame=frame)
         combined = paving_defect(x, refine(p, q))
         assert combined.ratio <= rep1.ratio * rep2.ratio + 1e-9
+
+
+# -- exhaustive walk -----------------------------------------------------------
+
+def reference_rgs_with_blocks(dim, k):
+    """Restricted-growth strings on dim symbols with exactly k blocks, in
+    lexicographic order: the sweep that _first_paving ran before its walk."""
+    a = [0] * dim
+
+    def rec(i, used):
+        if dim - i < k - used:
+            return
+        if i == dim:
+            if used == k:
+                yield tuple(a)
+            return
+        for v in range(min(used + 1, k)):
+            a[i] = v
+            yield from rec(i + 1, max(used, v + 1))
+
+    yield from rec(1, 1)
+
+
+def reference_first_paving(obj, eps, max_n):
+    """Score every restricted-growth string, n = 1..max_n, and return the
+    first (assignment, n) with ratio <= eps; the walk must return it too."""
+    for n in range(1, min(max_n, obj.dim) + 1):
+        for rgs in reference_rgs_with_blocks(obj.dim, n):
+            cand = np.array(rgs, dtype=np.int64)
+            if obj.ratio(cand) <= eps:
+                return cand, n
+    return None
+
+
+def _same_found(got, want):
+    if want is None:
+        return got is None
+    return got is not None and got[1] == want[1] and np.array_equal(got[0], want[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_first_paving_equals_the_rgs_sweep_property(data):
+    dim = data.draw(st.integers(1, 9))
+    fourier = dim >= 2 and data.draw(st.booleans())
+    frame = perpendicular_frame(dim) if fourier else MasaFrame.identity(dim)
+    if data.draw(st.integers(0, 9)) == 0:
+        x = np.zeros((dim, dim), dtype=complex)
+    else:
+        x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    eps = data.draw(st.floats(0.01, 0.99))
+    max_n = data.draw(st.integers(1, dim))
+    obj = _Objective(x, frame)
+    assert _same_found(_first_paving(obj, eps, max_n), reference_first_paving(obj, eps, max_n))
+
+
+def test_first_paving_prunes_most_block_norms(monkeypatch):
+    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 10, 0))
+    obj = _Objective(x, MasaFrame.identity(10))
+    count = [0]
+
+    def counted(a, idx_list, shift=0.0):
+        count[0] += len(idx_list)
+        return _block_norms(a, idx_list, shift)
+
+    monkeypatch.setattr(paving, "_block_norms", counted)
+    want = reference_first_paving(obj, 0.6, 10)
+    swept, count[0] = count[0], 0
+    got = _first_paving(obj, 0.6, 10)
+    assert _same_found(got, want)
+    assert 4 * count[0] <= swept
+
+
+# -- max_n --------------------------------------------------------------------
+
+def test_search_respects_max_n_in_every_strategy():
+    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 8, 0)).entries
+    for strategy in paving.STRATEGIES:
+        part, rep = pave_search(x, 0.1, strategy, budget=200, seed=0, max_n=2)
+        assert part.n_blocks <= 2 and rep.n_blocks <= 2, strategy
+        assert rep.ratio == paving_defect(x, part, eps=0.1).ratio
+        assert rep.ratio > 0.1
+
+
+# -- pinned search results -------------------------------------------------------
+
+# (strategy, dim) of the benchmark's search ops at eps 0.6 and budget 1000,
+# on zero_diag_haar inputs with input and search seed 0
+SEARCH_CASES = [("anneal", 32), ("anneal", 64), ("sign_split", 32), ("sign_split", 64),
+                ("exhaustive", 10)]
+# SHA-256 of the assignment and repr of the ratio, recorded before the
+# exhaustive walk and the lean move path (numpy 2.4 with OpenBLAS 0.3.31,
+# one BLAS thread as the benchmark runs)
+SEARCH_PINS = [
+    ["e093d5badbeb2fb6b0433c2779b830d4dac8ab557e6050e607654096602b649e", "0.5593206300719166"],
+    ["2936a70b2d7518fcffbc66fd243e84251cc3af094802088a3c85ef8e46224f2b", "0.5985309930054683"],
+    ["b6ed9d21c2192e0219404207c41223c8229b8ecd426db27e6bf33c1502d980ba", "0.5936360594208221"],
+    ["a918049a8a7c44a0525c1a7d848b10c0fce2bb42a99680c563b37ba356cfbbfb", "0.6540486217772664"],
+    ["6b846dd49bce2d441030a5834369d0e4893b8beec9b1cc96b87d6f6f09818931", "0.590061216632163"],
+]
+
+
+def _search_pins():
+    out = []
+    for strategy, dim in SEARCH_CASES:
+        x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, 0))
+        part, rep = pave_search(x, 0.6, strategy, budget=1000, seed=0)
+        out.append([hashlib.sha256(part.assignment.astype("<i8").tobytes()).hexdigest(),
+                    repr(rep.ratio)])
+    return out
+
+
+def test_search_outputs_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = "import json, test_paving as t\nprint(json.dumps(t._search_pins()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == SEARCH_PINS
