@@ -154,7 +154,8 @@ def cmd_pave_exact(cfg: RunConfig) -> int:
 def cmd_curve(cfg: RunConfig, eps_grid) -> int:
     """Empirical paving-size curve with the ensemble paver (free strategy)."""
     eps_grid = tuple(eps_grid) if eps_grid else DEFAULT_EPS_GRID
-    x = sample(EnsembleSpec("zero_diag_haar", cfg.dim, cfg.seed)).entries
+    x = _input_matrix(cfg)
+    dim = int(x.shape[0])
     points = []
     for eps in eps_grid:
         part, report = pave_search(x, eps, "roots_of_unity", cfg.budget, cfg.seed)
@@ -166,20 +167,20 @@ def cmd_curve(cfg: RunConfig, eps_grid) -> int:
     exps = np.log([1 / p["eps"] for p in points])
     slope = float(np.polyfit(exps, logs, 1)[0]) if len(points) > 1 else float("nan")
     payload = {
-        "dim": cfg.dim,
+        "dim": dim,
         "seed": cfg.seed,
         "points": points,
         "envelope_constant": c,
         "fitted_exponent": slope,
     }
-    rows = [(p["eps"], p["n"], cfg.dim, cfg.seed, p["ratio"], p["envelope"]) for p in points]
+    rows = [(p["eps"], p["n"], dim, cfg.seed, p["ratio"], p["envelope"]) for p in points]
     _emit(cfg, payload, [cfg.seed], csv=(("eps", "n", "dim", "seed", "ratio", "envelope"), rows))
     return 0
 
 
 def cmd_indep(cfg: RunConfig, levels: int, alpha: float) -> int:
-    frame = MasaFrame.identity(cfg.dim)
-    x = sample(EnsembleSpec("zero_diag_haar", cfg.dim, cfg.seed)).entries
+    x = _input_matrix(cfg)
+    frame = MasaFrame.identity(x.shape[0])
     part, report = build_independent_partition([x], [], levels, alpha, frame,
                                                cfg.budget, cfg.seed)
     cert = check_cor37(part, [x])

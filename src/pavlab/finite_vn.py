@@ -27,8 +27,8 @@ def _as_entries(x) -> np.ndarray:
     if isinstance(x, TracedMatrix):
         return x.entries
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     return a
 
 

@@ -240,8 +240,8 @@ def projection_paving_experiment(t: float, n: int, dim: int,
     Returns the n-block report (bound 2/sqrt(n)) and the half-split report
     (bound sqrt(t(1-t)) + 1/2).
     """
-    if t > 0.5:
-        raise ValueError("t must be <= 1/2")
+    if not 0 < t <= 0.5:
+        raise ValueError("t must lie in (0, 1/2]")
     if n < 1.0 / t:
         raise ValueError("need n >= 1/t")
     if dim % n != 0:
@@ -329,8 +329,11 @@ def make_block_paver():
 # Calibration
 # ---------------------------------------------------------------------------
 
-def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int = 2048,
-              conj_ns=(2, 4, 8), kesten_ms=(2, 4), growth: bool = False) -> dict:
+_CALIBRATION_CONJ_NS = (2, 4, 8)   # block counts of the conjugation experiment
+_CALIBRATION_KESTEN_MS = (2, 4)    # unitary counts of the Kesten oracle
+
+
+def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int = 2048) -> dict:
     """Measure the free-model experiments over reference seeds.
 
     Produces the manifest that pins the additive tolerances used by
@@ -354,7 +357,7 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
     manifest["haar_moment_pass_rate"] = haar_hits / len(seeds)
 
     conj = {}
-    for n in conj_ns:
+    for n in _CALIBRATION_CONJ_NS:
         reports = [conjugation_paving_experiment(n, dim_conj, s) for s in seeds]
         vals = [r.measured_norm for r in reports]
         bound = reports[0].paper_bound
@@ -382,7 +385,7 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
     }
 
     kesten = {}
-    for m in kesten_ms:
+    for m in _CALIBRATION_KESTEN_MS:
         vals = [kesten_norm_oracle(m, dim_kesten, s) for s in seeds]
         kesten[str(m)] = {
             "paper_value": float(np.sqrt(m)),
@@ -392,12 +395,4 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
             "measured_median": float(np.median(vals)),
         }
     manifest["kesten"] = kesten
-
-    if growth:
-        betas = [power_conjugation_growth(dim_conj, 32, s).fitted_exponent for s in seeds]
-        manifest["growth_beta"] = {
-            "min": float(min(betas)),
-            "max": float(max(betas)),
-            "median": float(np.median(betas)),
-        }
     return manifest

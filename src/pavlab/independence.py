@@ -10,10 +10,13 @@ into the deterministic inequality suite it implies.
 
 Words whose block letters are frame diagonals -- those of
 ``k_independence_residual`` and the final check of
-``incremental_patch_haar`` -- are evaluated by one kernel,
-``_word_traces``; only the words it finds near the maximum go through the
-per-word chain ``_word_product`` again, so reported values are exactly
-the chain's.
+``incremental_patch_haar`` -- take one path: ``_level_words`` lists or
+samples each level's words as index rows, and ``_near_max_traces`` screens
+them with the one kernel ``_word_traces`` and sends only the words near
+the maximum through the per-word chain ``_word_product`` again, so
+reported values are exactly the chain's.  The mixing sign search halves
+blocks with the move of paving's sign_split (``_balanced_halves``,
+``_pick_swap``).
 """
 
 import itertools
@@ -23,7 +26,7 @@ import numpy as np
 
 from .finite_vn import MasaFrame, TracedMatrix, _as_entries, conditional_expectation, l2_norm
 from .matrix_io import JsonReport
-from .paving import Partition
+from .paving import Partition, _balanced_halves, _pick_swap
 from .seeds import rng_for
 
 MAX_WORD_LEVEL = 4
@@ -84,8 +87,7 @@ def _block_letters(part: Partition) -> tuple[list[str], list[np.ndarray]]:
     """
     n = part.n_blocks
     labels, diags = [], []
-    lam = np.exp(2j * np.pi / n) if n > 1 else 1.0
-    w = lam ** part.assignment.astype(np.complex128)
+    w = part.roots_of_unity_diagonal()
     traces = part.block_traces()
     for p in range(1, n):
         d = w ** p
@@ -166,10 +168,38 @@ def _word_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarray) 
     return out
 
 
-def _near_max(r: np.ndarray) -> np.ndarray:
-    """Ascending indices of the values within ``_NEAR_MAX`` of the largest."""
+def _near_max_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarray,
+                     denoms: np.ndarray):
+    """(rows, chain traces) of the words near the largest screened value.
+
+    ``_word_traces`` screens every row of the (words, j) index arrays,
+    scored |trace| / denoms; rows whose denominator is below 1e-30 are left
+    out.  The rows within ``_NEAR_MAX`` of the largest score, ascending, go
+    through the chain ``_word_product`` again, and their traces np.trace of
+    the chain (not divided by dim) come back in row order.
+    """
+    valid = denoms >= 1e-30
+    if not valid.any():
+        return np.empty(0, dtype=np.int64), []
+    r = np.abs(_word_traces(letters, xs, a_idx, x_idx)) / np.where(valid, denoms, 1.0)
+    r = np.where(valid, r, -np.inf)
     top = float(r.max())
-    return np.flatnonzero(r >= top - _NEAR_MAX * max(top, 1.0))
+    rows = np.flatnonzero(r >= top - _NEAR_MAX * max(top, 1.0))
+    return rows, [np.trace(_word_product(letters[a_idx[w]], [xs[x] for x in x_idx[w]]))
+                  for w in rows]
+
+
+def _level_words(n_letters: int, j: int, budget: int, rng) -> tuple[np.ndarray, float]:
+    """(rows, coverage): the level-j words over n_letters letters as rows of
+    letter indices, and the share of all n_letters**j words they hold.
+
+    All words, in itertools.product order (the last letter varies fastest),
+    when they fit the budget; otherwise one uniform draw of budget rows.
+    """
+    count = n_letters ** j
+    if count <= budget:
+        return np.stack(np.unravel_index(np.arange(count), (n_letters,) * j), axis=1), 1.0
+    return rng.integers(0, n_letters, size=(budget, j)), budget / count
 
 
 def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_000,
@@ -210,35 +240,16 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
     letters, norm_arr = np.array(diags), np.array(norms)
     rng = rng_for(seed, 0x1DE)
     for j in range(1, k + 1):
-        count = (n_a * n_x) ** j
-        level_best = 0.0
-        if count <= sampling_budget:
-            # itertools.product order: the last letter varies fastest
-            combos = np.stack(np.unravel_index(np.arange(count), (n_a * n_x,) * j), axis=1)
-            coverage[j] = 1.0
-        else:
-            combos = rng.integers(0, n_a * n_x, size=(sampling_budget, j))
-            coverage[j] = sampling_budget / count
+        combos, coverage[j] = _level_words(n_a * n_x, j, sampling_budget, rng)
         a_all, x_all = np.divmod(combos, n_x)
         denoms = norm_arr[a_all].prod(axis=1)
-        valid = denoms >= 1e-30
-        if valid.any():
-            r_all = np.abs(_word_traces(letters, xs, a_all, x_all)) / np.where(valid, denoms, 1.0)
-            near = _near_max(np.where(valid, r_all, -np.inf))
-        else:
-            near = []
-        for w in near:
-            a_idx, x_idx = a_all[w].tolist(), x_all[w].tolist()
-            m = _word_product([diags[a] for a in a_idx], [xs[x] for x in x_idx])
-            val = complex(np.trace(m) / dim)
-            denom = float(np.prod([norms[a] for a in a_idx]))
-            if denom < 1e-30:
-                continue
-            r = abs(val) / denom
+        level_best = 0.0
+        for w, t in zip(*_near_max_traces(letters, xs, a_all, x_all, denoms)):
+            r = abs(complex(t / dim)) / float(denoms[w])
             if r > level_best:
                 level_best = r
             if r > worst[0]:
-                worst = (r, WordSpec(tuple(a_idx), tuple(x_idx)).label())
+                worst = (r, WordSpec(tuple(a_all[w].tolist()), tuple(x_all[w].tolist())).label())
         residuals[j] = level_best
         total_words += len(combos)
     return IndependenceReport(
@@ -323,19 +334,6 @@ class _SignObjective:
         self.s[j] = -sj
 
 
-def _balanced_signs(part: Partition, rng) -> np.ndarray:
-    s = np.empty(part.dim, dtype=np.float64)
-    for b in range(part.n_blocks):
-        idx = part.block_indices(b)
-        if idx.size == 0:
-            continue
-        half = idx.size // 2
-        vals = np.array([1.0] * half + [-1.0] * half)
-        rng.shuffle(vals)
-        s[idx] = vals
-    return s
-
-
 def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
                              delta: float, budget: int, seed: int,
                              restarts: int = 20) -> MixingSignResult:
@@ -367,24 +365,21 @@ def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
     per_restart = max(1, budget // max(1, restarts))
     for w in range(restarts):
         rng = rng_for(seed, 0x516, w)
-        s = _balanced_signs(blocks, rng)
-        cur = obj.start(s)
+        sides = _balanced_halves(block_idx, frame.dim, rng)  # side 0 has sign +1
+        cur = obj.start(1 - 2 * sides)
         local = per_restart
         while local > 0 and cur > delta:
-            idx = block_idx[int(rng.integers(0, len(block_idx)))]
-            sub = obj.s[idx]
-            plus = idx[sub > 0]
-            minus = idx[sub < 0]
-            if plus.size == 0 or minus.size == 0:
+            pick = _pick_swap(block_idx, sides, rng)
+            if pick is None:
                 local -= 1
                 continue
-            i = int(plus[rng.integers(0, plus.size)])
-            j = int(minus[rng.integers(0, minus.size)])
+            i, j = pick
             cand = obj.try_swap(i, j)
             spent += 1
             local -= 1
             if cand < cur - 1e-15:
                 obj.commit()
+                sides[i], sides[j] = 1, 0
                 cur = cand
         if cur < best[0]:
             best = (cur, obj.s.copy(), w)
@@ -454,8 +449,7 @@ def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray
     """
     n = part.n_blocks
     dim = part.dim
-    lam = np.exp(2j * np.pi / n)
-    w = lam ** part.assignment.astype(np.complex128)
+    w = part.roots_of_unity_diagonal()
     vand = np.array([w ** p for p in range(1, n)])  # (n-1, dim)
     alpha_a = 0.0
     for x1 in xs:
@@ -600,22 +594,6 @@ def _scrambled_cycle(dim: int, rng) -> np.ndarray:
     return np.exp(2j * np.pi * rng.permutation(dim) / dim)
 
 
-def _sample_words(n_x: int, n: int, budget: int, rng):
-    """Word index tuples per level k = 1, 2, 3: (power, element) pairs."""
-    words = {1: [], 2: [], 3: []}
-    powers = [p for p in range(-n, n + 1) if p != 0]
-    for k in (1, 2, 3):
-        total = (len(powers) * n_x) ** k
-        quota = max(1, budget // 3)
-        if total <= quota:
-            combos = itertools.product(range(len(powers) * n_x), repeat=k)
-            words[k] = [tuple(c) for c in combos]
-        else:
-            picks = rng.integers(0, len(powers) * n_x, size=(quota, k))
-            words[k] = [tuple(row) for row in picks]
-    return words, powers
-
-
 def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
                            seed: int) -> tuple[TracedMatrix, PatchReport]:
     """Build a diagonal unitary with small power traces and word traces.
@@ -651,8 +629,10 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
         raise ValueError("n must be >= 1")
     chunk = max(1, dim // 32)
     roots = np.exp(2j * np.pi * np.arange(order_L) / order_L)
-    words, powers = _sample_words(len(xs), n, budget, rng)
     n_x = len(xs)
+    powers = [p for p in range(-n, n + 1) if p != 0]
+    # levels 1, 2, 3; letter c is the pair (powers[c // n_x], xs[c % n_x])
+    words = [_level_words(len(powers) * n_x, k, max(1, budget // 3), rng)[0] for k in (1, 2, 3)]
 
     # pair matrices for level-2 words: M[j,k] = x1[j,k] x2[k,j]
     pair_mats = {}
@@ -664,7 +644,7 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     power_sums = {k: 0.0 + 0.0j for k in range(1, n + 1)}
     # running level-2 word sums
     l2_words = []
-    for w in words[2]:
+    for w in words[1].tolist():
         p1, x1 = powers[w[0] // n_x], w[0] % n_x
         p2, x2 = powers[w[1] // n_x], w[1] % n_x
         l2_words.append({"p": (p1, p2), "m": pair_mats[(x1, x2)], "sum": 0.0 + 0.0j})
@@ -710,17 +690,12 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     # the kernel screens, the chain evaluates the words near the maximum
     eta = max(abs(np.sum(v ** k)) / dim for k in range(1, n + 1))
     letters = np.array([v ** p if p > 0 else np.conj(v) ** (-p) for p in powers])
-    all_words = [w for k in (1, 2, 3) for w in words[k]]
-    screened = []
-    for k in (1, 2, 3):
-        a_idx, x_idx = np.divmod(np.array(words[k], dtype=np.int64).reshape(-1, k), n_x)
-        screened.append(np.abs(_word_traces(letters, xs, a_idx, x_idx)))
     delta_prime = 0.0
-    for w in _near_max(np.concatenate(screened)):
-        wtuple = all_words[w]
-        m = _word_product([letters[c // n_x] for c in wtuple], [xs[c % n_x] for c in wtuple])
-        delta_prime = max(delta_prime, abs(np.trace(m)) / dim)
-    evaluated = len(all_words)
+    for rows in words:
+        # the level holding the largest chain value has that word near its own maximum
+        for t in _near_max_traces(letters, xs, *np.divmod(rows, n_x), np.ones(len(rows)))[1]:
+            delta_prime = max(delta_prime, abs(t) / dim)
+    evaluated = sum(len(rows) for rows in words)
     total_possible = sum((len(powers) * n_x) ** k for k in (1, 2, 3))
     report = PatchReport(
         power_residual=float(eta),

@@ -11,7 +11,9 @@ unitary, and equal shuffled blocks (the free-paving model).  The block
 helpers here (equal blocks, block-diagonal norms, the block objective) are
 the only copies; free_model and reduction call them.  Every block norm comes
 from one kernel, ``_block_norms``: blocks of one size share one batched
-SVD, which gives each block the same bits as its own ``op_norm``.
+SVD, which gives each block the same bits as its own ``op_norm``.  The
+halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
+the move of the mixing sign search in independence.
 """
 
 import time
@@ -73,6 +75,16 @@ class Partition:
             d = (self.assignment == i).astype(np.complex128)
             out.append(self.frame.diagonal_element(d))
         return out
+
+    def roots_of_unity_diagonal(self) -> np.ndarray:
+        """Frame diagonal of w = sum_i lambda^i p_i, lambda = exp(2 pi i / n_blocks)."""
+        return np.exp(2j * np.pi / self.n_blocks) ** self.assignment.astype(np.complex128)
+
+    @classmethod
+    def from_labels(cls, labels, frame: MasaFrame) -> "Partition":
+        """One block per distinct label, numbered in ascending label order."""
+        _, inverse = np.unique(labels, return_inverse=True)
+        return cls(inverse.astype(np.int64), int(inverse.max()) + 1, frame)
 
     @classmethod
     def one_block(cls, frame: MasaFrame) -> "Partition":
@@ -244,10 +256,8 @@ def roots_of_unity_tuple(part: Partition) -> list[TracedMatrix]:
 
     Averaging over W reproduces the compression by the partition exactly.
     """
-    n = part.n_blocks
-    lam = np.exp(2j * np.pi / n)
-    w = lam ** part.assignment.astype(np.complex128)
-    return [part.frame.diagonal_element(w ** j) for j in range(n)]
+    w = part.roots_of_unity_diagonal()
+    return [part.frame.diagonal_element(w ** j) for j in range(part.n_blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +291,7 @@ def refine(p: Partition, q: Partition) -> Partition:
     """Common refinement; labels are compacted in (p-block, q-block) order."""
     if p.dim != q.dim or not _same_frame(p, q):
         raise ValueError("partitions must share dimension and frame")
-    pairs = p.assignment * q.n_blocks + q.assignment
-    _, inverse = np.unique(pairs, return_inverse=True)
-    return Partition(inverse.astype(np.int64), int(inverse.max()) + 1, p.frame)
+    return Partition.from_labels(p.assignment * q.n_blocks + q.assignment, p.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +552,30 @@ def _search_arc(obj, eps, budget, seed, n, tries=8):
     return best_d, best_a
 
 
+def _balanced_halves(members, dim: int, rng) -> np.ndarray:
+    """0/1 side of each index: each block of ``members`` puts size // 2 of
+    its indices on side 0 and the rest on side 1, in one shuffled order."""
+    sides = np.empty(dim, dtype=np.int64)
+    for idx in members:
+        half = idx.size // 2
+        s = np.array([0] * half + [1] * (idx.size - half), dtype=np.int64)
+        rng.shuffle(s)
+        sides[idx] = s
+    return sides
+
+
+def _pick_swap(members, sides, rng):
+    """A random block of ``members``, then a random index on its side 0 and
+    one on its side 1; None, with only the block drawn, when a side is empty."""
+    idx = members[int(rng.integers(0, len(members)))]
+    side = sides[idx]
+    zeros = idx[side == 0]
+    ones = idx[side == 1]
+    if zeros.size == 0 or ones.size == 0:
+        return None
+    return int(zeros[rng.integers(0, zeros.size)]), int(ones[rng.integers(0, ones.size)])
+
+
 def _search_sign_split(obj, eps, budget, seed, max_n):
     """Recursive halving by balanced sign vectors tuned by local search.
 
@@ -560,28 +592,19 @@ def _search_sign_split(obj, eps, budget, seed, max_n):
            and np.minimum(np.bincount(assignment), 2).sum() <= max_n):
         level += 1
         rng = rng_for(seed, 0x516, level)
-        signs = np.empty(dim, dtype=np.int64)
         members = [np.flatnonzero(assignment == b) for b in range(n)]
-        for idx in members:
-            half = idx.size // 2
-            s = np.array([0] * half + [1] * (idx.size - half), dtype=np.int64)
-            rng.shuffle(s)
-            signs[idx] = s
+        signs = _balanced_halves(members, dim, rng)
         trial = assignment * 2 + signs
         d = obj.reset(trial)
         spent += 1
         # pairwise +/- swaps within blocks, first-improvement
         stuck = 0
         while spent < budget and d > target and stuck < 2 * dim:
-            idx = members[int(rng.integers(0, n))]
-            side = signs[idx]
-            plus = idx[side == 0]
-            minus = idx[side == 1]
-            if plus.size == 0 or minus.size == 0:
+            pick = _pick_swap(members, signs, rng)
+            if pick is None:
                 stuck += 1
                 continue
-            i = int(plus[rng.integers(0, plus.size)])
-            j = int(minus[rng.integers(0, minus.size)])
+            i, j = pick
             cand = trial.copy()
             cand[i], cand[j] = trial[j], trial[i]
             cd = obj.propose(cand)
@@ -641,8 +664,7 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
 
     if strategy == "sign_split":
         d, assignment, n = _search_sign_split(obj, eps, budget, seed, max_n)
-        _, inverse = np.unique(assignment, return_inverse=True)
-        return finish(Partition(inverse.astype(np.int64), int(inverse.max()) + 1, frame))
+        return finish(Partition.from_labels(assignment, frame))
 
     step = {"anneal": _search_anneal, "roots_of_unity": _search_roots, "arc": _search_arc}[strategy]
     best = (np.inf, Partition.one_block(frame).assignment, 1)

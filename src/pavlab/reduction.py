@@ -376,9 +376,8 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
         if nrm < DEGENERATE_NORM:
             continue
         z = comp / nrm
-        assignment = _pave_component(z, eps, projection_paver, frame, seed, trace)
-        _, inverse = np.unique(assignment, return_inverse=True)
-        part = Partition(inverse.astype(np.int64), int(inverse.max()) + 1, frame)
+        labels = _pave_component(z, eps, projection_paver, frame, seed, trace)
+        part = Partition.from_labels(labels, frame)
         rep = paving_defect(z, part, eps=eps, strategy=f"reduction/{label}", seed=seed)
         trace.add(f"component_ratio_{label}", rep.ratio, eps)
         parts.append(part)

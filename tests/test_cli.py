@@ -7,7 +7,9 @@ import pytest
 
 from pavlab import TracedMatrix, cli
 from pavlab.cli import main, strip_timing
-from pavlab.matrix_io import save_json
+from pavlab.free_model import EnsembleSpec, sample
+from pavlab.matrix_io import load_matrix, save_json
+from pavlab.paving import pave_search
 
 
 FLIP = TracedMatrix(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -58,6 +60,38 @@ def test_malformed_input_exit_code(tmp_path, capsys, obj):
     assert code == 2
     payload = json.loads(out)
     assert payload["code"] == 2 and payload["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["free", "--op", "proj", "--t", "0"],
+    ["free", "--op", "conj", "--dim", "0"],
+    ["free", "--op", "kesten", "--dim", "0"],
+    ["free", "--op", "growth", "--dim", "0"],
+    ["calibrate", "--dim-conj", "8", "--dim-proj", "64", "--dim-kesten", "0"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_bad_parameter_exit_code(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["code"] == 2 and payload["error"]
+
+
+def test_curve_and_indep_read_input(tmp_path, capsys):
+    p = tmp_path / "x.json"
+    save_json(sample(EnsembleSpec("zero_diag_haar", 12, 5)), p)
+    code, out = run(capsys, "curve", "--input", str(p), "--budget", "50",
+                    "--eps-grid", "0.6", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 12
+    for point in payload["points"]:
+        part, rep = pave_search(load_matrix(p), point["eps"], "roots_of_unity", 50, 0)
+        assert (point["n"], point["ratio"]) == (part.effective_blocks, rep.ratio)
+    code, out = run(capsys, "indep", "--input", str(p), "--levels", "1", "--budget", "200")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["blocks"] == 2
+    assert all(c["ok"] for c in payload["certificate"]["conditions"].values())
 
 
 def test_pave_exact_guard_exit_code(capsys):

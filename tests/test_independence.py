@@ -510,6 +510,9 @@ PATCH_CASES = [
     (16, (16,), 2, 32, 2000, 4),
     (64, (64, 65), 3, 256, 300, 7),
     (128, (128,), 2, 512, 2000, 9),
+    # not powers of two, so dividing by dim rounds; the dim-48 case samples level 3
+    (24, (24,), 2, 96, 300, 5),
+    (48, (48, 49), 2, 96, 300, 5),
 ]
 # SHA-256 of the patch diagonal and of json.dumps of its report, recorded with
 # the earlier per-candidate loop of the patch (numpy 2.4 with OpenBLAS 0.3.31,
@@ -522,6 +525,10 @@ PATCH_PINS = [
      "fd8617b5da9644e2426b23ee19521ea30b79da910efabfef1a5454ba1a4e037a"],
     ["f48af670985cd8b309040a1bf03cfd12bca07b8d369a6ddf9e82aef201ac03c3",
      "01d2ffbe2846701b57ff6193e3fb73776727dd52f09b0a8c6b4a86e507273622"],
+    ["f44805397e4256828d5abb4df62ec09cee8542d92718b7149858ed24c18c5d4b",
+     "6076477ca7f09706365090c0b9f59425da46b5cdfb49b0e7c436c481295daee7"],
+    ["2d077a26f077cf2f7d289a481e8d68e1187a6aa4e4e5e5809eae3568c22c9341",
+     "7e9cb33a146e57e4dbec9a3d83b451177c3818788d06b154f726bf193b941e04"],
 ]
 
 

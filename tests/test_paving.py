@@ -754,8 +754,9 @@ def test_search_respects_max_n_in_every_strategy():
 
 # (strategy, dim) of the benchmark's search ops at eps 0.6 and budget 1000,
 # on zero_diag_haar inputs with input and search seed 0
+# at dim 18 sign_split halves blocks of 9 into 4 and 5
 SEARCH_CASES = [("anneal", 32), ("anneal", 64), ("sign_split", 32), ("sign_split", 64),
-                ("exhaustive", 10)]
+                ("exhaustive", 10), ("sign_split", 18)]
 # SHA-256 of the assignment and repr of the ratio, recorded before the
 # exhaustive walk and the lean move path (numpy 2.4 with OpenBLAS 0.3.31,
 # one BLAS thread as the benchmark runs)
@@ -765,6 +766,7 @@ SEARCH_PINS = [
     ["b6ed9d21c2192e0219404207c41223c8229b8ecd426db27e6bf33c1502d980ba", "0.5936360594208221"],
     ["a918049a8a7c44a0525c1a7d848b10c0fce2bb42a99680c563b37ba356cfbbfb", "0.6540486217772664"],
     ["6b846dd49bce2d441030a5834369d0e4893b8beec9b1cc96b87d6f6f09818931", "0.590061216632163"],
+    ["e54e9431cd2b9c4b66cb1c977ac0ef1a3e10036c452c1555121aa43adb57d1b7", "0.5355140847117672"],
 ]
 
 
