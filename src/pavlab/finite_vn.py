@@ -228,6 +228,13 @@ def perpendicular_frame(dim: int) -> MasaFrame:
     """
     if dim < 2:
         raise ValueError("perpendicular frame needs dim >= 2")
-    j = np.arange(dim)
-    f = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    return MasaFrame(f)
+    return MasaFrame(_dft_matrix(dim))
+
+
+def _dft_matrix(m: int) -> np.ndarray:
+    """The unitary DFT matrix F[j,k] = m^(-1/2) exp(2 pi i jk / m), 1 at m = 1.
+
+    Unchecked: callers that only need the entries skip the O(m^3) unitarity
+    product a MasaFrame takes."""
+    j = np.arange(m)
+    return np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)

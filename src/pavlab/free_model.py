@@ -297,30 +297,51 @@ def power_conjugation_growth(dim: int, N: int, seed: int) -> GrowthReport:
     return GrowthReport(tuple(float(v) for v in values), beta, dim, N, seed)
 
 
+def _free_order(dim: int, seed: int) -> np.ndarray:
+    """The seeded shuffle that the free paver cuts into equal blocks."""
+    return rng_for(seed, 0x480).permutation(dim)
+
+
 def equal_block_partition(dim: int, n: int, seed: int) -> Partition:
     """Seeded-shuffled equal blocks in the diagonal frame (the free paver)."""
-    rng = rng_for(seed, 0x480)
-    return Partition(_equal_blocks(rng.permutation(dim), n), n, MasaFrame.identity(dim))
+    return Partition(_equal_blocks(_free_order(dim, seed), n), n, MasaFrame.identity(dim))
 
 
 def make_block_paver():
     """Projection paver callback: doubles the shuffled-block count until
-    the corner target ratio is met.  One block has ratio 1, so it answers
-    a target >= 1 without a block norm and the doubling starts at n = 2;
-    singletons have ratio 0, so it returns at the latest at n = dim."""
+    the corner target ratio is met.
+
+    It takes one norm of the whole corner, the base ||corner - E(corner)||.
+    One block has ratio 1, so it answers a target >= 1 without a block norm
+    and the doubling starts at n = 2; singletons have ratio 0, so when the
+    doubling reaches n = dim it returns them without evaluating them.  Every
+    level cuts the same seeded permutation into n equal blocks.  A block's
+    norm is at least each of its column norms, so a level whose largest
+    masked column norm exceeds target * base cannot pass and is refused
+    before its block norms are taken; the relative slack of 1e-9 on that
+    screen is far above the rounding of either side, so the screen refuses
+    no level that the block norms would accept.  A negative or NaN target
+    is refused with ValueError: no level meets it, singletons included."""
 
     def paver(corner: np.ndarray, target_ratio: float, seed: int) -> Partition:
+        if not target_ratio >= 0:
+            raise ValueError(f"target ratio must be >= 0, got {target_ratio!r}")
         dim = corner.shape[0]
         frame = MasaFrame.identity(dim)
         obj = _Objective(corner, frame)
         if obj.base < DEGENERATE_NORM or target_ratio >= 1:
             return Partition.one_block(frame)
+        order = _free_order(dim, seed)
+        abs_sq = obj.off.real ** 2 + obj.off.imag ** 2
+        cut = target_ratio * obj.base * (1 + 1e-9)
         n = 2
-        while True:
-            part = equal_block_partition(dim, n, seed) if n < dim else Partition.singletons(frame)
-            if obj.ratio(part.assignment) <= target_ratio:
-                return part
-            n = min(2 * n, dim)
+        while n < dim:
+            labels = _equal_blocks(order, n)
+            if (np.sqrt((abs_sq * _block_mask(labels)).sum(axis=0).max()) <= cut
+                    and obj.ratio(labels) <= target_ratio):
+                return Partition(labels, n, frame)
+            n *= 2
+        return Partition.singletons(frame)
 
     return paver
 

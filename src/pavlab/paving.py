@@ -205,8 +205,14 @@ def paving_defect(x, part: Partition, eps: float | None = None,
 def _defect_report(off: np.ndarray, base: float, part: Partition, eps: float | None,
                    strategy: str, seed: int, t0: float) -> PavingReport:
     """The report of ``paving_defect`` from the off-diagonal part in frame
-    coordinates and its norm, timed from t0."""
-    sv = np.linalg.svd(off * _block_mask(part.assignment), compute_uv=False)
+    coordinates and its norm, timed from t0.
+
+    An exactly zero masked matrix (singletons, or an input that is already
+    diagonal) takes no SVD: its singular values are +0.0, as LAPACK
+    returns them."""
+    masked = off * _block_mask(part.assignment)
+    sv = (np.linalg.svd(masked, compute_uv=False) if masked.any()
+          else np.zeros(masked.shape[0]))
     defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
     threshold = defect if eps is None else eps * base
@@ -492,29 +498,6 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
                 if d < best_d:
                     best, best_d = trial.copy(), d
         temp *= 0.995
-    # greedy polish: first-improvement single-index passes
-    improved = True
-    while improved and spent < budget and best_d > target:
-        improved = False
-        obj.reset(best)
-        for i in range(dim):
-            orig = best[i]
-            for v in range(n):
-                if v == orig:
-                    continue
-                spent += 1
-                best[i] = v
-                d = obj.propose(best)
-                if d < best_d - 1e-15:
-                    obj.commit()
-                    best_d = d
-                    improved = True
-                    break
-                best[i] = orig
-                if spent >= budget or best_d <= target:
-                    break
-            if spent >= budget or best_d <= target:
-                break
     return best_d, best
 
 

@@ -16,7 +16,7 @@ shifted anchor, and gamma is recorded.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .finite_vn import (
     MasaFrame,
     TracedMatrix,
     _as_entries,
+    _dft_matrix,
     conditional_expectation,
     op_norm,
-    perpendicular_frame,
 )
 from .matrix_io import JsonReport
 from .paving import (
@@ -34,6 +34,8 @@ from .paving import (
     Partition,
     PavingReport,
     _block_diagonal_norm,
+    _defect_report,
+    _off_diagonal,
     paving_defect,
     refine,
 )
@@ -188,12 +190,6 @@ class DilationResult:
     diag_dev: float
 
 
-def _fourier_basis(m: int) -> np.ndarray:
-    if m == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    return perpendicular_frame(m).basis
-
-
 def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None,
                          p_slots=None) -> DilationResult:
     """Dilate the corner y restricted to e_slots into a projection g.
@@ -241,7 +237,7 @@ def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None,
     if lam_shift.min() < 1e-12:
         raise ValueError("rounding shift pushed the corner spectrum to zero")
     comp = 1.0 - lam_shift               # eigenvalues of e - y'
-    f = _fourier_basis(m)
+    f = _dft_matrix(m)
     iso = f[:, :s] @ w.conj().T          # maps the corner onto the Fourier sub-corner
     r_shift = (w * lam_shift) @ w.conj().T
     k_block = (w * np.sqrt(lam_shift * comp)) @ w.conj().T @ iso.conj().T
@@ -321,13 +317,11 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFram
             part = projection_paver(dil.corner, target_ratio, seed + corner_id)
             n_proj_max = max(n_proj_max, part.effective_blocks)
             s = quarter.size
-            # restrict the corner paving to the e-part of the corner
-            for i in range(part.n_blocks):
-                pos = part.block_indices(i)
-                epos = pos[pos < s]
-                if epos.size:
-                    assignment[quarter[epos]] = next_label
-                    next_label += 1
+            # restrict the corner paving to the e-part of the corner: one new
+            # label per block that meets it, in ascending block order
+            blocks, inverse = np.unique(part.assignment[:s], return_inverse=True)
+            assignment[quarter] = next_label + inverse
+            next_label += blocks.size
             # measured corner defect on y against the band anchor
             corner_y = y[np.ix_(quarter, quarter)]
             worst_corner = max(worst_corner, _block_diagonal_norm(
@@ -348,6 +342,16 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
 
     The projection_paver callback receives (corner matrix, target ratio,
     seed) and returns a Partition of the corner in the identity frame.
+
+    The norm of the off-diagonal part x - E_A(x) in frame coordinates is
+    taken once.  It decides the short circuit, and it is the base of the
+    returned report, which ``paving_defect`` would take again.  A component
+    that is exactly zero (the imaginary part of a self-adjoint input) is
+    skipped, as its zero norm would skip it.  When the real component has
+    the bits of the off-diagonal part (an exactly self-adjoint input in the
+    identity frame), its norm is the base.  So the pipeline takes no SVD
+    whose result it already has; the masked SVD of a singleton paving is
+    skipped by ``paving._defect_report``.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -358,21 +362,26 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
     trace = ReductionTrace(eps=eps)
     t0 = time.perf_counter()
 
-    centered = a - conditional_expectation(a, frame).entries
-    base = op_norm(centered)
+    off = _off_diagonal(a, frame)
+    base = op_norm(off)
     if base < DEGENERATE_NORM or dim <= 2:
         part = Partition.one_block(frame) if base < DEGENERATE_NORM else Partition.singletons(frame)
-        report = paving_defect(a, part, eps=eps, strategy="reduction", seed=seed)
+        report = _defect_report(off, base, part, eps, "reduction", seed, t0)
         trace.add("short_circuit", report.ratio, eps)
         return part, trace, report
 
+    # in the identity frame x - E_A(x) is off itself, bit for bit
+    centered = off if frame.is_identity else a - conditional_expectation(a, frame).entries
     y1, y2 = split_real_imag(centered)
     reassembly = np.abs(y1.entries + 1j * y2.entries - centered).max()
     trace.add("real_imag_reassembly", reassembly, 1e-14)
 
     parts = []
     for label, comp in (("real", y1.entries), ("imag", y2.entries)):
-        nrm = op_norm(comp)
+        if not comp.any():
+            continue
+        same_as_off = frame.is_identity and np.array_equal(comp.view(np.int64), off.view(np.int64))
+        nrm = base if same_as_off else op_norm(comp)
         if nrm < DEGENERATE_NORM:
             continue
         z = comp / nrm
@@ -385,8 +394,7 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
     combined = parts[0]
     for other in parts[1:]:
         combined = refine(combined, other)
-    report = paving_defect(a, combined, eps=eps, strategy="reduction", seed=seed)
+    report = _defect_report(off, base, combined, eps, "reduction", seed, t0)
     trace.add("combined_ratio", report.ratio,
               eps if len(parts) == 1 else 2 * eps)
-    report = replace(report, elapsed_ms=(time.perf_counter() - t0) * 1e3)
     return combined, trace, report

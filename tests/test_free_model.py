@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavlab import MasaFrame, Partition, compress, normalized_trace, op_norm, paving
 from pavlab.free_model import (
@@ -272,3 +274,72 @@ def test_block_paver_takes_one_norm_of_the_whole_corner(monkeypatch):
     shapes.clear()
     assert paver(corner, 1.0, seed=2).effective_blocks == 1
     assert shapes == [(32, 32)]
+
+
+def _reference_block_paver(corner, target_ratio, seed):
+    """The doubling loop of the block paver before its column-norm screen."""
+    dim = corner.shape[0]
+    frame = MasaFrame.identity(dim)
+    obj = paving._Objective(corner, frame)
+    if obj.base < paving.DEGENERATE_NORM or target_ratio >= 1:
+        return Partition.one_block(frame)
+    n = 2
+    while True:
+        part = equal_block_partition(dim, n, seed) if n < dim else Partition.singletons(frame)
+        if obj.ratio(part.assignment) <= target_ratio:
+            return part
+        n = min(2 * n, dim)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_screened_block_paver_equals_doubling_loop(data):
+    dim = data.draw(st.integers(2, 40), label="dim")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="input seed"))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # sparse corners spread the level ratios further apart
+    a *= rng.random((dim, dim)) < data.draw(st.sampled_from([1.0, 0.3, 0.1]), label="density")
+    corner = (a + a.conj().T) / 2 if data.draw(st.booleans(), label="hermitian") else a
+    obj = paving._Objective(corner, MasaFrame.identity(dim))
+    levels = [n for n in (2 ** k for k in range(1, 6)) if n < dim]
+    # each level's exact ratio as a target lets that level pass at equality
+    exact = [obj.ratio(equal_block_partition(dim, n, seed).assignment) for n in levels]
+    target = data.draw(st.sampled_from(exact) if exact and data.draw(st.booleans())
+                       else st.floats(0.0, 1.2), label="target")
+    got = make_block_paver()(corner, target, seed)
+    want = _reference_block_paver(corner, target, seed)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.n_blocks == want.n_blocks
+
+
+def test_block_paver_screen_rules_out_every_level_without_block_norms(monkeypatch):
+    block_norm_calls, norm_shapes = [], []
+    block_norms, norm = paving._block_norms, paving.op_norm
+
+    def recording_block_norms(*args, **kwargs):
+        block_norm_calls.append(args)
+        return block_norms(*args, **kwargs)
+
+    def recording_norm(a):
+        norm_shapes.append(a.shape)
+        return norm(a)
+
+    monkeypatch.setattr(paving, "_block_norms", recording_block_norms)
+    monkeypatch.setattr(paving, "op_norm", recording_norm)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    corner = (a + a.conj().T) / 2
+    part = make_block_paver()(corner, 0.01, seed=2)
+    assert block_norm_calls == []
+    assert norm_shapes == [(32, 32)]
+    assert part.n_blocks == 32 and np.array_equal(part.assignment, np.arange(32))
+
+
+@pytest.mark.parametrize("target", [-0.1, float("nan")])
+def test_block_paver_refuses_negative_or_nan_target(target):
+    # no level meets such a target, singletons included: the doubling never ended
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((8, 8))
+    with pytest.raises(ValueError):
+        make_block_paver()((a + a.T) / 2, target, 1)

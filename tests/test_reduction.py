@@ -1,6 +1,8 @@
 """The reduction pipeline: normalization, bands, flattening, dilation."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pavlab import MasaFrame, Partition, TracedMatrix, compress, op_norm, paving_defect
+from pavlab import (
+    MasaFrame,
+    Partition,
+    TracedMatrix,
+    compress,
+    op_norm,
+    paving_defect,
+    perpendicular_frame,
+)
 from pavlab.free_model import make_block_paver
 from pavlab.reduction import (
     ReductionTrace,
@@ -337,3 +347,80 @@ def test_reduce_benchmark_digest_matches():
                           "--workload", "reduce"], cwd=ROOT, capture_output=True, text=True,
                          timeout=600)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+# -- pinned reduce results ---------------------------------------------------------
+
+# (input kind, dim, input seed, eps, paver seed): cases the benchmark digest
+# does not cover.  "complex" takes both components and refine, "fourier" runs
+# in the perpendicular frame, "diagonal" and "flip" take the short circuit to
+# one block and to singletons, "haar" are Hermitian Haar-model inputs
+REDUCE_CASES = [
+    ("complex", 16, 11, 0.6, 3),
+    ("fourier", 16, 7, 0.6, 1),
+    ("diagonal", 3, 0, 0.5, 0),
+    ("flip", 2, 0, 0.5, 0),
+    ("haar", 24, 5, 0.6, 2),
+    ("haar", 48, 6, 0.5, 4),
+]
+# SHA-256 of the assignment, of the report JSON without elapsed_ms and of the
+# trace JSON, recorded before the reduce path skipped its decided SVDs (numpy
+# 2.4 with OpenBLAS 0.3.31, one BLAS thread as the benchmark runs)
+REDUCE_PINS = [
+    ["f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+     "577a30e9a251c5602b5070b0043bfee408d68a997b95235757a87c8508155607",
+     "bd18f3f7d32acfbd8b1baab9e1590fcbfb4359d2a0eae9914b805eec2217d9ea"],
+    ["f23d672bb9b341f9afa8498423b75deb80e726145969391d4b9392464c2298ee",
+     "e40b273dcd8ed87b05c92692780786597322dba41a2a08e609598894e02eccc9",
+     "2a30e411dac345d347d8b19df17bee54330b2ffc3efa553561b54b89f6dcb834"],
+    ["9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0",
+     "0f0d8e52df4bbf9e3d9a274ed89304328b6cace0a383fcaa759f0eac32bc350f",
+     "d0a1af52bdcef1cbec9d6ea27c4f97b9656f893eb284d21079b8a33675642644"],
+    ["9d34149fbd1fe777eb238799054c8cbfbce372255f219f8740838def9bfd02db",
+     "56c9de16a9d010b10cbe799714ed242b0d7f09f4879735e6f2bc4d925336b05a",
+     "d0a1af52bdcef1cbec9d6ea27c4f97b9656f893eb284d21079b8a33675642644"],
+    ["088889b8071756d3559dc2172e525644f0be09d4b3fb26a697070bddcb805338",
+     "18afeec35caf7de2e82b1b16f099bc6c6eb643e75987573304dccc781fd1cb85",
+     "1ec495d109023b1f7a854062c299ea72a363735b093b1ddf7a35aab537ba57b1"],
+    ["852c80a269cfde9f6b8cc6c4f19f4e92c636218d0620fedda0d379e77abc224b",
+     "3f2aabbcf6a91a1881935749b662be6d80e1d5d98baf913eaea6bcaba6c2afad",
+     "95795144a1473e0740bd49173b55ffb665b5eb95c076f6f2da84be60b2e6afbe"],
+]
+
+
+def _reduce_input(kind, dim, seed):
+    if kind in ("haar", "fourier"):
+        return haar_model_selfadjoint(dim, seed)
+    if kind == "diagonal":
+        return np.diag(np.arange(1.0, dim + 1))
+    if kind == "flip":
+        return FLIP
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = z - np.diag(np.diagonal(z))
+    return z / np.linalg.norm(z, 2)
+
+
+def _reduce_pins():
+    out = []
+    for kind, dim, input_seed, eps, seed in REDUCE_CASES:
+        frame = perpendicular_frame(dim) if kind == "fourier" else None
+        part, trace, report = reduce_and_pave(_reduce_input(kind, dim, input_seed), eps,
+                                              make_block_paver(), frame=frame, seed=seed)
+        rep = report.to_json_dict()
+        del rep["elapsed_ms"]
+        out.append([hashlib.sha256(part.assignment.astype("<i8").tobytes()).hexdigest(),
+                    hashlib.sha256(json.dumps(rep).encode()).hexdigest(),
+                    hashlib.sha256(json.dumps(trace.to_json_dict()).encode()).hexdigest()])
+    return out
+
+
+def test_reduce_outputs_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = "import json, test_reduction as t\nprint(json.dumps(t._reduce_pins()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == REDUCE_PINS
