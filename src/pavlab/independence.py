@@ -334,32 +334,23 @@ class _SignObjective:
         self.s[j] = -sj
 
 
-def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
-                             delta: float, budget: int, seed: int,
-                             restarts: int = 20) -> MixingSignResult:
-    """Search balanced-per-block sign vectors for a mixing period-2 unitary.
-
-    Minimizes max(|tau(u xi1* u* xi2)| / (||xi1||_2 ||xi2||_2),
-    |tau(u eta)| / ||eta||_1) by randomized pair swaps within blocks; the
-    best vector over all restarts is returned with its achieved value.
-    Block sizes must be even so candidates are balanced (constant on no
-    block); stops early when the target delta is reached.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    for b in range(blocks.n_blocks):
-        size = blocks.block_indices(b).size
-        if size % 2 != 0:
-            raise ValueError(f"block {b} has odd size {size}; balanced signs need even blocks")
+def _sign_objective(X, Y, frame: MasaFrame) -> _SignObjective:
+    """The objective of ``find_mixing_sign_unitary`` for test elements X and
+    trace targets Y: it depends on neither the blocks nor the seed."""
     xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
     etas = []
     for y in Y:
         a = frame.to_frame(_as_entries(y))
         sv = np.linalg.svd(a, compute_uv=False)
         etas.append((a, float(sv.sum() / frame.dim)))
-    obj = _SignObjective(xs, etas, frame.dim)
+    return _SignObjective(xs, etas, frame.dim)
 
-    block_idx = [blocks.block_indices(b) for b in range(blocks.n_blocks) if blocks.block_indices(b).size > 0]
+
+def _search_signs(obj: _SignObjective, frame: MasaFrame, blocks: Partition, delta: float,
+                  budget: int, seed: int, restarts: int = 20) -> MixingSignResult:
+    """The restarts of ``find_mixing_sign_unitary`` on a prepared objective."""
+    block_idx = [idx for idx in (blocks.block_indices(b) for b in range(blocks.n_blocks))
+                 if idx.size > 0]
     best: tuple[float, np.ndarray, int] = (np.inf, np.empty(0), -1)
     spent = 0
     per_restart = max(1, budget // max(1, restarts))
@@ -388,6 +379,27 @@ def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
     signs = best[1]
     u = frame.diagonal_element(signs.astype(np.complex128))
     return MixingSignResult(unitary=u, signs=signs, objective=float(best[0]), evaluations=spent)
+
+
+def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
+                             delta: float, budget: int, seed: int,
+                             restarts: int = 20) -> MixingSignResult:
+    """Search balanced-per-block sign vectors for a mixing period-2 unitary.
+
+    Minimizes max(|tau(u xi1* u* xi2)| / (||xi1||_2 ||xi2||_2),
+    |tau(u eta)| / ||eta||_1) by randomized pair swaps within blocks; the
+    best vector over all restarts is returned with its achieved value.
+    Block sizes must be even so candidates are balanced (constant on no
+    block); stops early when the target delta is reached.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    for b in range(blocks.n_blocks):
+        size = blocks.block_indices(b).size
+        if size % 2 != 0:
+            raise ValueError(f"block {b} has odd size {size}; balanced signs need even blocks")
+    return _search_signs(_sign_objective(X, Y, frame), frame, blocks, delta, budget, seed,
+                         restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +450,15 @@ def _alpha_inputs(xs: list[np.ndarray], Y, frame: MasaFrame):
     return letters, etas
 
 
+def _block_order(part: Partition) -> tuple[np.ndarray, list[slice]]:
+    """(perm, spans): a stable argsort of the assignment and one slice per
+    block, so perm[spans[i]] lists block i's members in ascending order, as
+    a boolean mask of block i selects them."""
+    perm = np.argsort(part.assignment, kind="stable")
+    bounds = np.searchsorted(part.assignment[perm], np.arange(part.n_blocks + 1)).tolist()
+    return perm, [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray]):
     """Exact sup over the block algebra of the defining residuals.
 
@@ -459,14 +480,15 @@ def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray
             alpha_a = max(alpha_a, float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0)
     alpha_b = 0.0
     t = 1.0 / n
+    perm, spans = _block_order(part)
     for eta in etas:
         d = np.diagonal(eta)
         vals = np.abs(vand @ d) / dim  # |tau(eta w^p)|, ||w^p|| = 1
         if vals.size:
             alpha_b = max(alpha_b, float(vals.max()))
-        for i in range(n):
-            sel = part.assignment == i
-            num = abs(d[sel].sum() / dim - t * d.sum() / dim)
+        dp = d[perm]
+        for si in spans:
+            num = abs(dp[si].sum() / dim - t * d.sum() / dim)
             alpha_b = max(alpha_b, num / (1.0 - t))  # ||q_i - t|| = 1 - t
     return alpha_a, alpha_b
 
@@ -494,13 +516,16 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
     alpha = max(alpha_a, alpha_b)
     slack = 1e-9
 
+    # block (i, j) of x is the slice (spans[i], spans[j]) of x permuted once,
+    # holding the entries of the boolean-mask gather in the same order
+    perm, spans = _block_order(part)
     worst_a2 = worst_c2a = worst_c2b = worst_d2 = 0.0
-    masks = [part.assignment == i for i in range(n)]
     for x in xs:
+        xp = x[np.ix_(perm, perm)]
         comp_sq = 0.0
-        for i, mi in enumerate(masks):
-            for j, mj in enumerate(masks):
-                blk = x[np.ix_(mi, mj)]
+        for i, si in enumerate(spans):
+            for j, sj in enumerate(spans):
+                blk = xp[si, sj]
                 nsq = float(np.linalg.norm(blk) ** 2 / dim)
                 worst_a2 = max(worst_a2, abs(nsq - t * t))
                 if i == j:
@@ -513,8 +538,9 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
     for eta in etas:
         d = np.diagonal(eta)
         tau_eta = d.sum() / dim
-        for mi in masks:
-            worst_b2 = max(worst_b2, abs(d[mi].sum() / dim - tau_eta * t))
+        dp = d[perm]
+        for si in spans:
+            worst_b2 = max(worst_b2, abs(dp[si].sum() / dim - tau_eta * t))
 
     def check(bound, measured) -> ConditionCheck:
         bound, measured = float(bound), float(measured)
@@ -551,10 +577,13 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     etas = list(Y)
     for x in xs_mats:
         etas.append(TracedMatrix(frame.from_frame(frame.to_frame(x) @ frame.to_frame(x).conj().T)))
+    # every level searches the same objective; its blocks are even because
+    # 2^n divides dim
+    obj = _sign_objective(xs_mats, etas, frame)
     evaluations = 0
     for level in range(n):
-        res = find_mixing_sign_unitary(
-            xs_mats, etas, frame, part,
+        res = _search_signs(
+            obj, frame, part,
             delta=alpha_target, budget=max(1, budget // max(1, n)),
             seed=int(rng_for(seed, 0xB1D, level).integers(0, 2 ** 63 - 1)),
         )
@@ -640,6 +669,10 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
         for x2 in range(n_x):
             pair_mats[(x1, x2)] = xs[x1] * xs[x2].T
 
+    def powers_of(z):
+        # z ** p for each power p, with the conjugate for p < 0
+        return {p: z ** p if p > 0 else np.conj(z) ** (-p) for p in powers}
+
     v = np.zeros(dim, dtype=np.complex128)
     power_sums = {k: 0.0 + 0.0j for k in range(1, n + 1)}
     # running level-2 word sums
@@ -649,29 +682,27 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
         p2, x2 = powers[w[1] // n_x], w[1] % n_x
         l2_words.append({"p": (p1, p2), "m": pair_mats[(x1, x2)], "sum": 0.0 + 0.0j})
 
-    starts = list(range(0, dim, chunk))
-    for s0 in starts:
-        idx = np.arange(s0, min(s0 + chunk, dim))
-        csize = idx.size
-        n_cands = 64
+    n_cands = 64
+    for s0 in range(0, dim, chunk):
+        sl = slice(s0, min(s0 + chunk, dim))
+        csize = sl.stop - s0
         if order_L ** csize <= n_cands:
             cands = np.array(list(itertools.product(roots, repeat=csize)))
         else:
-            cands = np.array([roots[rng.integers(0, order_L, size=csize)] for _ in range(n_cands)])
+            # one draw holds the values, and leaves the stream in the state,
+            # of n_cands successive draws of csize
+            cands = roots[rng.integers(0, order_L, size=(n_cands, csize))]
+        vp, cp = powers_of(v), powers_of(cands)
         # one row per objective term, one column per candidate
-        terms = [np.abs(power_sums[k] + np.sum(cands ** k, axis=1)) / dim for k in range(1, n + 1)]
+        terms = [np.abs(power_sums[k] + np.sum(cp[k], axis=1)) / dim for k in range(1, n + 1)]
         sums = []
         for wd in l2_words:
             p1, p2 = wd["p"]
             m = wd["m"]
-            d1 = v ** p1 if p1 > 0 else np.conj(v) ** (-p1)
-            d2 = v ** p2 if p2 > 0 else np.conj(v) ** (-p2)
-            r1 = m[idx, :] @ d2          # delta1 . r1
-            r2 = d1 @ m[:, idx]          # r2 . delta2
-            mcc = m[np.ix_(idx, idx)]
-            c1 = cands ** p1 if p1 > 0 else np.conj(cands) ** (-p1)
-            c2 = cands ** p2 if p2 > 0 else np.conj(cands) ** (-p2)
-            snew = wd["sum"] + c1 @ r1 + c2 @ r2 + ((c1 @ mcc) * c2).sum(axis=1)
+            r1 = m[sl, :] @ vp[p2]       # delta1 . r1
+            r2 = vp[p1] @ m[:, sl]       # r2 . delta2
+            c1, c2 = cp[p1], cp[p2]
+            snew = wd["sum"] + c1 @ r1 + c2 @ r2 + ((c1 @ m[sl, sl]) * c2).sum(axis=1)
             sums.append(snew)
             terms.append(np.abs(snew) / dim)
         vals = np.max(terms, axis=0)
@@ -680,7 +711,7 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
             if val < best_val - 1e-15:
                 best_val, best = val, c
         best_cand = cands[best]
-        v[idx] = best_cand
+        v[sl] = best_cand
         for k in range(1, n + 1):
             power_sums[k] += np.sum(best_cand ** k)
         for wd, snew in zip(l2_words, sums):
@@ -689,7 +720,8 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     # final verification: powers, and all sampled words including level 3;
     # the kernel screens, the chain evaluates the words near the maximum
     eta = max(abs(np.sum(v ** k)) / dim for k in range(1, n + 1))
-    letters = np.array([v ** p if p > 0 else np.conj(v) ** (-p) for p in powers])
+    vp = powers_of(v)
+    letters = np.array([vp[p] for p in powers])
     delta_prime = 0.0
     for rows in words:
         # the level holding the largest chain value has that word near its own maximum

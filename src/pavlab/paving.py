@@ -315,8 +315,10 @@ class _Objective:
     an assignment in full and commits it; ``propose`` recomputes only the
     blocks whose labels occur at indices where the trial differs from the
     committed assignment (none when nothing changed) and returns the
-    trial's defect; ``commit`` adopts the last proposal.  The state is the
-    committed assignment plus one float per label, whatever the budget.
+    trial's defect; ``commit`` adopts the last proposal; ``held_elsewhere``
+    tells a search, before it pays for a proposal, that the proposal cannot
+    lower the defect.  The state is the committed assignment plus one float
+    per label, whatever the budget.
 
     Every block of two or more indices goes through ``_block_norms``, which
     takes one batched SVD per stack of equal-size blocks (the blocks of an
@@ -371,6 +373,11 @@ class _Objective:
         norms = self._label_norms(trial, labels, self._norms.copy())
         self._pending = (changed, moved, norms)
         return max(norms.values(), default=0.0)
+
+    def held_elsewhere(self, labels, level: float) -> bool:
+        """Whether a committed label outside ``labels`` has norm >= level,
+        so that every proposal changing only ``labels`` has defect >= level."""
+        return any(v >= level for k, v in self._norms.items() if k not in labels)
 
     def commit(self) -> None:
         changed, moved, self._norms = self._pending
@@ -588,10 +595,13 @@ def _search_sign_split(obj, eps, budget, seed, max_n):
                 stuck += 1
                 continue
             i, j = pick
+            spent += 1
+            if obj.held_elsewhere((int(trial[i]), int(trial[j])), d - 1e-15):
+                stuck += 1  # another block keeps the defect: no swap here is accepted
+                continue
             cand = trial.copy()
             cand[i], cand[j] = trial[j], trial[i]
             cd = obj.propose(cand)
-            spent += 1
             if cd < d - 1e-15:
                 obj.commit()
                 signs[i], signs[j] = 1, 0

@@ -391,10 +391,11 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
         trace.add(f"component_ratio_{label}", rep.ratio, eps)
         parts.append(part)
 
-    combined = parts[0]
+    # both components can fall below DEGENERATE_NORM while off does not; the
+    # one block then stands, and its ratio of 1 fails the combined stage
+    combined = parts[0] if parts else Partition.one_block(frame)
     for other in parts[1:]:
         combined = refine(combined, other)
     report = _defect_report(off, base, combined, eps, "reduction", seed, t0)
-    trace.add("combined_ratio", report.ratio,
-              eps if len(parts) == 1 else 2 * eps)
+    trace.add("combined_ratio", report.ratio, 2 * eps if len(parts) == 2 else eps)
     return combined, trace, report

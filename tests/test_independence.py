@@ -13,11 +13,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavlab import MasaFrame, Partition, compress, l2_norm, normalized_trace, perpendicular_frame
+from pavlab import (
+    MasaFrame,
+    Partition,
+    TracedMatrix,
+    compress,
+    independence,
+    l2_norm,
+    normalized_trace,
+    perpendicular_frame,
+)
 from pavlab.independence import (
+    ConditionCheck,
+    Cor37Report,
     IndependenceReport,
     WordSpec,
     _block_letters,
+    _alpha_inputs,
     _center_and_normalize,
     _letters_from,
     _word_product,
@@ -306,6 +318,46 @@ def test_mixing_rejects_odd_blocks():
                                  delta=0.1, budget=0, seed=0)
 
 
+def test_mixing_rejects_an_odd_block_among_even_ones():
+    frame = MasaFrame.identity(8)
+    blocks = Partition(np.array([0, 0, 1, 1, 1, 2, 2, 2]), 3, frame)
+    with pytest.raises(ValueError, match="block 1 has odd size 3"):
+        find_mixing_sign_unitary([haar_model(8, 1)], [], frame, blocks, delta=0.1, budget=10,
+                                 seed=0)
+
+
+@pytest.mark.parametrize("dim,n,budget,seed,fourier",
+                         [(32, 3, 600, 1, True), (64, 4, 4000, 2, False)])
+def test_mixing_equals_each_level_of_the_shared_objective_build(monkeypatch, dim, n, budget,
+                                                                seed, fourier):
+    # the builder searches one objective for every level; the public search
+    # builds its own and must return the same signs, objective and count
+    frame = perpendicular_frame(dim) if fourier else MasaFrame.identity(dim)
+    x = haar_model(dim, 100 + seed)
+    y = frame.diagonal_element(np.random.default_rng(seed).standard_normal(dim)).entries
+    levels = []
+    search = independence._search_signs
+
+    def recorded(obj, frame, blocks, delta, budget, seed):
+        res = search(obj, frame, blocks, delta, budget, seed)
+        levels.append(((blocks, delta, budget, seed), res))
+        return res
+
+    monkeypatch.setattr(independence, "_search_signs", recorded)
+    part, _ = build_independent_partition([x], [y], n, 1e-3, frame, budget, seed)
+    monkeypatch.undo()
+    assert len(levels) == n and part.n_blocks == 2 ** n
+    # the builder's inputs: centered unit test elements, and Y followed by x x*
+    xs = _center_and_normalize([x], frame)
+    etas = [y] + [TracedMatrix(frame.from_frame(frame.to_frame(m) @ frame.to_frame(m).conj().T))
+                  for m in xs]
+    for (blocks, delta, level_budget, level_seed), res in levels:
+        got = find_mixing_sign_unitary(xs, etas, frame, blocks, delta, level_budget, level_seed)
+        assert np.array_equal(got.signs, res.signs)
+        assert repr(got.objective) == repr(res.objective)
+        assert got.evaluations == res.evaluations
+
+
 def test_mixing_commutes_with_blocks_and_involutive():
     frame = MasaFrame.identity(16)
     blocks = Partition(np.arange(16) % 4, 4, frame)
@@ -423,6 +475,87 @@ def test_cor37_report_holds_plain_python_values():
     assert all(c["ok"] is True for c in payload["conditions"].values())
 
 
+def reference_check_cor37(part, X, Y=()):
+    """check_cor37 as it ran with one boolean mask per block, in
+    _measured_alpha and in the n^2 block gathers: the reference its reports
+    must equal bit for bit."""
+    frame, dim, n = part.frame, part.dim, part.n_blocks
+    t = 1.0 / n
+    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    letters, etas = _alpha_inputs(xs, Y, frame)
+    w = part.roots_of_unity_diagonal()
+    vand = np.array([w ** p for p in range(1, n)])
+    alpha_a = 0.0
+    for x1 in letters:
+        for x2 in letters:
+            b = vand @ (x1 * x2.T) @ vand.T / dim
+            alpha_a = max(alpha_a, float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0)
+    alpha_b = 0.0
+    for eta in etas:
+        d = np.diagonal(eta)
+        vals = np.abs(vand @ d) / dim
+        if vals.size:
+            alpha_b = max(alpha_b, float(vals.max()))
+        for i in range(n):
+            sel = part.assignment == i
+            alpha_b = max(alpha_b, abs(d[sel].sum() / dim - t * d.sum() / dim) / (1.0 - t))
+    alpha = max(alpha_a, alpha_b)
+    worst_a2 = worst_c2a = worst_c2b = worst_d2 = 0.0
+    masks = [part.assignment == i for i in range(n)]
+    for x in xs:
+        comp_sq = 0.0
+        for i, mi in enumerate(masks):
+            for j, mj in enumerate(masks):
+                blk = x[np.ix_(mi, mj)]
+                nsq = float(np.linalg.norm(blk) ** 2 / dim)
+                worst_a2 = max(worst_a2, abs(nsq - t * t))
+                if i == j:
+                    comp_sq += nsq
+                    worst_c2a = max(worst_c2a, np.sqrt(nsq))
+                    sv = np.linalg.svd(blk, compute_uv=False)
+                    worst_d2 = max(worst_d2, float(sv.sum() / dim))
+        worst_c2b = max(worst_c2b, comp_sq)
+    worst_b2 = 0.0
+    for eta in etas:
+        d = np.diagonal(eta)
+        tau_eta = d.sum() / dim
+        for mi in masks:
+            worst_b2 = max(worst_b2, abs(d[mi].sum() / dim - tau_eta * t))
+
+    def check(bound, measured):
+        bound, measured = float(bound), float(measured)
+        return ConditionCheck(bound, measured, measured <= bound + 1e-9)
+
+    corner = np.sqrt(t) + 2 * np.sqrt(alpha)
+    conditions = {
+        "a2_l2_blocks": check(3 * t * alpha, worst_a2),
+        "b2_trace_products": check(alpha, worst_b2),
+        "c2_compression_l2sq": check(t + 3 * alpha, worst_c2b),
+        "c2_corner_l2": check(corner * np.sqrt(t), worst_c2a),
+        "d2_corner_l1": check(corner * t, worst_d2),
+    }
+    level = int(round(np.log2(n))) if n > 1 else 0
+    return Cor37Report(n_levels=level, measured_alpha=float(alpha), conditions=conditions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cor37_equals_mask_loop_reference_property(data):
+    n = data.draw(st.integers(2, 16))
+    size = data.draw(st.integers(1, 4))
+    dim = n * size
+    frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    # equal blocks in a shuffled order, so the members of a block are not contiguous
+    part = Partition(rng.permutation(np.repeat(np.arange(n), size)), n, frame)
+    X = [haar_model(dim, data.draw(st.integers(0, 2 ** 16)))]
+    if data.draw(st.booleans()):
+        X.append(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    Y = [rng.standard_normal((dim, dim)) for _ in range(data.draw(st.integers(0, 2)))]
+    got = check_cor37(part, X, Y).to_json_dict()
+    assert json.dumps(got) == json.dumps(reference_check_cor37(part, X, Y).to_json_dict())
+
+
 def test_report_json_key_order():
     # artifacts are compared byte for byte, so the key order is part of the format
     dim = 32
@@ -513,9 +646,13 @@ PATCH_CASES = [
     # not powers of two, so dividing by dim rounds; the dim-48 case samples level 3
     (24, (24,), 2, 96, 300, 5),
     (48, (48, 49), 2, 96, 300, 5),
+    # chunk 3: an odd chunk size, and at dim 100 a short last chunk of one index
+    (100, (100,), 2, 400, 300, 3),
+    (96, (96, 97), 2, 192, 300, 5),
 ]
 # SHA-256 of the patch diagonal and of json.dumps of its report, recorded with
-# the earlier per-candidate loop of the patch (numpy 2.4 with OpenBLAS 0.3.31,
+# the earlier per-candidate loop of the patch (the last two cases with the
+# per-candidate draws of each chunk; numpy 2.4 with OpenBLAS 0.3.31,
 # one BLAS thread as the benchmark runs: the dim-128 report's last digit
 # moves with the BLAS thread count)
 PATCH_PINS = [
@@ -529,6 +666,10 @@ PATCH_PINS = [
      "6076477ca7f09706365090c0b9f59425da46b5cdfb49b0e7c436c481295daee7"],
     ["2d077a26f077cf2f7d289a481e8d68e1187a6aa4e4e5e5809eae3568c22c9341",
      "7e9cb33a146e57e4dbec9a3d83b451177c3818788d06b154f726bf193b941e04"],
+    ["b5dd2a46653dbc8b0d4116ce8d4fbda7f320e3ef94f36e4e1efb16de708dce7c",
+     "c762b4cfdb43cbf82770f35257e79ae52969a0ca00c008e26fc44abf17a6981d"],
+    ["6949d1fd41ce5ff5e245b1bd8555a3066744a241866127d4e338df517345934b",
+     "e26e23db12009469071044361da6d8b98c1468b86f97f69f42b473cfac1ecb0e"],
 ]
 
 

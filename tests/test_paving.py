@@ -739,6 +739,32 @@ def test_first_paving_prunes_most_block_norms(monkeypatch):
     assert 4 * count[0] <= swept
 
 
+def test_sign_split_search_skips_only_swaps_it_would_refuse(monkeypatch):
+    # a swap is skipped when another block already holds the defect; with
+    # the check off, every swap pays for its block norms and the search must
+    # end in the same partition and ratio, as the budget counts both alike
+    cases = [(dim, seed, budget) for dim in (18, 32, 40) for seed in (0, 1) for budget in (200, 1000)]
+    inputs = {(dim, seed): free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed))
+              for dim, seed, _ in cases}
+    held = paving._Objective.held_elsewhere
+    skipped = []
+
+    def counted(self, labels, level):
+        out = held(self, labels, level)
+        skipped.append(out)
+        return out
+
+    monkeypatch.setattr(paving._Objective, "held_elsewhere", counted)
+    got = [pave_search(inputs[dim, seed], 0.6, "sign_split", budget, seed)
+           for dim, seed, budget in cases]
+    assert any(skipped)
+    monkeypatch.setattr(paving._Objective, "held_elsewhere", lambda self, labels, level: False)
+    for (dim, seed, budget), (part, rep) in zip(cases, got):
+        want_part, want_rep = pave_search(inputs[dim, seed], 0.6, "sign_split", budget, seed)
+        assert np.array_equal(part.assignment, want_part.assignment)
+        assert repr(rep.ratio) == repr(want_rep.ratio)
+
+
 # -- max_n --------------------------------------------------------------------
 
 def test_search_respects_max_n_in_every_strategy():

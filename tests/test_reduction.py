@@ -268,6 +268,19 @@ def test_reduce_complex_input_combines_components():
     assert report.ratio <= 2 * eps + 1e-9
 
 
+def test_reduce_components_below_degenerate_norm_report_one_block():
+    # ||x|| = 1.27e-12 passes DEGENERATE_NORM, each component's 0.9e-12 does not
+    flip = np.eye(3)[[1, 0, 2]]
+    x = 0.9e-12 * (1 + 1j) * flip
+    part, trace, report = reduce_and_pave(x, 0.5, make_block_paver())
+    assert part.effective_blocks == 1
+    assert report.ratio == 1.0
+    assert [s.label for s in trace.stages] == ["real_imag_reassembly", "combined_ratio"]
+    last = trace.stages[-1]
+    assert (last.measured, last.bound, last.ok) == (1.0, 0.5, False)
+    assert not trace.all_ok
+
+
 def test_reduce_rejects_bad_eps():
     with pytest.raises(ValueError):
         reduce_and_pave(FLIP, 1.5, make_block_paver())
