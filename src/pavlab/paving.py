@@ -195,23 +195,31 @@ def paving_defect(x, part: Partition, eps: float | None = None,
     given, the spectral tail of the defect matrix is measured above
     eps * ||x - E_A(x)||; otherwise above the achieved defect (tail 0).
     The defect and the tail come from one SVD of the defect matrix, so the
-    defect is exact at every dimension.
+    defect is exact at every dimension.  The baseline norm is taken only
+    for a nonzero defect matrix: a zero one (singletons, or an input that
+    is already diagonal) reports 0 whatever the baseline is.
     """
     t0 = time.perf_counter()
-    off = _off_diagonal(x, part.frame)
-    return _defect_report(off, op_norm(off), part, eps, strategy, seed, t0)
+    return _defect_report(_off_diagonal(x, part.frame), None, part, eps, strategy, seed, t0)
 
 
-def _defect_report(off: np.ndarray, base: float, part: Partition, eps: float | None,
+def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: float | None,
                    strategy: str, seed: int, t0: float) -> PavingReport:
     """The report of ``paving_defect`` from the off-diagonal part in frame
     coordinates and its norm, timed from t0.
 
     An exactly zero masked matrix (singletons, or an input that is already
     diagonal) takes no SVD: its singular values are +0.0, as LAPACK
-    returns them."""
+    returns them.  Its defect, ratio and tail are then 0.0 for every base,
+    so ``base=None`` takes ``op_norm(off)`` only for a nonzero masked
+    matrix, or for a negative eps, whose threshold lies below those zeros;
+    otherwise a base of 0.0 gives the same report.
+    """
     masked = off * _block_mask(part.assignment)
-    sv = (np.linalg.svd(masked, compute_uv=False) if masked.any()
+    nonzero = masked.any()
+    if base is None:
+        base = op_norm(off) if nonzero or (eps is not None and eps < 0) else 0.0
+    sv = (np.linalg.svd(masked, compute_uv=False) if nonzero
           else np.zeros(masked.shape[0]))
     defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
@@ -317,14 +325,18 @@ class _Objective:
     committed assignment (none when nothing changed) and returns the
     trial's defect; ``commit`` adopts the last proposal; ``held_elsewhere``
     tells a search, before it pays for a proposal, that the proposal cannot
-    lower the defect.  The state is the committed assignment plus one float
-    per label, whatever the budget.
+    lower the defect.  Given a refusal level, ``propose`` takes the changed
+    blocks one at a time, the one with the larger committed norm first, and
+    returns None with nothing pending as soon as one reaches the level: a
+    trial the caller would refuse costs no further SVD.  The state is the
+    committed assignment plus one float per label, whatever the budget.
 
     Every block of two or more indices goes through ``_block_norms``, which
     takes one batched SVD per stack of equal-size blocks (the blocks of an
     equal-block partition, or the two blocks of a swap between them) and
-    gives each block the bits of its own SVD.  Its single index order keeps
-    ``propose`` returning exactly what ``defect`` returns for the same
+    gives each block the bits of its own SVD, so a block taken alone under
+    a refusal level has the bits it has in a stack.  Its single index order
+    keeps ``propose`` returning exactly what ``defect`` returns for the same
     trial; a last-bit difference could flip an accept decision.
     """
 
@@ -365,12 +377,19 @@ class _Objective:
         self._pending = None
         return max(self._norms.values(), default=0.0)
 
-    def propose(self, trial: np.ndarray) -> float:
+    def propose(self, trial: np.ndarray, refuse_at: float | None = None) -> float | None:
         changed = (trial != self._committed).nonzero()[0]
         moved = trial[changed]
         labels = set(self._committed[changed].tolist())
         labels.update(moved.tolist())
-        norms = self._label_norms(trial, labels, self._norms.copy())
+        norms = self._norms.copy()
+        self._pending = None
+        if refuse_at is None:
+            self._label_norms(trial, labels, norms)
+        else:
+            for label in sorted(labels, key=lambda k: -self._norms.get(k, 0.0)):
+                if self._label_norms(trial, [label], norms)[label] >= refuse_at:
+                    return None
         self._pending = (changed, moved, norms)
         return max(norms.values(), default=0.0)
 
@@ -601,8 +620,10 @@ def _search_sign_split(obj, eps, budget, seed, max_n):
                 continue
             cand = trial.copy()
             cand[i], cand[j] = trial[j], trial[i]
-            cd = obj.propose(cand)
-            if cd < d - 1e-15:
+            # held_elsewhere left the defect in one of the two halves, so a
+            # half that keeps it refuses the swap before the other is taken
+            cd = obj.propose(cand, refuse_at=d - 1e-15)
+            if cd is not None and cd < d - 1e-15:
                 obj.commit()
                 signs[i], signs[j] = 1, 0
                 d, trial = cd, cand

@@ -351,7 +351,8 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
     the bits of the off-diagonal part (an exactly self-adjoint input in the
     identity frame), its norm is the base.  So the pipeline takes no SVD
     whose result it already has; the masked SVD of a singleton paving is
-    skipped by ``paving._defect_report``.
+    skipped by ``paving._defect_report``, and each component report from
+    ``paving_defect`` takes its base only for a nonzero defect.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pavlab import TracedMatrix, cli
+from pavlab import TracedMatrix, cli, free_model, op_norm, paving, reduction
 from pavlab.cli import main, strip_timing
 from pavlab.free_model import EnsembleSpec, sample
 from pavlab.matrix_io import load_matrix, save_json
@@ -231,3 +231,31 @@ def test_out_artifact_holds_plain_json(tmp_path, capsys, monkeypatch, argv):
     assert_plain(payloads[0])
     assert json.loads(out_path.read_text()) == payloads[0]
     assert_plain(json.loads((tmp_path / "out.json.manifest.json").read_text()))
+
+
+def test_reduce_takes_five_full_size_norms(capsys, monkeypatch):
+    # the input norm, the pipeline base and two in flatten; the degenerate
+    # test is settled by the largest entry and the component reports of the
+    # singletons take no base
+    sizes = []
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return op_norm(a)
+
+    for mod in (cli, free_model, paving, reduction):
+        monkeypatch.setattr(mod, "op_norm", counted)
+    code, out = run(capsys, "reduce", "--dim", "64")
+    assert code == 0 and json.loads(out)["blocks"] == 64
+    assert sizes.count(64) == 5
+
+
+@pytest.mark.parametrize("scale", [1e-13, 0.5e-12, 0.9e-12, 1e-12, 1.0000000001e-12, 1.5e-12,
+                                   3e-12, 1.0])
+def test_reduce_degenerate_test_agrees_with_the_norm(scale):
+    # the rank-one all-ones matrix has its norm equal to its Frobenius norm
+    for m in [sample(EnsembleSpec("zero_diag_haar", 12, seed)).entries for seed in range(3)] + [
+            np.ones((12, 12), dtype=complex)]:
+        m = m * (scale / op_norm(m))
+        for a in (m, m * (1 + 1e-10), m * (1 - 1e-10)):
+            assert cli._norm_exceeds(a, 1e-12) == (op_norm(a) > 1e-12)

@@ -43,6 +43,7 @@ from pavlab.paving import (
     _first_paving,
     _Objective,
 )
+from pavlab.seeds import rng_for
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -184,6 +185,63 @@ def test_report_invariants_random():
         base = op_norm(zero_diag(x))
         assert abs(rep.ratio * base - rep.defect) < 1e-9
         assert 0.0 <= rep.spectral_tail <= 1.0
+
+
+def reference_defect_json(x, part, eps, strategy, seed):
+    """The report JSON, without elapsed_ms, of a paving_defect that always
+    takes the base norm ||x - E_A(x)|| before the masked SVD."""
+    y = part.frame.to_frame(np.asarray(x, dtype=complex))
+    off = y - np.diag(np.diagonal(y))
+    base = op_norm(off)
+    masked = off * _block_mask(part.assignment)
+    sv = np.linalg.svd(masked, compute_uv=False) if masked.any() else np.zeros(part.dim)
+    defect = float(sv[0])
+    ratio = 0.0 if base < paving.DEGENERATE_NORM else defect / base
+    threshold = defect if eps is None else eps * base
+    return {"n_blocks": part.n_blocks, "effective_blocks": part.effective_blocks,
+            "defect": defect, "ratio": float(ratio),
+            "spectral_tail": float(np.count_nonzero(sv > threshold + 1e-15) / sv.size),
+            "strategy": strategy, "seed": seed}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_defect_report_skips_only_a_base_that_cannot_matter(data):
+    dim = data.draw(st.integers(1, 10))
+    fourier = dim >= 2 and data.draw(st.booleans())
+    frame = perpendicular_frame(dim) if fourier else MasaFrame.identity(dim)
+    kind = data.draw(st.sampled_from(["random", "diagonal", "tiny"]))
+    x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    if kind == "diagonal":
+        # zero off-diagonal part in the frame (exactly so in the identity frame)
+        x = frame.from_frame(np.diag(np.diagonal(x)))
+    elif kind == "tiny":
+        x = x * (0.5 * paving.DEGENERATE_NORM / op_norm(x))
+    layout = data.draw(st.sampled_from(["singletons", "one_block", "random"]))
+    if layout == "singletons":
+        part = Partition.singletons(frame)
+    elif layout == "one_block":
+        part = Partition.one_block(frame)
+    else:
+        n = data.draw(st.integers(1, dim))
+        part = Partition(np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=dim,
+                                                     max_size=dim))), n, frame)
+    # a negative eps puts the tail threshold below the zero singular values
+    eps = data.draw(st.sampled_from([None, 0.0, 0.3, 0.9, -0.5]))
+    seed = data.draw(st.integers(0, 9))
+    got = paving_defect(x, part, eps=eps, strategy="prop", seed=seed).to_json_dict()
+    del got["elapsed_ms"]
+    assert json.dumps(got) == json.dumps(reference_defect_json(x, part, eps, "prop", seed))
+
+
+def test_zero_defect_report_takes_no_norm(monkeypatch):
+    x = random_matrix(9, 4)
+    calls = []
+    monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a.shape[0]) or op_norm(a))
+    rep = paving_defect(x, Partition.singletons(MasaFrame.identity(9)), eps=0.5)
+    assert (rep.defect, rep.ratio, rep.spectral_tail, calls) == (0.0, 0.0, 0.0, [])
+    paving_defect(x, Partition.one_block(MasaFrame.identity(9)), eps=0.5)
+    assert calls == [9]
 
 
 # -- spectral_tail_mass ------------------------------------------------------
@@ -763,6 +821,112 @@ def test_sign_split_search_skips_only_swaps_it_would_refuse(monkeypatch):
         want_part, want_rep = pave_search(inputs[dim, seed], 0.6, "sign_split", budget, seed)
         assert np.array_equal(part.assignment, want_part.assignment)
         assert repr(rep.ratio) == repr(want_rep.ratio)
+
+
+def reference_search_sign_split(obj, eps, budget, seed, max_n):
+    """The sign_split loop before its refusal level: a swap that
+    held_elsewhere lets through proposes both halves in one call."""
+    dim = obj.dim
+    target = eps * obj.base
+    assignment = np.zeros(dim, dtype=np.int64)
+    n = 1
+    best_d = obj.defect(assignment)
+    spent = 0
+    level = 0
+    while (n < dim and best_d > target and spent < budget
+           and np.minimum(np.bincount(assignment), 2).sum() <= max_n):
+        level += 1
+        rng = rng_for(seed, 0x516, level)
+        members = [np.flatnonzero(assignment == b) for b in range(n)]
+        signs = paving._balanced_halves(members, dim, rng)
+        trial = assignment * 2 + signs
+        d = obj.reset(trial)
+        spent += 1
+        stuck = 0
+        while spent < budget and d > target and stuck < 2 * dim:
+            pick = paving._pick_swap(members, signs, rng)
+            if pick is None:
+                stuck += 1
+                continue
+            i, j = pick
+            spent += 1
+            if obj.held_elsewhere((int(trial[i]), int(trial[j])), d - 1e-15):
+                stuck += 1
+                continue
+            cand = trial.copy()
+            cand[i], cand[j] = trial[j], trial[i]
+            cd = obj.propose(cand)
+            if cd < d - 1e-15:
+                obj.commit()
+                signs[i], signs[j] = 1, 0
+                d, trial = cd, cand
+                stuck = 0
+            else:
+                stuck += 1
+        assignment = trial
+        n *= 2
+        best_d = d
+    return best_d, assignment, n
+
+
+def test_sign_split_refusal_level_keeps_every_decision(monkeypatch):
+    # dim 18 halves blocks of 9 into 4 and 5; the budgets stop the search
+    # inside the first level, inside a later one, and at the target
+    cases = [(dim, budget) for dim in (8, 12, 18, 24, 32, 48, 64) for budget in (10, 200, 1000)]
+    inputs = {dim: free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, dim + 1))
+              for dim, _ in cases}
+    got = [pave_search(inputs[dim], 0.6, "sign_split", budget, seed=2) for dim, budget in cases]
+    monkeypatch.setattr(paving, "_search_sign_split", reference_search_sign_split)
+    for (dim, budget), (part, rep) in zip(cases, got):
+        want_part, want_rep = pave_search(inputs[dim], 0.6, "sign_split", budget, seed=2)
+        assert np.array_equal(part.assignment, want_part.assignment), (dim, budget)
+        assert repr(rep.ratio) == repr(want_rep.ratio), (dim, budget)
+
+
+def test_sign_split_refusal_level_takes_fewer_block_svds(monkeypatch):
+    # the benchmark's sign_split/d64 op
+    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 64, 0))
+    count = [0]
+
+    def counted(a, idx_list, shift=0.0):
+        count[0] += len(idx_list)
+        return _block_norms(a, idx_list, shift)
+
+    monkeypatch.setattr(paving, "_block_norms", counted)
+    part, rep = pave_search(x, 0.6, "sign_split", 1000, 0)
+    lean, count[0] = count[0], 0
+    monkeypatch.setattr(paving, "_search_sign_split", reference_search_sign_split)
+    want_part, want_rep = pave_search(x, 0.6, "sign_split", 1000, 0)
+    assert np.array_equal(part.assignment, want_part.assignment)
+    assert 4 * lean <= 3 * count[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_objective_refusal_level_refuses_exactly_the_trials_at_or_above_it(data):
+    dim = data.draw(st.integers(2, 9))
+    x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
+    n = data.draw(st.integers(1, dim))
+    cur = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim)),
+                   dtype=np.int64)
+    obj, fresh = _Objective(x, MasaFrame.identity(dim)), _Objective(x, MasaFrame.identity(dim))
+    obj.reset(cur)
+    trial = _move(data, cur, n)
+    diff = trial != cur
+    changed = set(cur[diff].tolist()) | set(trial[diff].tolist())
+    # the largest trial norm among the changed labels' blocks
+    touched = max([_block_norms(fresh.off, [idx])[0] if idx.size > 1 else 0.0
+                   for idx in (np.flatnonzero(trial == k) for k in changed)], default=None)
+    level = data.draw(st.sampled_from([0.0, 1.0]) if touched is None else st.sampled_from(
+        [0.0, touched, np.nextafter(touched, np.inf), 0.5 * touched, 2.0 * touched + 1.0]))
+    d = obj.propose(trial, refuse_at=level)
+    if touched is not None and touched >= level:
+        # a changed block reaches the level: refused, with nothing to commit
+        assert d is None and obj._pending is None
+    else:
+        assert d == fresh.defect(trial)
+        obj.commit()
+        assert fresh.reset(trial) == d
 
 
 # -- max_n --------------------------------------------------------------------

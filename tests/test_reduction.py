@@ -19,6 +19,7 @@ from pavlab import (
     paving_defect,
     perpendicular_frame,
 )
+from pavlab import free_model, paving, reduction
 from pavlab.free_model import make_block_paver
 from pavlab.reduction import (
     ReductionTrace,
@@ -279,6 +280,23 @@ def test_reduce_components_below_degenerate_norm_report_one_block():
     last = trace.stages[-1]
     assert (last.measured, last.bound, last.ok) == (1.0, 0.5, False)
     assert not trace.all_ok
+
+
+def test_reduce_takes_three_full_size_norms(monkeypatch):
+    # the base and two in flatten: each component report of the singletons
+    # the paver returns here has a zero defect and takes no base norm
+    sizes = []
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return op_norm(a)
+
+    for mod in (free_model, paving, reduction):
+        monkeypatch.setattr(mod, "op_norm", counted)
+    part, trace, report = reduce_and_pave(haar_model_selfadjoint(128, 0), 0.6,
+                                          make_block_paver())
+    assert part.effective_blocks == 128
+    assert sizes.count(128) == 3
 
 
 def test_reduce_rejects_bad_eps():
