@@ -5,15 +5,21 @@ artifacts plus a manifest carrying the full configuration, library
 versions, and seeds.  Identical configurations produce byte-identical
 artifacts except for elapsed_ms fields, which the compare mode ignores.
 
-Exit codes: 0 success, 2 precondition failure, 3 numerical-invariant
-violation detected during the run.
+Each subcommand takes only the shared flags (``--dim --eps --n --seed
+--seeds --budget --input --out --format --strategy``) that it reads, so a
+flag it would ignore is a usage error.  The manifest still records every
+``RunConfig`` field, with its default where the subcommand takes no flag.
+
+Exit codes: 0 success, 1 compared artifacts differ, 2 usage or
+precondition failure (bad flag, bad value, unreadable input), 3
+numerical-invariant violation detected during the run.
 """
 
 import argparse
 import json
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +48,6 @@ from .paving import (
     roots_of_unity_tuple,
 )
 from .reduction import reduce_and_pave
-from .seeds import map_over_seeds
 
 DEFAULT_EPS_GRID = (0.6, 0.5, 0.4, 0.3)
 
@@ -61,11 +66,9 @@ class RunConfig:
     output: str | None = None
     format: str = "json"
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed_count < 1:
             raise ValueError("seed_count must be >= 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
 
 
 def _manifest(cfg: RunConfig, seeds) -> dict:
@@ -89,37 +92,28 @@ def strip_timing(obj):
     return obj
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_csv(path, header, rows) -> str:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
-    if path:
-        Path(path).write_text(text)
-    return text
+def _csv_text(header, rows) -> str:
+    lines = [header] + [[repr(v) if isinstance(v, float) else str(v) for v in row]
+                        for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _emit(cfg: RunConfig, payload: dict, seeds, csv=None) -> None:
+    """Write the artifact to --out with its manifest beside it, or to stdout
+    with the manifest inside a JSON payload; only curve and free take
+    --format, and both pass csv."""
     manifest = _manifest(cfg, seeds)
-    if cfg.output:
-        out = Path(cfg.output)
-        if cfg.format == "csv" and csv is not None:
-            _write_csv(out, *csv)
-        else:
-            out.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-        Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    if cfg.format == "csv":
+        text = _csv_text(*csv)
+    elif cfg.output:
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        if cfg.format == "csv" and csv is not None:
-            sys.stdout.write(_write_csv(None, *csv))
-        else:
-            payload = dict(payload)
-            payload["manifest"] = manifest
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        text = json.dumps({**payload, "manifest": manifest}, indent=2) + "\n"
+    if cfg.output:
+        Path(cfg.output).write_text(text)
+        Path(cfg.output + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    else:
+        sys.stdout.write(text)
 
 
 def _input_matrix(cfg: RunConfig):
@@ -199,13 +193,13 @@ def cmd_free(cfg: RunConfig, op: str, t: float, m: int, n_max: int) -> int:
     rows = []
     lines = []
     if op == "conj":
-        reports = map_over_seeds(lambda s: conjugation_paving_experiment(cfg.n, cfg.dim, s), seeds)
+        reports = [conjugation_paving_experiment(cfg.n, cfg.dim, s) for s in seeds]
         for rep in reports:
             lines.append(rep.to_json_dict())
             rows.append(("conj", rep.n, rep.dim, rep.seed, rep.measured_norm,
                          rep.paper_bound, rep.slack))
     elif op == "proj":
-        reports = map_over_seeds(lambda s: projection_paving_experiment(t, cfg.n, cfg.dim, s), seeds)
+        reports = [projection_paving_experiment(t, cfg.n, cfg.dim, s) for s in seeds]
         for block, half in reports:
             lines.append({"blocks": block.to_json_dict(), "half_split": half.to_json_dict()})
             rows.append(("proj_blocks", block.n, block.dim, block.seed,
@@ -213,7 +207,7 @@ def cmd_free(cfg: RunConfig, op: str, t: float, m: int, n_max: int) -> int:
             rows.append(("proj_half", half.n, half.dim, half.seed,
                          half.measured_norm, half.paper_bound, half.slack))
     elif op == "kesten":
-        vals = map_over_seeds(lambda s: kesten_norm_oracle(m, cfg.dim, s), seeds)
+        vals = [kesten_norm_oracle(m, cfg.dim, s) for s in seeds]
         for s, v in zip(seeds, vals):
             paper = float(np.sqrt(m))
             free = float(2 * np.sqrt(m - 1)) if m > 1 else 1.0
@@ -222,7 +216,7 @@ def cmd_free(cfg: RunConfig, op: str, t: float, m: int, n_max: int) -> int:
             rows.append(("kesten", m, cfg.dim, s, v, paper, v - paper))
             rows.append(("kesten_free", m, cfg.dim, s, v, free, v - free))
     elif op == "growth":
-        reports = map_over_seeds(lambda s: power_conjugation_growth(cfg.dim, n_max, s), seeds)
+        reports = [power_conjugation_growth(cfg.dim, n_max, s) for s in seeds]
         for rep in reports:
             lines.append(rep.to_json_dict())
             for i, g in enumerate(rep.values, start=1):
@@ -295,47 +289,56 @@ def cmd_compare(a: str, b: str) -> int:
 
 # ---------------------------------------------------------------------------
 
+# The shared flags; their defaults live only in RunConfig, so a flag left
+# off the command line is absent from the parsed namespace.
+SHARED_FLAGS = {
+    "dim": dict(type=int),
+    "eps": dict(type=float),
+    "n": dict(type=int),
+    "seed": dict(type=int),
+    "seeds": dict(dest="seed_count", type=int, help="sweep width: seeds seed..seed+count-1"),
+    "budget": dict(type=int),
+    "input": dict(help="matrix file (JSON or PVLB binary)"),
+    "out": dict(dest="output"),
+    "format": dict(choices=("json", "csv")),
+    "strategy": dict(choices=STRATEGIES),
+}
+
+# subcommand: (help, the shared flags its cmd_* reads)
+SUBCOMMANDS = {
+    "pave": ("search for a paving partition", "dim eps seed budget input out strategy"),
+    "pave-exact": ("exhaustive paving number (dim <= 12)", "dim eps seed input out"),
+    "curve": ("empirical paving-size curve over an eps grid",
+              "dim seed budget input out format"),
+    "indep": ("build an independent partition and certify it", "dim seed budget input out"),
+    "free": ("random-matrix freeness experiments", "dim n seed seeds out format"),
+    "reduce": ("reduction pipeline on a self-adjoint element", "dim eps seed input out"),
+    "dixmier": ("W-tuple averaging identity", "dim n seed input out"),
+    "calibrate": ("calibration run for the free-model tolerances", "seed seeds out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pavlab",
                                      description="matrix paving experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, strategy=False):
-        p.add_argument("--dim", type=int, default=64)
-        p.add_argument("--eps", type=float, default=0.5)
-        p.add_argument("--n", type=int, default=4)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--seeds", dest="seed_count", type=int, default=1,
-                       help="sweep width: seeds seed..seed+count-1")
-        p.add_argument("--budget", type=int, default=10_000)
-        p.add_argument("--input", default=None, help="matrix file (JSON or PVLB binary)")
-        p.add_argument("--out", dest="output", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if strategy:
-            p.add_argument("--strategy", default="anneal", choices=STRATEGIES)
-
-    common(sub.add_parser("pave", help="search for a paving partition"), strategy=True)
-    common(sub.add_parser("pave-exact", help="exhaustive paving number (dim <= 12)"))
-    curve = sub.add_parser("curve", help="empirical paving-size curve over an eps grid")
-    common(curve)
-    curve.add_argument("--eps-grid", type=float, nargs="+", default=None)
-    indep = sub.add_parser("indep", help="build an independent partition and certify it")
-    common(indep)
-    indep.add_argument("--levels", type=int, default=4)
-    indep.add_argument("--alpha", type=float, default=0.01)
-    free = sub.add_parser("free", help="random-matrix freeness experiments")
-    common(free)
-    free.add_argument("--op", choices=("conj", "proj", "kesten", "growth"), default="conj")
-    free.add_argument("--t", type=float, default=0.5)
-    free.add_argument("--m", type=int, default=2)
-    free.add_argument("--n-max", type=int, default=16)
-    common(sub.add_parser("reduce", help="reduction pipeline on a self-adjoint element"))
-    common(sub.add_parser("dixmier", help="W-tuple averaging identity"))
-    cal = sub.add_parser("calibrate", help="calibration run for the free-model tolerances")
-    common(cal)
-    cal.add_argument("--dim-conj", type=int, default=1024)
-    cal.add_argument("--dim-proj", type=int, default=2048)
-    cal.add_argument("--dim-kesten", type=int, default=2048)
+    # no abbreviations: "curve --eps" must not be read as "--eps-grid"
+    subs = {}
+    for name, (text, flags) in SUBCOMMANDS.items():
+        p = subs[name] = sub.add_parser(name, help=text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", default=argparse.SUPPRESS, **SHARED_FLAGS[flag])
+    subs["curve"].add_argument("--eps-grid", type=float, nargs="+", default=None)
+    subs["indep"].add_argument("--levels", type=int, default=4)
+    subs["indep"].add_argument("--alpha", type=float, default=0.01)
+    subs["free"].add_argument("--op", choices=("conj", "proj", "kesten", "growth"),
+                              default="conj")
+    subs["free"].add_argument("--t", type=float, default=0.5)
+    subs["free"].add_argument("--m", type=int, default=2)
+    subs["free"].add_argument("--n-max", type=int, default=16)
+    subs["calibrate"].add_argument("--dim-conj", type=int, default=1024)
+    subs["calibrate"].add_argument("--dim-proj", type=int, default=2048)
+    subs["calibrate"].add_argument("--dim-kesten", type=int, default=2048)
     comp = sub.add_parser("compare", help="compare artifacts ignoring timing")
     comp.add_argument("a")
     comp.add_argument("b")
@@ -343,22 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in ("dim", "eps", "n", "seed", "seed_count", "budget", "input", "output", "format"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "strategy"):
-        cfg.strategy = args.strategy
-    cfg.validate()
-    return cfg
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "compare":
-        return cmd_compare(args.a, args.b)
+    args = build_parser().parse_args(argv)
     try:
+        if args.subcommand == "compare":
+            return cmd_compare(args.a, args.b)
         cfg = _config_from(args)
         if args.subcommand == "pave":
             return cmd_pave(cfg)
@@ -379,7 +375,7 @@ def main(argv=None) -> int:
                     "dim_kesten": args.dim_kesten}
             return cmd_calibrate(cfg, dims)
         raise ValueError(f"unknown subcommand {args.subcommand!r}")
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stdout.write(json.dumps({"error": str(exc), "code": 2}) + "\n")
         return 2
     except AssertionError as exc:

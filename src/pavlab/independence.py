@@ -466,9 +466,12 @@ def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray
     basis of the traceless block algebra when block traces are equal, so
     the level-2 sup is the largest singular value of the form matrix
     [tau(w^p xi1 w^q xi2)]; level-1 residuals are measured against both
-    letter families with operator-norm scaling.
+    letter families with operator-norm scaling.  One block leaves the
+    traceless block algebra {0}, so both sups are 0.
     """
     n = part.n_blocks
+    if n == 1:
+        return 0.0, 0.0
     dim = part.dim
     w = part.roots_of_unity_diagonal()
     vand = np.array([w ** p for p in range(1, n)])  # (n-1, dim)
@@ -570,6 +573,8 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     dim = frame.dim
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     if dim % (2 ** n) != 0:
         raise ValueError(f"dim {dim} not divisible by 2^{n}")
     part = Partition.one_block(frame)

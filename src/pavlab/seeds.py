@@ -1,14 +1,9 @@
-"""Deterministic RNG streams and seed-sweep execution.
+"""Deterministic RNG streams.
 
 Every random choice in the library flows through a generator derived from
 (seed, path...) via numpy's SeedSequence, so identical inputs reproduce
-bit-identical samples.  Sweeps fan out over seeds; worker count is capped
-by the PAVLAB_THREADS environment variable and results are merged in seed
-order regardless of completion order.
+bit-identical samples.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -16,22 +11,3 @@ import numpy as np
 def rng_for(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream identified by (seed, *path)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *path]))
-
-
-def worker_count() -> int:
-    raw = os.environ.get("PAVLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def map_over_seeds(fn, seeds):
-    """Apply fn to each seed, concurrently if allowed, output in seed order."""
-    seeds = list(seeds)
-    workers = worker_count()
-    if workers == 1 or len(seeds) <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))

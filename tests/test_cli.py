@@ -121,6 +121,7 @@ def test_free_conj_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "param,n,dim,seed,measured,bound,slack"
     assert len(lines) == 4
+    assert [line.split(",")[3] for line in lines[1:]] == ["0", "1", "2"]
     bound = (np.sqrt(3) + 1) / 4
     for line in lines[1:]:
         cells = line.split(",")
@@ -259,3 +260,112 @@ def test_reduce_degenerate_test_agrees_with_the_norm(scale):
         m = m * (scale / op_norm(m))
         for a in (m, m * (1 + 1e-10), m * (1 - 1e-10)):
             assert cli._norm_exceeds(a, 1e-12) == (op_norm(a) > 1e-12)
+
+
+# the shared flags each subcommand's cmd_* reads
+READ_FLAGS = {
+    "pave": "dim eps seed budget input out strategy",
+    "pave-exact": "dim eps seed input out",
+    "curve": "dim seed budget input out format",
+    "indep": "dim seed budget input out",
+    "free": "dim n seed seeds out format",
+    "reduce": "dim eps seed input out",
+    "dixmier": "dim n seed input out",
+    "calibrate": "seed seeds out",
+}
+FLAG_VALUES = {"dim": "8", "eps": "0.5", "n": "2", "seed": "1", "seeds": "1", "budget": "10",
+               "input": "x.json", "out": "x.json", "format": "json", "strategy": "anneal"}
+READ_PAIRS = [(sub, f) for sub, flags in READ_FLAGS.items() for f in flags.split()]
+# --strategy only ever belonged to pave; the other nine flags were once on
+# every subcommand
+UNREAD_PAIRS = [(sub, f) for sub in READ_FLAGS for f in FLAG_VALUES
+                if f != "strategy" and (sub, f) not in READ_PAIRS]
+
+
+def test_flag_slot_counts():
+    # with the 10 flags of a subcommand's own (--eps-grid, --levels, ...),
+    # 52 flag slots remain
+    assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (42, 31)
+
+
+def test_every_read_flag_parses():
+    parser = cli.build_parser()
+    for sub, flag in READ_PAIRS:
+        args = parser.parse_args([sub, f"--{flag}", FLAG_VALUES[flag]])
+        assert args.subcommand == sub
+
+
+@pytest.mark.parametrize("sub,flag", UNREAD_PAIRS, ids=lambda v: v)
+def test_unread_flag_is_a_usage_error(capsys, sub, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, f"--{flag}", FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"--{flag}" in capsys.readouterr().err
+
+
+DEFAULT_CONFIG = {"subcommand": None, "dim": 64, "eps": 0.5, "n": 4, "seed": 0, "seed_count": 1,
+                  "strategy": "anneal", "budget": 10_000, "input": None, "output": None,
+                  "format": "json"}
+
+
+CONFIG_CASES = [
+    (["pave", "--dim", "8", "--eps", "0.6", "--budget", "20", "--strategy", "roots_of_unity"],
+     {"dim": 8, "eps": 0.6, "budget": 20, "strategy": "roots_of_unity"}),
+    (["pave-exact", "--dim", "4", "--seed", "2"], {"dim": 4, "seed": 2}),
+    (["curve", "--dim", "8", "--budget", "20", "--eps-grid", "0.6", "--format", "csv"],
+     {"dim": 8, "budget": 20, "format": "csv"}),
+    (["indep", "--dim", "8", "--levels", "1", "--budget", "20"], {"dim": 8, "budget": 20}),
+    (["free", "--op", "kesten", "--dim", "8", "--n", "3", "--seeds", "2"],
+     {"dim": 8, "n": 3, "seed_count": 2}),
+    (["reduce", "--dim", "8", "--eps", "0.6"], {"dim": 8, "eps": 0.6}),
+    (["dixmier", "--dim", "8", "--n", "2"], {"dim": 8, "n": 2}),
+    (["calibrate", "--seed", "1", "--dim-conj", "16", "--dim-proj", "64", "--dim-kesten", "16"],
+     {"seed": 1}),
+]
+
+
+@pytest.mark.parametrize("argv,given", CONFIG_CASES, ids=[argv[0] for argv, _ in CONFIG_CASES])
+def test_manifest_config_keeps_every_key_with_defaults(tmp_path, capsys, argv, given):
+    out_path = tmp_path / "out"
+    code, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
+    want = {**DEFAULT_CONFIG, "subcommand": argv[0], "output": str(out_path), **given}
+    assert list(config.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("case", ["compare-missing", "compare-not-json", "compare-directory",
+                                  "pave-input-directory", "pave-input-missing"])
+def test_file_errors_exit_code(tmp_path, capsys, case):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"x": 1}))
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json {")
+    argv = {
+        "compare-missing": ["compare", str(tmp_path / "missing.json"), str(good)],
+        "compare-not-json": ["compare", str(good), str(bad)],
+        "compare-directory": ["compare", str(tmp_path), str(good)],
+        "pave-input-directory": ["pave", "--input", str(tmp_path), "--budget", "10"],
+        "pave-input-missing": ["pave", "--input", str(tmp_path / "missing.json")],
+    }[case]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert list(payload) == ["error", "code"] and payload["code"] == 2 and payload["error"]
+
+
+def test_indep_zero_levels_is_one_block(capsys):
+    code, out = run(capsys, "indep", "--dim", "16", "--levels", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["blocks"] == 1
+    assert payload["certificate"]["measured_alpha"] == 0.0
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_indep_nonpositive_budget_exit_code(capsys, budget):
+    code, out = run(capsys, "indep", "--dim", "16", "--levels", "2", "--budget", budget)
+    assert code == 2
+    assert json.loads(out) == {"error": "budget must be positive", "code": 2}

@@ -399,6 +399,13 @@ def test_builder_divisibility_guard():
         build_independent_partition([], [], 3, 0.1, MasaFrame.identity(12), budget=10, seed=0)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_builder_rejects_nonpositive_budget(budget):
+    with pytest.raises(ValueError, match="budget must be positive"):
+        build_independent_partition([haar_model(16, 3)], [], 2, 0.1, MasaFrame.identity(16),
+                                    budget=budget, seed=0)
+
+
 def test_builder_equal_traces_and_certificate():
     dim = 128
     frame = MasaFrame.identity(dim)
@@ -415,6 +422,14 @@ def test_builder_equal_traces_and_certificate():
 
 
 # -- check_cor37 -----------------------------------------------------------
+
+def test_cor37_one_block_has_alpha_zero():
+    # the traceless block algebra of one block is {0}: nothing to measure
+    frame = MasaFrame.identity(16)
+    rep = check_cor37(Partition.one_block(frame), [haar_model(16, 9)])
+    assert rep.measured_alpha == 0.0 and rep.n_levels == 0
+    assert len(rep.conditions) == 5 and rep.all_hold
+
 
 def test_cor37_zero_element_passes():
     part = Partition(np.arange(8) % 2, 2, MasaFrame.identity(8))

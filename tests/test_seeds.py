@@ -1,29 +1,29 @@
-"""The seed sweep."""
+"""Seed streams and seed sweeps."""
 
-from pavlab import free_model, pave_search, seeds
+import json
+
+import numpy as np
+
+from pavlab.cli import main
+from pavlab.seeds import rng_for
 
 
-def _search(seed):
-    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 8, seed))
-    part, report = pave_search(x, 0.6, "anneal", 200, seed)
-    return part.assignment.tolist(), repr(report.ratio), report.effective_blocks
+def test_rng_for_streams_repeat_and_are_separated_by_path():
+    draw = rng_for(7, 3, 1).random(6)
+    assert np.array_equal(draw, rng_for(7, 3, 1).random(6))
+    assert not np.array_equal(draw, rng_for(7, 3, 2).random(6))
+    assert not np.array_equal(draw, rng_for(8, 3, 1).random(6))
+    # seeds are taken modulo 2^64
+    assert np.array_equal(rng_for(-1).random(3), rng_for(2 ** 64 - 1).random(3))
 
 
-def test_threaded_sweep_returns_the_single_thread_results_in_seed_order(monkeypatch):
-    sweep = [5, 0, 3, 1, 4, 2]
-    monkeypatch.setenv("PAVLAB_THREADS", "1")
-    want = seeds.map_over_seeds(_search, sweep)
-    assert want == [_search(s) for s in sweep]
+def _free_lines(capsys, *argv):
+    assert main(["free", "--dim", "16", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["lines"]
 
-    pools = []
-    pool_class = seeds.ThreadPoolExecutor
 
-    def recorded(max_workers):
-        pools.append(max_workers)
-        return pool_class(max_workers=max_workers)
-
-    monkeypatch.setattr(seeds, "ThreadPoolExecutor", recorded)
-    monkeypatch.setenv("PAVLAB_THREADS", "2")
-    assert seeds.map_over_seeds(_search, sweep) == want
-    assert pools == [2]
-
+def test_seed_sweep_is_the_single_seed_runs_in_seed_order(capsys):
+    for op in ("conj", "kesten"):
+        sweep = _free_lines(capsys, "--op", op, "--seed", "5", "--seeds", "3")
+        singles = [_free_lines(capsys, "--op", op, "--seed", str(s))[0] for s in (5, 6, 7)]
+        assert sweep == singles
