@@ -16,6 +16,7 @@ code the paving searches use; reports serialize through
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,7 +210,7 @@ def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperiment
     compression norm against (sqrt(n-1) + 1)/n.
     """
     if n < 1 or dim % n != 0:
-        raise ValueError("n must divide dim")
+        raise ValueError(f"n={n} must divide dim={dim}")
     u = _zero_diag_haar(dim, rng_for(seed, 0xC07, 0))
     v = sample(EnsembleSpec("roots_of_unity_diag", dim, seed, order=n)) if n > 1 else None
 
@@ -245,7 +246,7 @@ def projection_paving_experiment(t: float, n: int, dim: int,
     if n < 1.0 / t:
         raise ValueError("need n >= 1/t")
     if dim % n != 0:
-        raise ValueError("n must divide dim")
+        raise ValueError(f"n={n} must divide dim={dim}")
     e = sample(EnsembleSpec("random_projection", dim, seed, trace=t)).entries
     rng = rng_for(seed, 0x480)
     measured = _block_diagonal_norm(e, _equal_blocks(rng.permutation(dim), n), shift=t)
@@ -351,6 +352,7 @@ def make_block_paver():
 # ---------------------------------------------------------------------------
 
 _CALIBRATION_CONJ_NS = (2, 4, 8)   # block counts of the conjugation experiment
+_CALIBRATION_PROJ_N = 64           # block count of the projection experiment
 _CALIBRATION_KESTEN_MS = (2, 4)    # unitary counts of the Kesten oracle
 
 
@@ -359,8 +361,17 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
 
     Produces the manifest that pins the additive tolerances used by
     acceptance: per experiment the measured quantiles, the quoted bound,
-    and a tolerance rounded up from the worst observed slack.
+    and a tolerance rounded up from the worst observed slack.  Each dim
+    must be positive and divisible by every block count its experiment
+    takes; a ValueError names the offending one by its ``pavlab calibrate``
+    flag before any experiment runs.
     """
+    for flag, dim, step in (("--dim-conj", dim_conj, math.lcm(*_CALIBRATION_CONJ_NS)),
+                            ("--dim-proj", dim_proj, _CALIBRATION_PROJ_N),
+                            ("--dim-kesten", dim_kesten, 1)):
+        if dim < 1 or dim % step:
+            need = "positive" if step == 1 else f"a positive multiple of {step}"
+            raise ValueError(f"{flag} must be {need}, got {dim}")
     seeds = list(seeds)
     manifest: dict = {
         "seeds": seeds,
@@ -393,7 +404,7 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
         }
     manifest["conjugation"] = conj
 
-    proj_reports = [projection_paving_experiment(0.5, 64, dim_proj, s) for s in seeds]
+    proj_reports = [projection_paving_experiment(0.5, _CALIBRATION_PROJ_N, dim_proj, s) for s in seeds]
     block_vals = [r[0].measured_norm for r in proj_reports]
     half_vals = [r[1].measured_norm for r in proj_reports]
     manifest["projection"] = {

@@ -9,10 +9,13 @@ sub-blocks.  Alongside it this module provides heuristic searches:
 simulated annealing, recursive sign splitting, spectral arcs of a random
 unitary, and equal shuffled blocks (the free-paving model).  The block
 helpers here (equal blocks, block-diagonal norms, the block objective) are
-the only copies; free_model and reduction call them.  Every block norm comes
-from one kernel, ``_block_norms``: blocks of one size share one batched
-SVD, which gives each block the same bits as its own ``op_norm``.  The
-halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
+the only copies; free_model and reduction call them.  Every block norm has
+the bits of the block's own ``op_norm``: ``_block_norms`` gives blocks of
+one size one batched SVD, which gives each block those bits, and the search
+objective takes the blocks of a move one at a time.  The same contractivity
+lets that objective keep a block that only lost indices at its old norm as
+an upper bound, taking its SVD only when the bound could decide the defect.
+The halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
 the move of the mixing sign search in independence.
 """
 
@@ -27,6 +30,9 @@ from .seeds import rng_for
 
 EXHAUSTIVE_DIM_LIMIT = 12
 DEGENERATE_NORM = 1e-12
+# Relative slack on a block norm used to bound its principal sub-blocks,
+# far above the rounding of an SVD of any size it takes
+BOUND_SLACK = 1e-12
 
 STRATEGIES = ("exhaustive", "sign_split", "arc", "anneal", "roots_of_unity")
 
@@ -325,19 +331,37 @@ class _Objective:
     committed assignment (none when nothing changed) and returns the
     trial's defect; ``commit`` adopts the last proposal; ``held_elsewhere``
     tells a search, before it pays for a proposal, that the proposal cannot
-    lower the defect.  Given a refusal level, ``propose`` takes the changed
-    blocks one at a time, the one with the larger committed norm first, and
-    returns None with nothing pending as soon as one reaches the level: a
-    trial the caller would refuse costs no further SVD.  The state is the
-    committed assignment plus one float per label, whatever the budget.
+    lower the defect.  ``propose`` takes the changed blocks one at a time;
+    given a refusal level, it takes the one with the larger committed norm
+    first and returns None with nothing pending as soon as one reaches the
+    level: a trial the caller would refuse costs no further SVD.  The state
+    is the committed assignment plus one float per label, whatever the
+    budget.
 
-    Every block of two or more indices goes through ``_block_norms``, which
-    takes one batched SVD per stack of equal-size blocks (the blocks of an
-    equal-block partition, or the two blocks of a swap between them) and
-    gives each block the bits of its own SVD, so a block taken alone under
-    a refusal level has the bits it has in a stack.  Its single index order
-    keeps ``propose`` returning exactly what ``defect`` returns for the same
-    trial; a last-bit difference could flip an accept decision.
+    A label that only lost indices takes no SVD in ``propose``: its new
+    block is a principal sub-block of its committed one, and compression is
+    contractive, so the committed norm times (1 + BOUND_SLACK) bounds the
+    new norm.  The slack is the one of ``_first_paving``'s cut, far above
+    the rounding of an SVD, so the bound holds for the computed norms too;
+    above SVD_DIM_LIMIT, where ``op_norm`` is a lower estimate that need not
+    shrink with the block, no bound is kept.  The label keeps its bound, not
+    multiplied again, while it goes on shrinking, and drops it when it gains
+    an index.  A bound is resolved to the exact norm only where it could
+    decide an answer: in ``propose`` when it exceeds the largest exact norm
+    (largest bound first, so the returned max is always an exact norm), and
+    in ``held_elsewhere`` and under a refusal level when it reaches the
+    level compared against.  A bound at or below the largest exact norm
+    cannot change the max, so ``propose`` returns the bits ``defect``
+    returns.  A resolved label whose block is the committed one keeps its
+    exact norm in the committed state.  A label that empties is dropped, as
+    ``reset`` would not list it.
+
+    ``reset`` and ``defect`` send the blocks through ``_block_norms``,
+    which takes one batched SVD per stack of equal-size blocks and gives
+    each block the bits of its own ``op_norm``; ``propose`` and
+    ``held_elsewhere`` take each block through ``op_norm`` alone.  Both
+    gather the block in ascending index order, so every path gives a block
+    the same bits: a last-bit difference could flip an accept decision.
     """
 
     def __init__(self, x, frame: MasaFrame):
@@ -345,8 +369,10 @@ class _Objective:
         self.base = op_norm(self.off)
         self.frame = frame
         self.dim = self.off.shape[0]
+        self._bounds_hold = self.dim <= SVD_DIM_LIMIT
         self._committed = None
-        self._norms = {}
+        self._exact = {}  # label -> its committed block norm
+        self._bound = {}  # label -> an upper bound on its committed block norm
         self._pending = None
 
     def _label_norms(self, assignment: np.ndarray, labels, out: dict) -> dict:
@@ -362,6 +388,11 @@ class _Objective:
         out.update(zip(big, _block_norms(self.off, blocks)))
         return out
 
+    def _norm(self, assignment: np.ndarray, label: int) -> float:
+        """The block norm of one label, with the bits ``_block_norms`` gives it."""
+        idx = (assignment == label).nonzero()[0]
+        return op_norm(self.off.take(idx, 0).take(idx, 1)) if idx.size > 1 else 0.0
+
     def defect(self, assignment: np.ndarray) -> float:
         return max(self._label_norms(assignment, np.unique(assignment).tolist(), {}).values(),
                    default=0.0)
@@ -373,33 +404,65 @@ class _Objective:
 
     def reset(self, assignment: np.ndarray) -> float:
         self._committed = np.array(assignment, dtype=np.int64)
-        self._norms = self._label_norms(self._committed, np.unique(self._committed).tolist(), {})
+        self._exact = self._label_norms(self._committed, np.unique(self._committed).tolist(), {})
+        self._bound = {}
         self._pending = None
-        return max(self._norms.values(), default=0.0)
+        return max(self._exact.values(), default=0.0)
 
     def propose(self, trial: np.ndarray, refuse_at: float | None = None) -> float | None:
+        self._pending = None
         changed = (trial != self._committed).nonzero()[0]
         moved = trial[changed]
-        labels = set(self._committed[changed].tolist())
-        labels.update(moved.tolist())
-        norms = self._norms.copy()
-        self._pending = None
-        if refuse_at is None:
-            self._label_norms(trial, labels, norms)
-        else:
-            for label in sorted(labels, key=lambda k: -self._norms.get(k, 0.0)):
-                if self._label_norms(trial, [label], norms)[label] >= refuse_at:
-                    return None
-        self._pending = (changed, moved, norms)
-        return max(norms.values(), default=0.0)
+        gained = set(moved.tolist())
+        labels = gained.union(self._committed[changed].tolist())
+        exact, bound = self._exact.copy(), self._bound.copy()
+        level = np.inf
+        if refuse_at is not None:
+            level = refuse_at
+            labels = sorted(labels, key=lambda k: -exact.get(k, bound.get(k, 0.0)))
+        for k in labels:
+            if k not in gained and not np.count_nonzero(trial == k):  # emptied: reset drops it
+                exact.pop(k, None)
+                bound.pop(k, None)
+                continue
+            if k in gained or not self._bounds_hold:
+                bound.pop(k, None)
+                exact[k] = self._norm(trial, k)
+            elif k in exact:  # only shrank: its committed norm bounds its new one
+                bound[k] = exact.pop(k) * (1 + BOUND_SLACK)
+            if bound.get(k, -1.0) >= level:
+                del bound[k]
+                exact[k] = self._norm(trial, k)
+            if exact.get(k, -1.0) >= level:
+                return None
+        top = max(exact.values(), default=0.0)
+        for b, k in sorted(((b, k) for k, b in bound.items() if b > top), reverse=True):
+            if b <= top:
+                break
+            del bound[k]
+            exact[k] = v = self._norm(trial, k)
+            if k not in labels:  # its block is the committed one
+                del self._bound[k]
+                self._exact[k] = v
+            top = max(top, v)
+        self._pending = (changed, moved, exact, bound)
+        return top
 
     def held_elsewhere(self, labels, level: float) -> bool:
         """Whether a committed label outside ``labels`` has norm >= level,
         so that every proposal changing only ``labels`` has defect >= level."""
-        return any(v >= level for k, v in self._norms.items() if k not in labels)
+        if any(v >= level for k, v in self._exact.items() if k not in labels):
+            return True
+        for b, k in sorted(((b, k) for k, b in self._bound.items()
+                            if b >= level and k not in labels), reverse=True):
+            del self._bound[k]
+            v = self._exact[k] = self._norm(self._committed, k)
+            if v >= level:
+                return True
+        return False
 
     def commit(self) -> None:
-        changed, moved, self._norms = self._pending
+        changed, moved, self._exact, self._bound = self._pending
         self._committed[changed] = moved
         self._pending = None
 
@@ -413,7 +476,7 @@ def _first_paving(obj: _Objective, eps: float, max_n: int):
     the subtree below a partial block whose norm exceeds eps * base.
     Compression is contractive, so a block's norm bounds the norm of every
     principal sub-block, and no leaf below such a block can pass.  The cut
-    carries a relative slack of 1e-12, so rounding never cuts a leaf that
+    carries a relative slack of BOUND_SLACK, so rounding never cuts a leaf that
     passes, and each leaf takes the full ``obj.ratio`` test: the walk
     returns what scoring every RGS returns.  The walks for successive n and
     sibling subtrees meet the same partial blocks again, so each block is
@@ -421,7 +484,7 @@ def _first_paving(obj: _Objective, eps: float, max_n: int):
     Vol. 4A, 7.2.1.5.)
     """
     dim = obj.dim
-    cut = eps * obj.base * (1 + 1e-12) if obj.base >= DEGENERATE_NORM else np.inf
+    cut = eps * obj.base * (1 + BOUND_SLACK) if obj.base >= DEGENERATE_NORM else np.inf
     a = np.zeros(dim, dtype=np.int64)
     blocks = []  # ascending members of each label placed so far
     fits = {}  # partial block -> its norm is within the cut
@@ -496,19 +559,20 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
     best, best_d = cur.copy(), cur_d
     temp = max(cur_d, 1e-6)
     target = eps * obj.base
+    labels = cur.tolist()  # cur as plain ints, for the per-move reads
     spent = 0
     while spent < budget and best_d > target:
         spent += 1
         if n >= 2 and rng.random() < 0.5:
-            i, j = rng.integers(0, dim, size=2)
-            moved = cur[i] != cur[j]
+            i, j = rng.integers(0, dim, size=2).tolist()
+            moved = labels[i] != labels[j]
             if moved:
                 trial = cur.copy()
-                trial[i], trial[j] = cur[j], cur[i]
+                trial[i], trial[j] = labels[j], labels[i]
         else:
-            v = rng.integers(0, n)  # label before index keeps the recorded stream
-            i = rng.integers(0, dim)
-            moved = cur[i] != v
+            v = int(rng.integers(0, n))  # label before index keeps the recorded stream
+            i = int(rng.integers(0, dim))
+            moved = labels[i] != v
             if moved:
                 trial = cur.copy()
                 trial[i] = v
@@ -521,6 +585,7 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
             if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
                 obj.commit()
                 cur, cur_d = trial, d
+                labels = trial.tolist()
                 if d < best_d:
                     best, best_d = trial.copy(), d
         temp *= 0.995

@@ -76,6 +76,18 @@ def test_bad_parameter_exit_code(capsys, argv):
     assert payload["code"] == 2 and payload["error"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--dim-conj", "16", "--dim-proj", "16", "--dim-kesten", "16"], "--dim-proj"),
+    (["--dim-conj", "12", "--dim-proj", "64", "--dim-kesten", "16"], "--dim-conj"),
+    (["--dim-conj", "0", "--dim-proj", "64", "--dim-kesten", "16"], "--dim-conj"),
+])
+def test_calibrate_bad_dim_names_its_flag(capsys, argv, flag):
+    code, out = run(capsys, "calibrate", *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["code"] == 2 and flag in payload["error"]
+
+
 def test_curve_and_indep_read_input(tmp_path, capsys):
     p = tmp_path / "x.json"
     save_json(sample(EnsembleSpec("zero_diag_haar", 12, 5)), p)

@@ -161,7 +161,7 @@ def test_conjugation_n1_slack_nonpositive():
 
 
 def test_conjugation_divisibility_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=3 must divide dim=32"):
         conjugation_paving_experiment(3, 32, 0)
 
 
@@ -186,7 +186,7 @@ def test_projection_experiment_guards():
         projection_paving_experiment(0.6, 4, 32, 0)
     with pytest.raises(ValueError):
         projection_paving_experiment(0.25, 2, 32, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=5 must divide dim=32"):
         projection_paving_experiment(0.5, 5, 32, 0)
 
 

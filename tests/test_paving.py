@@ -34,7 +34,7 @@ from pavlab import (
     sign_split,
     spectral_tail_mass,
 )
-from pavlab import free_model, paving
+from pavlab import finite_vn, free_model, paving
 from pavlab.paving import (
     _block_diagonal_norm,
     _block_mask,
@@ -528,15 +528,26 @@ def test_paving_number_dim_guard():
 
 # -- incremental objective ---------------------------------------------------
 
-MOVES = ("swap", "relabel", "same_block_swap", "noop_relabel", "empty_block", "high_label")
+MOVES = ("swap", "relabel", "same_block_swap", "noop_relabel", "empty_block", "high_label",
+         "shrink_max")
 
 
-def _move(data, cur, n):
+def _move(data, cur, n, off):
     trial = cur.copy()
     dim = trial.size
     kind = data.draw(st.sampled_from(MOVES))
     i = data.draw(st.integers(0, dim - 1))
-    if kind == "swap":
+    if kind == "shrink_max":
+        # relabel an index out of the block that holds the defect: its
+        # bound reaches the max and must be resolved
+        labels = np.unique(cur).tolist()
+        blocks = [np.flatnonzero(cur == k) for k in labels]
+        norms = [_block_norms(off, [idx])[0] if idx.size > 1 else 0.0 for idx in blocks]
+        pos = int(np.argmax(norms))
+        top, mates = labels[pos], blocks[pos]
+        i = int(mates[data.draw(st.integers(0, mates.size - 1))])
+        trial[i] = data.draw(st.sampled_from([k for k in range(n + 1) if k != top]))
+    elif kind == "swap":
         j = data.draw(st.integers(0, dim - 1))
         trial[i], trial[j] = trial[j], trial[i]
     elif kind == "relabel":
@@ -556,7 +567,8 @@ def _move(data, cur, n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_objective_propose_equals_full_defect(data):
-    dim = data.draw(st.integers(2, 9))
+    # chains of moves stack bounds on shrinking blocks and resolve them
+    dim = data.draw(st.integers(2, 16))
     x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
     frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
     n = data.draw(st.integers(1, dim))
@@ -564,14 +576,19 @@ def test_objective_propose_equals_full_defect(data):
                    dtype=np.int64)
     obj, fresh = _Objective(x, frame), _Objective(x, frame)
     assert obj.reset(cur) == obj.defect(cur)
-    for _ in range(data.draw(st.integers(1, 12))):
-        trial = _move(data, cur, n)
+    for _ in range(data.draw(st.integers(1, 40))):
+        trial = _move(data, cur, n, obj.off)
         d = obj.propose(trial)
         assert d == fresh.defect(trial)
         if data.draw(st.booleans()):
             obj.commit()
             cur = trial
             assert fresh.reset(cur) == d
+            # held_elsewhere compares exact norms, bounded or not
+            norms = sorted(set(fresh._exact.values()))
+            level = data.draw(st.sampled_from(norms + [np.nextafter(v, np.inf) for v in norms]))
+            skip = set(data.draw(st.lists(st.sampled_from(sorted(fresh._exact)), max_size=3)))
+            assert obj.held_elsewhere(skip, level) == fresh.held_elsewhere(skip, level)
 
 
 @settings(max_examples=80, deadline=None)
@@ -640,15 +657,43 @@ def test_objective_unchanged_trial_makes_no_norm_call(monkeypatch):
     obj = _Objective(random_matrix(8, 5), MasaFrame.identity(8))
     cur = np.array([0, 1, 1, 0, 2, 2, 0, 1])
     d = obj.reset(cur)
+    relabel = cur.copy()
+    relabel[0] = 1
+    shrink_max = cur.copy()
+    shrink_max[1] = 0
+    want = [obj.defect(relabel), obj.defect(shrink_max)]
     calls = []
     monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a) or op_norm(a))
     same_block_swap = cur.copy()
     same_block_swap[[0, 3]] = same_block_swap[[3, 0]]
     assert obj.propose(same_block_swap) == d
     assert calls == []
+    # label 0 only lost index 0: its block {3, 6} keeps the committed norm
+    # as a bound, below the exact norm of label 1's new block {0, 1, 2, 7}
+    assert obj.propose(relabel) == want[0]
+    assert [a.shape[0] for a in calls] == [4]
+    # label 1 holds the defect; when it loses index 1, its bound exceeds the
+    # norm of label 0's new block {0, 1, 3, 6}, so its block {2, 7} is resolved
+    calls.clear()
+    assert obj.propose(shrink_max) == want[1]
+    assert [a.shape[0] for a in calls] == [4, 2]
+
+
+def test_objective_keeps_no_bound_above_the_svd_limit(monkeypatch):
+    # above SVD_DIM_LIMIT op_norm is a power-iteration lower estimate, which
+    # need not shrink with the block: a block that only lost an index takes
+    # its norm
+    monkeypatch.setattr(paving, "SVD_DIM_LIMIT", 4)
+    monkeypatch.setattr(finite_vn, "SVD_DIM_LIMIT", 4)
+    obj = _Objective(random_matrix(8, 5), MasaFrame.identity(8))
+    cur = np.array([0, 1, 1, 0, 2, 2, 0, 1])
+    obj.reset(cur)
     relabel = cur.copy()
     relabel[0] = 1
-    obj.propose(relabel)
+    want = obj.defect(relabel)
+    calls = []
+    monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a) or op_norm(a))
+    assert obj.propose(relabel) == want
     assert sorted(a.shape[0] for a in calls) == [2, 4]
 
 
@@ -883,22 +928,87 @@ def test_sign_split_refusal_level_keeps_every_decision(monkeypatch):
         assert repr(rep.ratio) == repr(want_rep.ratio), (dim, budget)
 
 
+def count_svds(monkeypatch) -> list:
+    """A one-item list counting the matrices passed to np.linalg.svd, a
+    stack counted per matrix."""
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(a.shape[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return count
+
+
 def test_sign_split_refusal_level_takes_fewer_block_svds(monkeypatch):
     # the benchmark's sign_split/d64 op
     x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 64, 0))
-    count = [0]
-
-    def counted(a, idx_list, shift=0.0):
-        count[0] += len(idx_list)
-        return _block_norms(a, idx_list, shift)
-
-    monkeypatch.setattr(paving, "_block_norms", counted)
+    count = count_svds(monkeypatch)
     part, rep = pave_search(x, 0.6, "sign_split", 1000, 0)
     lean, count[0] = count[0], 0
     monkeypatch.setattr(paving, "_search_sign_split", reference_search_sign_split)
     want_part, want_rep = pave_search(x, 0.6, "sign_split", 1000, 0)
     assert np.array_equal(part.assignment, want_part.assignment)
     assert 4 * lean <= 3 * count[0]
+
+
+def reference_anneal_once(obj, n, eps, budget, rng):
+    """The anneal loop with every trial, changed or not, scored by a full
+    ``defect``: no committed norms, no bounds."""
+    dim = obj.dim
+    cur = paving._random_assignment(dim, n, rng)
+    cur_d = obj.defect(cur)
+    best, best_d = cur.copy(), cur_d
+    temp = max(cur_d, 1e-6)
+    target = eps * obj.base
+    spent = 0
+    while spent < budget and best_d > target:
+        spent += 1
+        trial = cur.copy()
+        if n >= 2 and rng.random() < 0.5:
+            i, j = rng.integers(0, dim, size=2)
+            trial[i], trial[j] = cur[j], cur[i]
+        else:
+            v = rng.integers(0, n)
+            trial[rng.integers(0, dim)] = v
+        d = obj.defect(trial)
+        delta = d - cur_d
+        if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-12)):
+            cur, cur_d = trial, d
+            if d < best_d:
+                best, best_d = trial.copy(), d
+        temp *= 0.995
+    return best_d, best
+
+
+def test_anneal_keeps_every_decision(monkeypatch):
+    cases = [(dim, seed, eps) for dim in (16, 32) for seed in range(4) for eps in (0.3, 0.6)]
+    inputs = {(dim, seed): free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed))
+              for dim, seed, _ in cases}
+    got = [pave_search(inputs[dim, seed], eps, "anneal", 400, seed) for dim, seed, eps in cases]
+    monkeypatch.setattr(paving, "_anneal_once", reference_anneal_once)
+    for (dim, seed, eps), (part, rep) in zip(cases, got):
+        want_part, want_rep = pave_search(inputs[dim, seed], eps, "anneal", 400, seed)
+        assert part.n_blocks == want_part.n_blocks, (dim, seed, eps)
+        assert np.array_equal(part.assignment, want_part.assignment), (dim, seed, eps)
+        untimed = [{k: v for k, v in r.to_json_dict().items() if k != "elapsed_ms"}
+                   for r in (rep, want_rep)]
+        assert json.dumps(untimed[0]) == json.dumps(untimed[1]), (dim, seed, eps)
+
+
+def test_anneal_takes_fewer_block_svds(monkeypatch):
+    # the benchmark's anneal/d64 op
+    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 64, 0))
+    count = count_svds(monkeypatch)
+    part, _ = pave_search(x, 0.6, "anneal", 1000, 0)
+    lean, count[0] = count[0], 0
+    # every dim above SVD_DIM_LIMIT: no bound is kept, each changed block takes its SVD
+    monkeypatch.setattr(paving, "SVD_DIM_LIMIT", 0)
+    want_part, _ = pave_search(x, 0.6, "anneal", 1000, 0)
+    assert np.array_equal(part.assignment, want_part.assignment)
+    assert 10 * lean <= 9 * count[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -911,7 +1021,7 @@ def test_objective_refusal_level_refuses_exactly_the_trials_at_or_above_it(data)
                    dtype=np.int64)
     obj, fresh = _Objective(x, MasaFrame.identity(dim)), _Objective(x, MasaFrame.identity(dim))
     obj.reset(cur)
-    trial = _move(data, cur, n)
+    trial = _move(data, cur, n, obj.off)
     diff = trial != cur
     changed = set(cur[diff].tolist()) | set(trial[diff].tolist())
     # the largest trial norm among the changed labels' blocks
@@ -927,6 +1037,13 @@ def test_objective_refusal_level_refuses_exactly_the_trials_at_or_above_it(data)
         assert d == fresh.defect(trial)
         obj.commit()
         assert fresh.reset(trial) == d
+
+
+def test_search_benchmark_digest_matches():
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--check-digest",
+                          "--workload", "search"], cwd=ROOT, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 # -- max_n --------------------------------------------------------------------
