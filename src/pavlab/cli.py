@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .finite_vn import MasaFrame, conditional_expectation, op_norm
+from .finite_vn import MasaFrame
 from .free_model import (
     EnsembleSpec,
     calibrate,
@@ -157,9 +157,12 @@ def cmd_curve(cfg: RunConfig, eps_grid) -> int:
     c = points[0]["n"] * eps_grid[0] ** 6
     for p in points:
         p["envelope"] = c * p["eps"] ** -6
-    logs = np.log([p["n"] for p in points])
-    exps = np.log([1 / p["eps"] for p in points])
-    slope = float(np.polyfit(exps, logs, 1)[0]) if len(points) > 1 else float("nan")
+    # a line through fewer than two distinct eps has no slope: JSON null
+    slope = None
+    if len(set(eps_grid)) > 1:
+        logs = np.log([p["n"] for p in points])
+        exps = np.log([1 / p["eps"] for p in points])
+        slope = float(np.polyfit(exps, logs, 1)[0])
     payload = {
         "dim": dim,
         "seed": cfg.seed,
@@ -230,23 +233,10 @@ def cmd_free(cfg: RunConfig, op: str, t: float, m: int, n_max: int) -> int:
     return 0
 
 
-def _norm_exceeds(m: np.ndarray, level: float) -> bool:
-    """op_norm(m) > level, with an SVD only where the bounds
-    max |m_ij| <= ||m|| <= ||m||_F (with 1e-9 relative slack for rounding)
-    leave it open."""
-    if np.abs(m).max() > level * (1 + 1e-9):
-        return True
-    if np.linalg.norm(m) < level * (1 - 1e-9):
-        return False
-    return op_norm(m) > level
-
-
 def cmd_reduce(cfg: RunConfig) -> int:
     x = _input_matrix(cfg)
+    # reduce_and_pave scales each component to unit norm itself
     x = (x + x.conj().T) / 2
-    centered = x - conditional_expectation(x, MasaFrame.identity(x.shape[0])).entries
-    if _norm_exceeds(centered, 1e-12):
-        x = x / op_norm(x)
     part, trace, report = reduce_and_pave(x, cfg.eps, make_block_paver(), seed=cfg.seed)
     payload = {
         "report": report.to_json_dict(),

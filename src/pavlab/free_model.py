@@ -150,15 +150,9 @@ def freeness_residual(elements, k: int = 3, budget: int = 20_000, seed: int = 0)
         total = n * (n - 1) ** (length - 1)
         level_best = 0.0
         if total <= budget:
-            seqs = []
-            for first in range(n):
-                for rest in itertools.product(range(n - 1), repeat=length - 1):
-                    seq = [first]
-                    for step in rest:
-                        prev = seq[-1]
-                        nxt = step if step < prev else step + 1
-                        seq.append(nxt)
-                    seqs.append(seq)
+            # every word with no equal neighbours, in lexicographic order
+            seqs = [w for w in itertools.product(range(n), repeat=length)
+                    if all(a != b for a, b in zip(w, w[1:]))]
         else:
             seqs = []
             for _ in range(budget):

@@ -30,6 +30,8 @@ from .paving import Partition, _balanced_halves, _pick_swap
 from .seeds import rng_for
 
 MAX_WORD_LEVEL = 4
+# the mixing sign search splits its budget over this many restarts
+SIGN_RESTARTS = 20
 
 
 @dataclass(frozen=True)
@@ -278,17 +280,23 @@ class _SignObjective:
     """max of |tau(u xi1* u* xi2)| pair terms and |tau(u eta)|/||eta||_1 terms.
 
     Quadratic/linear forms in the sign vector, with O(dim) swap updates.
+    Built from the test elements X and trace targets Y of
+    ``find_mixing_sign_unitary``: it depends on neither the blocks nor the
+    seed, so the builder searches one objective at every level.
     """
 
-    def __init__(self, xs, etas, dim):
-        self.dim = dim
+    def __init__(self, X, Y, frame: MasaFrame):
+        self.dim = frame.dim
+        xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
         self.pair_mats = []
         for x1 in xs:
             x1h = x1.conj().T
             for x2 in xs:
                 self.pair_mats.append(x1h * x2.T)  # M[j,k] = (x1*)[j,k] x2[k,j]
         self.eta_diags = []
-        for eta, nrm1 in etas:
+        for y in Y:
+            eta = frame.to_frame(_as_entries(y))
+            nrm1 = float(np.linalg.svd(eta, compute_uv=False).sum() / self.dim)  # ||eta||_1
             if nrm1 > 1e-14:
                 self.eta_diags.append(np.diagonal(eta) / nrm1)
 
@@ -334,27 +342,15 @@ class _SignObjective:
         self.s[j] = -sj
 
 
-def _sign_objective(X, Y, frame: MasaFrame) -> _SignObjective:
-    """The objective of ``find_mixing_sign_unitary`` for test elements X and
-    trace targets Y: it depends on neither the blocks nor the seed."""
-    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
-    etas = []
-    for y in Y:
-        a = frame.to_frame(_as_entries(y))
-        sv = np.linalg.svd(a, compute_uv=False)
-        etas.append((a, float(sv.sum() / frame.dim)))
-    return _SignObjective(xs, etas, frame.dim)
-
-
 def _search_signs(obj: _SignObjective, frame: MasaFrame, blocks: Partition, delta: float,
-                  budget: int, seed: int, restarts: int = 20) -> MixingSignResult:
+                  budget: int, seed: int) -> MixingSignResult:
     """The restarts of ``find_mixing_sign_unitary`` on a prepared objective."""
     block_idx = [idx for idx in (blocks.block_indices(b) for b in range(blocks.n_blocks))
                  if idx.size > 0]
     best: tuple[float, np.ndarray, int] = (np.inf, np.empty(0), -1)
     spent = 0
-    per_restart = max(1, budget // max(1, restarts))
-    for w in range(restarts):
+    per_restart = max(1, budget // SIGN_RESTARTS)
+    for w in range(SIGN_RESTARTS):
         rng = rng_for(seed, 0x516, w)
         sides = _balanced_halves(block_idx, frame.dim, rng)  # side 0 has sign +1
         cur = obj.start(1 - 2 * sides)
@@ -382,13 +378,13 @@ def _search_signs(obj: _SignObjective, frame: MasaFrame, blocks: Partition, delt
 
 
 def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
-                             delta: float, budget: int, seed: int,
-                             restarts: int = 20) -> MixingSignResult:
+                             delta: float, budget: int, seed: int) -> MixingSignResult:
     """Search balanced-per-block sign vectors for a mixing period-2 unitary.
 
     Minimizes max(|tau(u xi1* u* xi2)| / (||xi1||_2 ||xi2||_2),
     |tau(u eta)| / ||eta||_1) by randomized pair swaps within blocks; the
-    best vector over all restarts is returned with its achieved value.
+    best vector over SIGN_RESTARTS restarts, which share the budget, is
+    returned with its achieved value.
     Block sizes must be even so candidates are balanced (constant on no
     block); stops early when the target delta is reached.
     """
@@ -398,8 +394,7 @@ def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
         size = blocks.block_indices(b).size
         if size % 2 != 0:
             raise ValueError(f"block {b} has odd size {size}; balanced signs need even blocks")
-    return _search_signs(_sign_objective(X, Y, frame), frame, blocks, delta, budget, seed,
-                         restarts)
+    return _search_signs(_SignObjective(X, Y, frame), frame, blocks, delta, budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +579,7 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
         etas.append(TracedMatrix(frame.from_frame(frame.to_frame(x) @ frame.to_frame(x).conj().T)))
     # every level searches the same objective; its blocks are even because
     # 2^n divides dim
-    obj = _sign_objective(xs_mats, etas, frame)
+    obj = _SignObjective(xs_mats, etas, frame)
     evaluations = 0
     for level in range(n):
         res = _search_signs(

@@ -35,6 +35,10 @@ DEGENERATE_NORM = 1e-12
 BOUND_SLACK = 1e-12
 
 STRATEGIES = ("exhaustive", "sign_split", "arc", "anneal", "roots_of_unity")
+# anneal splits its budget over this many restarts; roots_of_unity and arc
+# keep the best of this many draws
+ANNEAL_RESTARTS = 4
+DRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -302,9 +306,12 @@ def arc_partition(u, n: int, frame: MasaFrame) -> Partition:
     if n < 1:
         raise ValueError("need n >= 1")
     d = _check_masa_unitary(_as_entries(u), frame)
-    ang = np.mod(np.angle(d), 2 * np.pi)
-    k = np.minimum((ang * n / (2 * np.pi)).astype(np.int64), n - 1)
-    return Partition(k, n, frame)
+    return Partition(_arc_labels(np.mod(np.angle(d), 2 * np.pi), n), n, frame)
+
+
+def _arc_labels(angles: np.ndarray, n: int) -> np.ndarray:
+    """The arc k of each angle in [0, 2 pi): angle in [2 pi k/n, 2 pi (k+1)/n)."""
+    return np.minimum((angles * n / (2 * np.pi)).astype(np.int64), n - 1)
 
 
 def refine(p: Partition, q: Partition) -> Partition:
@@ -329,14 +336,15 @@ class _Objective:
     an assignment in full and commits it; ``propose`` recomputes only the
     blocks whose labels occur at indices where the trial differs from the
     committed assignment (none when nothing changed) and returns the
-    trial's defect; ``commit`` adopts the last proposal; ``held_elsewhere``
-    tells a search, before it pays for a proposal, that the proposal cannot
-    lower the defect.  ``propose`` takes the changed blocks one at a time;
-    given a refusal level, it takes the one with the larger committed norm
-    first and returns None with nothing pending as soon as one reaches the
-    level: a trial the caller would refuse costs no further SVD.  The state
-    is the committed assignment plus one float per label, whatever the
-    budget.
+    trial's defect; ``commit`` adopts the last proposal.  The state is the
+    committed assignment plus one float per label, whatever the budget.
+
+    ``propose(trial, refuse_at=L)`` returns None iff defect(trial) >= L, and
+    the defect otherwise.  It first checks the committed blocks the trial
+    leaves as they are, then the changed ones, the one with the larger
+    committed norm first, and stops at the first block that reaches L: a
+    trial the caller would refuse costs no further SVD, and leaves nothing
+    to commit.
 
     A label that only lost indices takes no SVD in ``propose``: its new
     block is a principal sub-block of its committed one, and compression is
@@ -347,21 +355,20 @@ class _Objective:
     shrink with the block, no bound is kept.  The label keeps its bound, not
     multiplied again, while it goes on shrinking, and drops it when it gains
     an index.  A bound is resolved to the exact norm only where it could
-    decide an answer: in ``propose`` when it exceeds the largest exact norm
-    (largest bound first, so the returned max is always an exact norm), and
-    in ``held_elsewhere`` and under a refusal level when it reaches the
-    level compared against.  A bound at or below the largest exact norm
-    cannot change the max, so ``propose`` returns the bits ``defect``
-    returns.  A resolved label whose block is the committed one keeps its
-    exact norm in the committed state.  A label that empties is dropped, as
-    ``reset`` would not list it.
+    decide the answer: when it exceeds the largest exact norm (largest bound
+    first, so the returned max is always an exact norm), or when it reaches
+    the refusal level.  A bound at or below the largest exact norm cannot
+    change the max, so ``propose`` returns the bits ``defect`` returns.  A
+    resolved label whose block is the committed one keeps its exact norm in
+    the committed state.  A label that empties is dropped, as ``reset``
+    would not list it.
 
     ``reset`` and ``defect`` send the blocks through ``_block_norms``,
     which takes one batched SVD per stack of equal-size blocks and gives
-    each block the bits of its own ``op_norm``; ``propose`` and
-    ``held_elsewhere`` take each block through ``op_norm`` alone.  Both
-    gather the block in ascending index order, so every path gives a block
-    the same bits: a last-bit difference could flip an accept decision.
+    each block the bits of its own ``op_norm``; ``propose`` takes each
+    block through ``op_norm`` alone.  Both gather the block in ascending
+    index order, so every path gives a block the same bits: a last-bit
+    difference could flip an accept decision.
     """
 
     def __init__(self, x, frame: MasaFrame):
@@ -415,11 +422,20 @@ class _Objective:
         moved = trial[changed]
         gained = set(moved.tolist())
         labels = gained.union(self._committed[changed].tolist())
-        exact, bound = self._exact.copy(), self._bound.copy()
-        level = np.inf
+        level = np.inf if refuse_at is None else refuse_at
         if refuse_at is not None:
-            level = refuse_at
-            labels = sorted(labels, key=lambda k: -exact.get(k, bound.get(k, 0.0)))
+            # the blocks the trial leaves as they are: a resolved bound is the
+            # committed block's exact norm
+            if any(v >= level for k, v in self._exact.items() if k not in labels):
+                return None
+            for b, k in sorted(((b, k) for k, b in self._bound.items()
+                                if b >= level and k not in labels), reverse=True):
+                del self._bound[k]
+                v = self._exact[k] = self._norm(self._committed, k)
+                if v >= level:
+                    return None
+            labels = sorted(labels, key=lambda k: -self._exact.get(k, self._bound.get(k, 0.0)))
+        exact, bound = self._exact.copy(), self._bound.copy()
         for k in labels:
             if k not in gained and not np.count_nonzero(trial == k):  # emptied: reset drops it
                 exact.pop(k, None)
@@ -447,19 +463,6 @@ class _Objective:
             top = max(top, v)
         self._pending = (changed, moved, exact, bound)
         return top
-
-    def held_elsewhere(self, labels, level: float) -> bool:
-        """Whether a committed label outside ``labels`` has norm >= level,
-        so that every proposal changing only ``labels`` has defect >= level."""
-        if any(v >= level for k, v in self._exact.items() if k not in labels):
-            return True
-        for b, k in sorted(((b, k) for k, b in self._bound.items()
-                            if b >= level and k not in labels), reverse=True):
-            del self._bound[k]
-            v = self._exact[k] = self._norm(self._committed, k)
-            if v >= level:
-                return True
-        return False
 
     def commit(self) -> None:
         changed, moved, self._exact, self._bound = self._pending
@@ -592,34 +595,30 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
     return best_d, best
 
 
-def _search_anneal(obj, eps, budget, seed, n, restarts=4):
+def _search_anneal(obj, eps, budget, seed, n):
     results = []
-    for w in range(restarts):
+    for w in range(ANNEAL_RESTARTS):
         rng = rng_for(seed, 0x5EA, n, w)
-        results.append((*_anneal_once(obj, n, eps, max(1, budget // restarts), rng), w))
+        results.append((*_anneal_once(obj, n, eps, max(1, budget // ANNEAL_RESTARTS), rng), w))
         if results[-1][0] <= eps * obj.base:
             break
     results.sort(key=lambda t: (t[0], t[2]))
     return results[0][0], results[0][1]
 
 
-def _search_roots(obj, eps, budget, seed, n, tries=8):
-    best_d, best_a = np.inf, None
-    for w in range(max(1, min(tries, budget))):
-        rng = rng_for(seed, 0x700, n, w)
-        a = _equal_blocks(rng.permutation(obj.dim), n)
-        d = obj.defect(a)
-        if d < best_d:
-            best_d, best_a = d, a
-    return best_d, best_a
+# strategy: (stream tag, labels of one draw from (rng, dim, n)).  roots_of_unity
+# shuffles equal blocks, the free-paving model; arc draws i.i.d. angles
+_DRAWS = {
+    "roots_of_unity": (0x700, lambda rng, dim, n: _equal_blocks(rng.permutation(dim), n)),
+    "arc": (0xA5C, lambda rng, dim, n: _arc_labels(rng.uniform(0.0, 2 * np.pi, size=dim), n)),
+}
 
 
-def _search_arc(obj, eps, budget, seed, n, tries=8):
+def _search_draws(obj, budget, seed, n, tag, draw):
+    """The best of DRAWS independent labelings, each from its own stream."""
     best_d, best_a = np.inf, None
-    for w in range(max(1, min(tries, budget))):
-        rng = rng_for(seed, 0xA5C, n, w)
-        ang = rng.uniform(0.0, 2 * np.pi, size=obj.dim)
-        a = np.minimum((ang * n / (2 * np.pi)).astype(np.int64), n - 1)
+    for w in range(min(DRAWS, budget)):
+        a = draw(rng_for(seed, tag, n, w), obj.dim, n)
         d = obj.defect(a)
         if d < best_d:
             best_d, best_a = d, a
@@ -680,21 +679,18 @@ def _search_sign_split(obj, eps, budget, seed, max_n):
                 continue
             i, j = pick
             spent += 1
-            if obj.held_elsewhere((int(trial[i]), int(trial[j])), d - 1e-15):
-                stuck += 1  # another block keeps the defect: no swap here is accepted
-                continue
             cand = trial.copy()
             cand[i], cand[j] = trial[j], trial[i]
-            # held_elsewhere left the defect in one of the two halves, so a
-            # half that keeps it refuses the swap before the other is taken
+            # refused as soon as one block, moved or not, reaches the level;
+            # a refused swap is still charged to the budget
             cd = obj.propose(cand, refuse_at=d - 1e-15)
-            if cd is not None and cd < d - 1e-15:
-                obj.commit()
-                signs[i], signs[j] = 1, 0
-                d, trial = cd, cand
-                stuck = 0
-            else:
+            if cd is None:
                 stuck += 1
+                continue
+            obj.commit()
+            signs[i], signs[j] = 1, 0
+            d, trial = cd, cand
+            stuck = 0
         assignment = trial
         n *= 2
         best_d = d
@@ -745,15 +741,16 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
         d, assignment, n = _search_sign_split(obj, eps, budget, seed, max_n)
         return finish(Partition.from_labels(assignment, frame))
 
-    step = {"anneal": _search_anneal, "roots_of_unity": _search_roots, "arc": _search_arc}[strategy]
     best = (np.inf, Partition.one_block(frame).assignment, 1)
     for n in range(1, min(max_n, dim) + 1):
         if n == 1:
             d, cand = obj.defect(best[1]), best[1]
         elif n == dim:
             d, cand = 0.0, np.arange(dim)
+        elif strategy == "anneal":
+            d, cand = _search_anneal(obj, eps, budget, seed, n)
         else:
-            d, cand = step(obj, eps, budget, seed, n)
+            d, cand = _search_draws(obj, budget, seed, n, *_DRAWS[strategy])
         if d < best[0]:
             best = (d, cand, n)
         if d <= eps * obj.base:

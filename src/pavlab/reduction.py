@@ -190,14 +190,14 @@ class DilationResult:
     diag_dev: float
 
 
-def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None,
-                         p_slots=None) -> DilationResult:
+def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None) -> DilationResult:
     """Dilate the corner y restricted to e_slots into a projection g.
 
     g agrees with the (shifted) corner on e, maps the complement of the
     corner through a partial isometry into a Fourier sub-corner on
-    p_slots, and has exactly constant diagonal t' = t_k - gamma on its
-    support, gamma < t_k/(s+m) being the trace-grid rounding shift.
+    p_slots, the first m slots outside e_slots, and has exactly constant
+    diagonal t' = t_k - gamma on its support, gamma < t_k/(s+m) being the
+    trace-grid rounding shift.
     """
     a = _as_entries(y)
     dim = a.shape[0]
@@ -216,18 +216,10 @@ def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None,
         raise ValueError("corner spectrum must lie strictly inside (0, 1)")
     tr_comp = float(np.sum(1.0 - lam_r))
     m = int(np.ceil(tr_comp / t_k - 1e-12))
-    if p_slots is None:
-        free = np.setdiff1d(np.arange(dim), e_slots)
-        if free.size < m:
-            raise ValueError(f"insufficient room: need {m} fresh slots, have {free.size}")
-        p_slots = free[:m]
-    else:
-        p_slots = np.asarray(p_slots, dtype=np.int64)
-        if p_slots.size < m:
-            raise ValueError(f"insufficient room: need {m} fresh slots, given {p_slots.size}")
-        p_slots = p_slots[:m]
-    if np.intersect1d(e_slots, p_slots).size:
-        raise ValueError("p slots must be disjoint from the corner")
+    free = np.setdiff1d(np.arange(dim), e_slots)
+    if free.size < m:
+        raise ValueError(f"insufficient room: need {m} fresh slots, have {free.size}")
+    p_slots = free[:m]
 
     gamma = (t_k * m - tr_comp) / (s + m)
     if not -1e-12 <= gamma < t_k / (s + m) + 1e-12:
@@ -257,11 +249,8 @@ def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None,
     slots = np.concatenate([e_slots, p_slots])
     full[np.ix_(slots, slots)] = corner
     g = TracedMatrix(frame.from_frame(full))
-    return DilationResult(
-        g=g, corner=corner, e_slots=e_slots, p_slots=np.asarray(p_slots),
-        anchor=float(t_prime), shift=float(gamma),
-        g2_dev=g2_dev, diag_dev=diag_dev,
-    )
+    return DilationResult(g, corner, e_slots, p_slots, float(t_prime), float(gamma),
+                          g2_dev, diag_dev)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,14 @@ def test_calibrate_small(capsys):
 PLAIN_TYPES = (dict, list, str, int, float, bool, type(None))
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def assert_plain(value):
     assert type(value) in PLAIN_TYPES, type(value)
     if isinstance(value, dict):
@@ -242,13 +250,25 @@ def test_out_artifact_holds_plain_json(tmp_path, capsys, monkeypatch, argv):
     code, _ = run(capsys, *argv, "--out", str(out_path))
     assert code == 0
     assert_plain(payloads[0])
-    assert json.loads(out_path.read_text()) == payloads[0]
-    assert_plain(json.loads((tmp_path / "out.json.manifest.json").read_text()))
+    assert strict_json(out_path.read_text()) == payloads[0]
+    assert_plain(strict_json((tmp_path / "out.json.manifest.json").read_text()))
 
 
-def test_reduce_takes_five_full_size_norms(capsys, monkeypatch):
-    # the input norm, the pipeline base and two in flatten; the degenerate
-    # test is settled by the largest entry and the component reports of the
+@pytest.mark.parametrize("grid", [["0.6"], ["0.6", "0.6"]])
+def test_curve_with_one_distinct_eps_fits_no_exponent(capsys, grid):
+    # a single point, or repeated ones, fix no line: the exponent is null,
+    # not NaN (no JSON) and not the slope of a singular fit
+    code, out = run(capsys, "curve", "--dim", "16", "--budget", "50", "--eps-grid", *grid)
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["fitted_exponent"] is None
+    assert len(payload["points"]) == len(grid)
+
+
+def test_reduce_takes_four_full_size_norms(capsys, monkeypatch):
+    # the sample's own, the pipeline base, which also decides the degenerate
+    # short circuit and scales the real component, and two in flatten; the
+    # input is not normalized first, and the component reports of the
     # singletons take no base
     sizes = []
 
@@ -256,22 +276,33 @@ def test_reduce_takes_five_full_size_norms(capsys, monkeypatch):
         sizes.append(a.shape[0])
         return op_norm(a)
 
-    for mod in (cli, free_model, paving, reduction):
+    for mod in (free_model, paving, reduction):
         monkeypatch.setattr(mod, "op_norm", counted)
     code, out = run(capsys, "reduce", "--dim", "64")
     assert code == 0 and json.loads(out)["blocks"] == 64
-    assert sizes.count(64) == 5
+    assert sizes.count(64) == 4
 
 
 @pytest.mark.parametrize("scale", [1e-13, 0.5e-12, 0.9e-12, 1e-12, 1.0000000001e-12, 1.5e-12,
                                    3e-12, 1.0])
-def test_reduce_degenerate_test_agrees_with_the_norm(scale):
-    # the rank-one all-ones matrix has its norm equal to its Frobenius norm
-    for m in [sample(EnsembleSpec("zero_diag_haar", 12, seed)).entries for seed in range(3)] + [
-            np.ones((12, 12), dtype=complex)]:
-        m = m * (scale / op_norm(m))
+def test_reduce_degenerate_test_agrees_with_the_norm(tmp_path, capsys, scale):
+    # reduce short-circuits to the one block exactly when the off-diagonal
+    # part of the symmetrized input has norm below DEGENERATE_NORM, whatever
+    # its diagonal: the last input's diagonal dominates by a factor 1e3
+    haar = [sample(EnsembleSpec("zero_diag_haar", 12, seed)).entries for seed in range(3)]
+    path = tmp_path / "x.json"
+    for m, diagonal in [(h, 0.0) for h in haar] + [(np.ones((12, 12), dtype=complex), 0.0),
+                                                    (haar[0], 1e3)]:
+        m = m * (scale / op_norm(m)) + diagonal * np.eye(12)
         for a in (m, m * (1 + 1e-10), m * (1 - 1e-10)):
-            assert cli._norm_exceeds(a, 1e-12) == (op_norm(a) > 1e-12)
+            save_json(TracedMatrix(a), path)
+            code, out = run(capsys, "reduce", "--input", str(path), "--eps", "0.6")
+            assert code == 0
+            sym = (a + a.conj().T) / 2
+            degenerate = op_norm(sym - np.diag(np.diagonal(sym))) < paving.DEGENERATE_NORM
+            payload = json.loads(out)
+            assert (payload["trace"]["stages"][0]["label"] == "short_circuit") == degenerate
+            assert (payload["blocks"] == 1) == degenerate
 
 
 # the shared flags each subcommand's cmd_* reads

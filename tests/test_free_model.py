@@ -119,6 +119,18 @@ def test_freeness_control_commuting_does_not_vanish():
     assert rep.residual > 3 * free_rep.residual
 
 
+def test_freeness_samples_the_words_beyond_its_budget():
+    # three letters make 6, 12 and 24 words at lengths 2-4; a budget of 5
+    # samples every level, and the same seed repeats bit for bit
+    mats = [sample(EnsembleSpec("haar_unitary", 16, s)).entries for s in range(3)]
+    rep = freeness_residual(mats, k=4, budget=5, seed=3)
+    assert rep.word_count == 3 * 5
+    again = freeness_residual(mats, k=4, budget=5, seed=3)
+    assert repr(again.residual_per_level) == repr(rep.residual_per_level)
+    # a budget that holds every level's words takes each of them once
+    assert freeness_residual(mats, k=4, budget=24, seed=3).word_count == 6 + 12 + 24
+
+
 def test_freeness_single_element_self_words():
     # a single element alternates with its adjoint; the w w* word has unit
     # trace after normalization, so the reported residual sits near 1
