@@ -14,8 +14,15 @@ Words whose block letters are frame diagonals -- those of
 samples each level's words as index rows, and ``_near_max_traces`` screens
 them with the one kernel ``_word_traces`` and sends only the words near
 the maximum through the per-word chain ``_word_product`` again, so
-reported values are exactly the chain's.  The mixing sign search halves
-blocks with the move of paving's sign_split (``_balanced_halves``,
+reported values are exactly the chain's.  The kernel has two orders and
+takes the one that needs fewer flops.  The per-tail order multiplies out
+each distinct tail X2 D3 X3 ... Dj Xj of the sampled words.  The grouped
+order writes each letter as a combination of the projections onto the
+groups of indices with equal letter columns (a partition's blocks), so a
+level costs one dim^3 product per x tail at level 3, whatever the letters,
+and 1 + G of them at level 4 with G groups.  Letters with few equal
+columns keep the per-tail order.  The mixing sign search halves blocks
+with the move of paving's sign_split (``_balanced_halves``,
 ``_pick_swap``).
 """
 
@@ -118,12 +125,15 @@ def _letters_from(blocks, frame: MasaFrame):
 
 
 # The kernel and the chain agree to within 1.4e-15 of a level's largest
-# value (measured on Haar-model inputs at dim 16-128, levels 1-4, 4 and 16
-# blocks), well below 1e-13; so a word the chain puts at the maximum lies
-# within this slack of the screened maximum.  The slack is absolute below
-# 1: when a level's terms cancel exactly (say tau(w x w^2 x) for a
-# symmetric zero-diagonal sign matrix x and w of order 8), every value
-# there is rounding noise, and the two evaluations round it differently.
+# value in the per-tail order (measured on Haar-model inputs at dim 16-128,
+# levels 1-4, 4 and 16 blocks) and within 2.0e-15 in the grouped order
+# (dim 32-128, levels 2-4, 4 and 16 shuffled blocks, identity and Fourier
+# frames, one and two test elements; 378 cases), well below 1e-13; so a
+# word the chain puts at the maximum lies within this slack of the
+# screened maximum.  The slack is absolute below 1: when a level's terms
+# cancel exactly (say tau(w x w^2 x) for a symmetric zero-diagonal sign
+# matrix x and w of order 8), every value there is rounding noise, and
+# the two evaluations round it differently.
 _NEAR_MAX = 1e-9
 
 
@@ -135,30 +145,122 @@ def _word_product(a_diags, xs) -> np.ndarray:
     return m
 
 
+def _letter_groups(letters: np.ndarray):
+    """(perm, spans, coef): the indices grouped by their letter columns.
+
+    Indices whose columns letters[:, i] are byte-equal form one group, so
+    letter a is sum_g coef[a, g] P_g, with P_g the projection onto group g.
+    perm[spans[g]] lists the members of group g (``_block_order``).  For
+    the letters of a partition the groups are its nonempty blocks.
+    """
+    cols = np.ascontiguousarray(letters.T)
+    keys = cols.view(np.dtype((np.void, cols.strides[0]))).reshape(-1)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return *_block_order(group, first.size), letters[:, first]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-d integer array.  np.unique gives
+    the same, but its hashing path imports numpy.ma (about 1 MB) on first use."""
+    v = np.sort(values)
+    return v[np.r_[True, v[1:] != v[:-1]]]
+
+
+def _group_products(z, xs, spans):
+    """(gs, z P_g1 X1 P_g2 X2 ...) for each tuple gs of groups, the last
+    varying fastest, with X1, X2, ... the matrices xs and P_g the group
+    projections, given by their slices ``spans``; one product is held
+    per depth."""
+    if not xs:
+        yield (), z
+        return
+    for g, sl in enumerate(spans):
+        for gs, zz in _group_products(z[:, sl] @ xs[0][sl, :], xs[1:], spans):
+            yield (g,) + gs, zz
+
+
+def _grouped_traces(xs, a_idx: np.ndarray, x_idx: np.ndarray, x_tails: np.ndarray,
+                    perm, spans, coef) -> np.ndarray:
+    """dim tau(D_a1 X_x1 ... D_aj X_xj) for each row, from the letter groups.
+
+    With D_a = sum_g coef[a, g] P_g and Z = X2 P_g3 X3 ... P_gj Xj, the
+    trace is a sum over (g3, ..., gj) of coef[a3, g3] ... coef[aj, gj]
+    times d1^T (X1 o Z^T) d2, and d1^T M d2 = (coef B coef^T)[a1, a2] with
+    B the block sums of M.  The Z of one x tail (x2, ..., xj), numbered by
+    ``x_tails``, come from one dim^3 product per level of the tail: the
+    slices of the groups add up to dim.  A few dim^2 arrays are held at a
+    time.
+    """
+    j = a_idx.shape[1]
+    xp = [x[np.ix_(perm, perm)] for x in xs]
+    xpt = [x.T[np.ix_(perm, perm)] for x in xs]  # xpt[x] = xp[x].T, contiguous
+    ind = np.zeros((len(spans), perm.size))  # ind[g] is the indicator of group g
+    for g, sl in enumerate(spans):
+        ind[g, sl] = 1.0
+    out = np.zeros(a_idx.shape[0], dtype=np.complex128)
+    for t in _distinct(x_tails).tolist():
+        in_tail = np.flatnonzero(x_tails == t)
+        x_tail = x_idx[in_tail[0], 1:].tolist()
+        # (X1^T, rows, their letter indices) for each x1 of this tail
+        subs = [(xpt[x1], rows, a_idx[rows]) for x1 in _distinct(x_idx[in_tail, 0]).tolist()
+                for rows in [in_tail[x_idx[in_tail, 0] == x1]]]
+        for gs, z in _group_products(xp[x_tail[0]], [xp[x] for x in x_tail[1:]], spans):
+            for x1t, rows, a in subs:
+                # B^T = ind (Z o X1^T) ind^T; ind is real, so its product
+                # with the complex matrix runs on the matrix's float64 view
+                bt = (ind @ (z * x1t).view(np.float64)).view(np.complex128) @ ind.T
+                w = np.prod([coef[a[:, i], g] for i, g in enumerate(gs, 2)], axis=0)
+                out[rows] += w * (coef @ bt @ coef.T)[a[:, 1], a[:, 0]]
+    return out
+
+
 def _word_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarray) -> np.ndarray:
     """tau(D_a1 X_x1 ... D_aj X_xj) for each row of the (words, j) index arrays.
 
     The one word-trace kernel for diagonal letters (rows of ``letters``).
     With T = X2 D3 X3 ... Dj Xj, tau(D1 X1 D2 T) = d1^T (X1 o T^T) d2 / dim,
     so all words sharing (x1, T) are entries of one matrix
-    D (X1 o T^T) D^T: one tail chain per distinct (x2, a3, ..., xj) and two
-    products per distinct (x1, tail), holding a few dim^2 arrays at a time.
-    Values agree with ``_word_product`` up to rounding, not bit for bit.
+    D (X1 o T^T) D^T.  Two orders evaluate these, and the kernel takes the
+    one with fewer flops by the counts below; both hold a few dim^2 arrays
+    at a time.  The per-tail order forms one chain of j - 2 dim^3 products
+    per distinct tail (x2, a3, ..., xj) and two letter products per
+    distinct (x1, tail).  The grouped order (``_grouped_traces``) splits
+    the indices into the G groups of equal letter columns -- a partition's
+    blocks -- and pays dim^3 (1 + G + ... + G^(j-3)) per distinct x tail
+    (x2, ..., xj), whatever its letters, and G^(j-2) sets of G x G block
+    sums per distinct (x1, x tail).  The block sums cost about G dim^2
+    each, so letters with few equal columns, such as raw MASA elements or
+    the powers of the patch's v, keep the per-tail order.  Values agree
+    with ``_word_product`` up to rounding, not bit for bit.
     """
     dim = letters.shape[1]
-    if a_idx.shape[1] == 1:
+    j = a_idx.shape[1]
+    if j == 1:
         g = letters @ np.array([np.diagonal(x) for x in xs]).T  # g[a, x] = tau(D_a X_x) dim
         return g[a_idx[:, 0], x_idx[:, 0]] / dim
-    # group key: the tail (x2, a3, x3, ..., aj, xj), then x1; sorted rows put
-    # the groups of one tail next to each other
-    tail = [x_idx[:, 1]] + [c for i in range(2, a_idx.shape[1]) for c in (a_idx[:, i], x_idx[:, i])]
-    keys, group = np.unique(np.column_stack(tail + [x_idx[:, 0]]), axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    n_l, n_x = letters.shape[0], len(xs)
+    # each row's key: its tail (x2, a3, x3, ..., aj, xj), then x1, as one
+    # mixed-radix number, so key // n_x numbers the tail
+    cols = [x_idx[:, 1]] + [c for i in range(2, j) for c in (a_idx[:, i], x_idx[:, i])]
+    sizes = [n_x] + [n_l, n_x] * (j - 2) + [n_x]
+    keys, group = np.unique(np.ravel_multi_index(cols + [x_idx[:, 0]], sizes), return_inverse=True)
+    perm, spans, coef = _letter_groups(letters)
+    n_g = coef.shape[1]
+    x_tails = np.ravel_multi_index(x_idx[:, 1:].T, [n_x] * (j - 1))
+    x_keys = _distinct(x_tails * n_x + x_idx[:, 0])
+    # complex multiply-adds of each order; a grouped leaf's block sums
+    # are counted as n_g dim^2
+    per_tail = (len(_distinct(keys // n_x)) * (j - 2) * dim ** 3
+                + len(keys) * n_l * dim * (dim + n_l))
+    grouped = (len(_distinct(x_keys // n_x)) * dim ** 3 * sum(n_g ** d for d in range(j - 2))
+               + len(x_keys) * n_g ** (j - 2) * ((1 + n_g) * dim * dim + n_l * n_g * (n_g + n_l)))
+    if grouped < per_tail:
+        return _grouped_traces(xs, a_idx, x_idx, x_tails, perm, spans, coef) / dim
     order = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[order], np.arange(len(keys) + 1))
     out = np.empty(a_idx.shape[0], dtype=np.complex128)
     t_key, t = None, None
-    for g, key in enumerate(keys.tolist()):
+    for g, key in enumerate(np.column_stack(np.unravel_index(keys, sizes)).tolist()):
         if key[:-1] != t_key:
             t_key = key[:-1]
             t = xs[t_key[0]]
@@ -215,6 +317,10 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
     evaluated again by the chain in word order, which fixes the reported
     residuals and the first worst word.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if sampling_budget < 1:
+        raise ValueError("sampling_budget must be positive")
     if not X:
         raise ValueError("need at least one test element")
     if isinstance(blocks, Partition):
@@ -445,12 +551,12 @@ def _alpha_inputs(xs: list[np.ndarray], Y, frame: MasaFrame):
     return letters, etas
 
 
-def _block_order(part: Partition) -> tuple[np.ndarray, list[slice]]:
-    """(perm, spans): a stable argsort of the assignment and one slice per
-    block, so perm[spans[i]] lists block i's members in ascending order, as
-    a boolean mask of block i selects them."""
-    perm = np.argsort(part.assignment, kind="stable")
-    bounds = np.searchsorted(part.assignment[perm], np.arange(part.n_blocks + 1)).tolist()
+def _block_order(labels: np.ndarray, n: int) -> tuple[np.ndarray, list[slice]]:
+    """(perm, spans): a stable argsort of labels in 0..n-1 and one slice per
+    label, so perm[spans[i]] lists label i's members in ascending order, as
+    a boolean mask of label i selects them."""
+    perm = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[perm], np.arange(n + 1)).tolist()
     return perm, [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -478,7 +584,7 @@ def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray
             alpha_a = max(alpha_a, float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0)
     alpha_b = 0.0
     t = 1.0 / n
-    perm, spans = _block_order(part)
+    perm, spans = _block_order(part.assignment, part.n_blocks)
     for eta in etas:
         d = np.diagonal(eta)
         vals = np.abs(vand @ d) / dim  # |tau(eta w^p)|, ||w^p|| = 1
@@ -516,7 +622,7 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
 
     # block (i, j) of x is the slice (spans[i], spans[j]) of x permuted once,
     # holding the entries of the boolean-mask gather in the same order
-    perm, spans = _block_order(part)
+    perm, spans = _block_order(part.assignment, part.n_blocks)
     worst_a2 = worst_c2a = worst_c2b = worst_d2 = 0.0
     for x in xs:
         xp = x[np.ix_(perm, perm)]
@@ -634,6 +740,8 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     result is a scrambled full cycle of dim-th roots of unity, whose
     nonzero power traces vanish identically.
     """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     frame_dim = None
     xs = []
     rng = rng_for(seed, 0x9A7)
@@ -680,7 +788,10 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     for w in words[1].tolist():
         p1, x1 = powers[w[0] // n_x], w[0] % n_x
         p2, x2 = powers[w[1] // n_x], w[1] % n_x
-        l2_words.append({"p": (p1, p2), "m": pair_mats[(x1, x2)], "sum": 0.0 + 0.0j})
+        l2_words.append({"p": (p1, p2), "xx": (x1, x2), "sum": 0.0 + 0.0j})
+    # the (pair, power) keys of the products that the level-2 words read
+    r1_keys = sorted({(wd["xx"], wd["p"][1]) for wd in l2_words})
+    c_keys = sorted({(wd["xx"], wd["p"][0]) for wd in l2_words})
 
     n_cands = 64
     for s0 in range(0, dim, chunk):
@@ -695,14 +806,17 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
         vp, cp = powers_of(v), powers_of(cands)
         # one row per objective term, one column per candidate
         terms = [np.abs(power_sums[k] + np.sum(cp[k], axis=1)) / dim for k in range(1, n + 1)]
+        # each product depends on one pair matrix and one power: take it once
+        r1s = {(xx, p): pair_mats[xx][sl, :] @ vp[p] for xx, p in r1_keys}   # delta1 . r1
+        r2s = {(xx, p): vp[p] @ pair_mats[xx][:, sl] for xx, p in c_keys}    # r2 . delta2
+        cms = {(xx, p): cp[p] @ pair_mats[xx][sl, sl] for xx, p in c_keys}
         sums = []
         for wd in l2_words:
             p1, p2 = wd["p"]
-            m = wd["m"]
-            r1 = m[sl, :] @ vp[p2]       # delta1 . r1
-            r2 = vp[p1] @ m[:, sl]       # r2 . delta2
+            xx = wd["xx"]
             c1, c2 = cp[p1], cp[p2]
-            snew = wd["sum"] + c1 @ r1 + c2 @ r2 + ((c1 @ m[sl, sl]) * c2).sum(axis=1)
+            snew = (wd["sum"] + c1 @ r1s[xx, p2] + c2 @ r2s[xx, p1]
+                    + (cms[xx, p1] * c2).sum(axis=1))
             sums.append(snew)
             terms.append(np.abs(snew) / dim)
         vals = np.max(terms, axis=0)

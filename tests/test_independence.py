@@ -276,6 +276,112 @@ def test_cancelling_words_report_the_chain_values():
         assert got.to_json_dict() == want.to_json_dict()
 
 
+def _count_grouped(monkeypatch):
+    """Levels of the _word_traces calls that take the grouped order."""
+    levels = []
+    grouped = independence._grouped_traces
+
+    def spy(xs, a_idx, *rest):
+        levels.append(a_idx.shape[1])
+        return grouped(xs, a_idx, *rest)
+
+    monkeypatch.setattr(independence, "_grouped_traces", spy)
+    return levels
+
+
+def _check_kernel_and_report(monkeypatch, blocks, X, frame, j, grouped):
+    """The kernel against the chain on 2000 level-j words, the indep
+    benchmark's budget (every 8th row, at 1e-12), and the report of levels
+    1..j against the reference loop (budget 500, to keep the reference
+    short).  The kernel takes the grouped order on the 2000 words, and at
+    some level of the report, iff ``grouped``."""
+    dim = frame.dim
+    budget = 2000
+    _, diags = _letters_from(blocks, frame)
+    letters = np.array(diags)
+    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    combos = np.random.default_rng(j).integers(0, len(diags) * len(xs), size=(budget, j))
+    a_idx, x_idx = np.divmod(combos, len(xs))
+    levels = _count_grouped(monkeypatch)
+    got = _word_traces(letters, xs, a_idx, x_idx)
+    assert levels == ([j] if grouped else [])
+    for w in range(0, budget, 8):
+        m = _word_product(letters[a_idx[w]], [xs[x] for x in x_idx[w]])
+        assert abs(got[w] - np.trace(m) / dim) <= 1e-12
+    levels.clear()
+    rep = k_independence_residual(blocks, X, k=j, sampling_budget=500, seed=j, frame=frame)
+    assert bool(levels) == grouped
+    want = reference_k_independence_residual(blocks, X, k=j, sampling_budget=500, seed=j,
+                                             frame=frame)
+    assert rep.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+@pytest.mark.parametrize("j", [3, 4])
+@pytest.mark.parametrize("fourier", [False, True])
+@pytest.mark.parametrize("n_x", [1, 2])
+def test_grouped_order_equals_the_chain_at_benchmark_scale(monkeypatch, dim, j, fourier, n_x):
+    # 16 equal blocks in shuffled order, so the groups are not contiguous
+    frame = perpendicular_frame(dim) if fourier else MasaFrame.identity(dim)
+    labels = np.random.default_rng(dim).permutation(np.arange(dim) % 16)
+    part = Partition(labels, 16, frame)
+    X = [haar_model(dim, 10 * dim + s) for s in range(n_x)]
+    _check_kernel_and_report(monkeypatch, part, X, frame, j, grouped=True)
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+@pytest.mark.parametrize("j", [3, 4])
+def test_per_tail_order_keeps_letters_with_distinct_columns(monkeypatch, dim, j):
+    # raw MASA letters with all columns distinct: no groups to share
+    frame = MasaFrame.identity(dim)
+    rng = np.random.default_rng(dim + j)
+    blocks = [frame.diagonal_element(rng.standard_normal(dim)) for _ in range(3)]
+    _check_kernel_and_report(monkeypatch, blocks, [haar_model(dim, dim)], frame, j,
+                             grouped=False)
+
+
+def test_patch_check_keeps_the_per_tail_order(monkeypatch):
+    # the powers of v have few equal columns: grouping them costs more
+    levels = _count_grouped(monkeypatch)
+    v, _ = incremental_patch_haar([haar_model(64, 64)], 2, 0.1, 256, 2000, 0)
+    assert np.unique(np.diagonal(v.entries)).size < 64  # some columns repeat
+    assert levels == []
+
+
+def test_word_traces_memory_stays_small_on_the_benchmark_partition():
+    # the indep benchmark's d128 build: 4 levels, 16 blocks
+    import tracemalloc
+
+    dim = 128
+    frame = MasaFrame.identity(dim)
+    x = haar_model(dim, 0)
+    part, _ = build_independent_partition([x], [], 4, 0.01, frame, 10_000, 0)
+    assert part.n_blocks == 16
+    k_independence_residual(part, [x], k=2)  # first-call set-up is not what is guarded
+    for k in (3, 4):
+        tracemalloc.start()
+        try:
+            k_independence_residual(part, [x], k=k, sampling_budget=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (k, peak)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_independence_rejects_a_level_below_one(k):
+    part = Partition(np.arange(8) % 2, 2, MasaFrame.identity(8))
+    with pytest.raises(ValueError, match="k must"):
+        k_independence_residual(part, [haar_model(8, 0)], k=k)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_k_independence_rejects_a_nonpositive_sampling_budget(budget):
+    part = Partition(np.arange(8) % 2, 2, MasaFrame.identity(8))
+    with pytest.raises(ValueError, match="sampling_budget must be positive"):
+        k_independence_residual(part, [haar_model(8, 0)], k=2, sampling_budget=budget)
+
+
 def test_builder_certificate_consistency():
     # level-2 residual of the built partition is certified by its own alpha
     dim = 64
@@ -607,6 +713,12 @@ def test_patch_order_guard():
     x = haar_model(8, 1)
     with pytest.raises(ValueError):
         incremental_patch_haar([x], 2, 0.1, order_L=12, budget=100, seed=0)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_patch_rejects_a_nonpositive_budget(budget):
+    with pytest.raises(ValueError, match="budget must be positive"):
+        incremental_patch_haar([haar_model(8, 1)], 2, 0.1, order_L=32, budget=budget, seed=0)
 
 
 def test_patch_dim2_greedy_matches_exhaustive():
