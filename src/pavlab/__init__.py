@@ -2,13 +2,9 @@
 
 from .finite_vn import (
     MasaFrame,
-    NormTriple,
     TracedMatrix,
-    absolute_value,
     conditional_expectation,
-    l1_norm,
     l2_norm,
-    norm_triple,
     normalized_trace,
     op_norm,
     perpendicular_frame,
@@ -25,7 +21,6 @@ from .paving import (
     refine,
     roots_of_unity_tuple,
     sign_split,
-    spectral_tail_mass,
 )
 
 __version__ = "0.1.0"

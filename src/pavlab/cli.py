@@ -40,6 +40,7 @@ from .free_model import (
 from .independence import build_independent_partition, check_cor37
 from .matrix_io import load_matrix
 from .paving import (
+    EXHAUSTIVE_DIM_LIMIT,
     STRATEGIES,
     compress,
     dixmier_average,
@@ -297,7 +298,8 @@ SHARED_FLAGS = {
 # subcommand: (help, the shared flags its cmd_* reads)
 SUBCOMMANDS = {
     "pave": ("search for a paving partition", "dim eps seed budget input out strategy"),
-    "pave-exact": ("exhaustive paving number (dim <= 12)", "dim eps seed input out"),
+    "pave-exact": (f"exhaustive paving number (dim <= {EXHAUSTIVE_DIM_LIMIT})",
+                   "dim eps seed input out"),
     "curve": ("empirical paving-size curve over an eps grid",
               "dim seed budget input out format"),
     "indep": ("build an independent partition and certify it", "dim seed budget input out"),

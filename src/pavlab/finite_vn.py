@@ -1,11 +1,11 @@
 """Finite tracial matrix algebra.
 
 A square complex matrix together with the normalized trace tr/dim is the
-basic object everything else consumes.  This module provides the three
-norms induced by the trace (operator, L2, L1), maximal abelian subalgebra
-(MASA) frames given by a unitary change of basis, the trace-preserving
-conditional expectation onto a frame, and the discrete-Fourier frame that
-is perpendicular to the diagonal one.
+basic object everything else consumes.  This module provides the operator
+norm and the L2 norm of the trace, maximal abelian subalgebra (MASA) frames
+given by a unitary change of basis, the trace-preserving conditional
+expectation onto a frame, and the discrete-Fourier frame that is
+perpendicular to the diagonal one.
 """
 
 from dataclasses import dataclass, field
@@ -61,13 +61,6 @@ class TracedMatrix:
     def identity(cls, dim: int) -> "TracedMatrix":
         return cls(np.eye(dim))
 
-    @classmethod
-    def zeros(cls, dim: int) -> "TracedMatrix":
-        return cls(np.zeros((dim, dim)))
-
-    def adjoint(self) -> "TracedMatrix":
-        return TracedMatrix(self.entries.conj().T)
-
 
 @dataclass(frozen=True)
 class MasaFrame:
@@ -113,6 +106,8 @@ class MasaFrame:
     def to_frame(self, x) -> np.ndarray:
         """Coordinates of x in the frame eigenbasis: U* x U."""
         a = _as_entries(x)
+        if a.shape[0] != self.dim:
+            raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, frame {self.dim}")
         if self.is_identity:
             return a
         return self.basis.conj().T @ a @ self.basis
@@ -127,20 +122,6 @@ class MasaFrame:
         """The MASA element with the given eigenvalues in this frame."""
         v = np.asarray(values, dtype=np.complex128)
         return TracedMatrix(self.from_frame(np.diag(v)))
-
-
-@dataclass(frozen=True)
-class NormTriple:
-    """The three trace norms of one element, ordered l1 <= l2 <= op."""
-
-    op: float
-    l2: float
-    l1: float
-
-    def __post_init__(self):
-        slack = 1e-9 * max(1.0, self.op)
-        if not (-slack <= self.l1 <= self.l2 + slack and self.l2 <= self.op + slack):
-            raise ValueError(f"norm ordering violated: {self}")
 
 
 def normalized_trace(x) -> complex:
@@ -185,37 +166,13 @@ def l2_norm(x) -> float:
     return float(np.linalg.norm(a) / np.sqrt(a.shape[0]))
 
 
-def l1_norm(x) -> float:
-    """tau(|x|) = (1/dim) * sum of singular values."""
-    a = _as_entries(x)
-    return float(np.linalg.svd(a, compute_uv=False).sum() / a.shape[0])
-
-
-def norm_triple(x) -> NormTriple:
-    """All three norms from one SVD, so op is exact at every dimension."""
-    a = _as_entries(x)
-    sv = np.linalg.svd(a, compute_uv=False)
-    return NormTriple(op=float(sv[0]), l2=l2_norm(a), l1=float(sv.sum() / a.shape[0]))
-
-
-def absolute_value(x) -> TracedMatrix:
-    """|x| = (x*x)^(1/2) via Hermitian eigendecomposition of x*x."""
-    a = _as_entries(x)
-    w, v = np.linalg.eigh(a.conj().T @ a)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    return TracedMatrix((v * w) @ v.conj().T)
-
-
 def conditional_expectation(x, frame: MasaFrame) -> TracedMatrix:
     """E_A(x): keep the diagonal of x in the frame eigenbasis.
 
     Trace preserving, idempotent, and A-bimodular; orthogonal projection
     onto the MASA in the L2 inner product.
     """
-    a = _as_entries(x)
-    if a.shape[0] != frame.dim:
-        raise ValueError(f"dimension mismatch: matrix {a.shape[0]}, frame {frame.dim}")
-    y = frame.to_frame(a)
+    y = frame.to_frame(x)
     return TracedMatrix(frame.from_frame(np.diag(np.diagonal(y))))
 
 

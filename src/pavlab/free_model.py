@@ -15,13 +15,12 @@ code the paving searches use; reports serialize through
 ``matrix_io.JsonReport``.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_vn import MasaFrame, TracedMatrix, _as_entries, op_norm
+from .finite_vn import MasaFrame, TracedMatrix, op_norm
 from .matrix_io import JsonReport
 from .paving import (
     DEGENERATE_NORM,
@@ -105,76 +104,6 @@ def sample(spec: EnsembleSpec) -> TracedMatrix:
     vals = np.repeat(np.exp(2j * np.pi * np.arange(spec.order) / spec.order), reps)
     rng.shuffle(vals)
     return TracedMatrix(np.diag(vals))
-
-
-# ---------------------------------------------------------------------------
-# Freeness diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FreenessReport(JsonReport):
-    max_k: int
-    residual_per_level: dict    # level -> residual, levels ascending
-    word_count: int
-    residual: float
-
-
-def freeness_residual(elements, k: int = 3, budget: int = 20_000, seed: int = 0) -> FreenessReport:
-    """Max |tau(word)| over centered alternating words of length <= k.
-
-    Adjacent letters come from different elements; a single element
-    alternates with its adjoint.  Letters are centered and L2-normalized.
-    For independent Haar unitaries the residual decays with dimension
-    (asymptotic freeness); for merely commuting elements it does not.
-    """
-    if not elements:
-        raise ValueError("need at least one element")
-    if k > 4:
-        raise ValueError("word length capped at 4")
-    mats = [_as_entries(e) for e in elements]
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise ValueError("elements must share a dimension")
-    if len(mats) == 1:
-        mats = [mats[0], mats[0].conj().T]
-    lets = []
-    for m in mats:
-        c = m - (np.trace(m) / dim) * np.eye(dim)
-        nrm = np.linalg.norm(c) / np.sqrt(dim)
-        lets.append(c / nrm if nrm > 1e-14 else c)
-    n = len(lets)
-    rng = rng_for(seed, 0xF3E)
-    residuals = {}
-    count = 0
-    for length in range(2, k + 1):
-        total = n * (n - 1) ** (length - 1)
-        level_best = 0.0
-        if total <= budget:
-            # every word with no equal neighbours, in lexicographic order
-            seqs = [w for w in itertools.product(range(n), repeat=length)
-                    if all(a != b for a, b in zip(w, w[1:]))]
-        else:
-            seqs = []
-            for _ in range(budget):
-                seq = [int(rng.integers(0, n))]
-                for _ in range(length - 1):
-                    step = int(rng.integers(0, n - 1))
-                    prev = seq[-1]
-                    seq.append(step if step < prev else step + 1)
-                seqs.append(seq)
-        for seq in seqs:
-            m = lets[seq[0]]
-            for idx in seq[1:]:
-                m = m @ lets[idx]
-            level_best = max(level_best, abs(np.trace(m)) / dim)
-            count += 1
-        residuals[length] = level_best
-    return FreenessReport(
-        max_k=k,
-        residual_per_level=residuals,
-        word_count=count,
-        residual=max(residuals.values()) if residuals else 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

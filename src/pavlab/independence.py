@@ -519,10 +519,6 @@ class ConditionCheck:
     measured: float
     ok: bool
 
-    @property
-    def margin(self) -> float:
-        return self.bound - self.measured
-
 
 @dataclass(frozen=True)
 class Cor37Report(JsonReport):

@@ -175,20 +175,12 @@ def _block_diagonal_norm(a: np.ndarray, labels: np.ndarray, shift: float = 0.0) 
 
 def compress(x, part: Partition) -> TracedMatrix:
     """Sum of p_i x p_i: in frame coordinates, zero out cross-block entries."""
-    a = _as_entries(x)
-    if a.shape[0] != part.dim:
-        raise ValueError("dimension mismatch between matrix and partition")
-    y = part.frame.to_frame(a)
+    y = part.frame.to_frame(x)
     return TracedMatrix(part.frame.from_frame(y * _block_mask(part.assignment)))
 
 
 def _tail_fraction(sv: np.ndarray, eps: float) -> float:
     return float(np.count_nonzero(sv > eps) / sv.size)
-
-
-def spectral_tail_mass(y, eps: float) -> float:
-    """Normalized trace of the spectral projection of |y| on (eps, inf)."""
-    return _tail_fraction(np.linalg.svd(_as_entries(y), compute_uv=False), eps)
 
 
 def _off_diagonal(x, frame: MasaFrame) -> np.ndarray:
@@ -470,10 +462,11 @@ class _Objective:
         self._pending = None
 
 
-def _first_paving(obj: _Objective, eps: float, max_n: int):
+def _first_paving(obj: _Objective, eps: float) -> tuple[np.ndarray, int]:
     """(assignment, n) of the first partition with ratio <= eps, in the order
-    of a sweep over n = 1..max_n and, within each n, over the restricted-growth
-    strings (RGS) with n blocks in lexicographic order; None if none.
+    of a sweep over n = 1..dim and, within each n, over the restricted-growth
+    strings (RGS) with n blocks in lexicographic order.  The sweep ends at
+    the singletons, the one RGS with dim blocks, whose defect is 0.
 
     A depth-first walk places indices 0, 1, 2, ... in that order and skips
     the subtree below a partial block whose norm exceeds eps * base.
@@ -513,21 +506,20 @@ def _first_paving(obj: _Objective, eps: float, max_n: int):
                 blocks.pop()
         return False
 
-    for n in range(1, min(max_n, dim) + 1):
+    for n in range(1, dim):
         blocks[:] = [[0]]
         if walk(1, n):
             return a.copy(), n
-    return None
+    return np.arange(dim), dim
 
 
-def paving_number_exact(x, eps: float, frame: MasaFrame, max_n: int | None = None):
+def paving_number_exact(x, eps: float, frame: MasaFrame) -> int:
     """Smallest block count achieving ratio <= eps, by an exact branch and
     bound over all set partitions (``_first_paving``).
 
     Capped at dim EXHAUSTIVE_DIM_LIMIT: the walk prunes well at moderate
     eps, but the number of set partitions (the Bell number) still bounds
-    its worst case.  Returns None when no partition within max_n blocks
-    achieves the target.
+    its worst case.
     """
     a = _as_entries(x)
     dim = a.shape[0]
@@ -538,8 +530,7 @@ def paving_number_exact(x, eps: float, frame: MasaFrame, max_n: int | None = Non
     obj = _Objective(a, frame)
     if obj.base < DEGENERATE_NORM:
         return 1
-    found = _first_paving(obj, eps, dim if max_n is None else max_n)
-    return None if found is None else found[1]
+    return _first_paving(obj, eps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +640,9 @@ def _pick_swap(members, sides, rng):
     return int(zeros[rng.integers(0, zeros.size)]), int(ones[rng.integers(0, ones.size)])
 
 
-def _search_sign_split(obj, eps, budget, seed, max_n):
-    """Recursive halving by balanced sign vectors tuned by local search.
-
-    Stops before a level would leave more than max_n nonempty blocks.
-    """
+def _search_sign_split(obj, eps, budget, seed):
+    """Labels of recursive halving by balanced sign vectors tuned by local
+    search: those of the last level it reached."""
     dim = obj.dim
     target = eps * obj.base
     assignment = np.zeros(dim, dtype=np.int64)
@@ -661,8 +650,7 @@ def _search_sign_split(obj, eps, budget, seed, max_n):
     best_d = obj.defect(assignment)
     spent = 0
     level = 0
-    while (n < dim and best_d > target and spent < budget
-           and np.minimum(np.bincount(assignment), 2).sum() <= max_n):
+    while n < dim and best_d > target and spent < budget:
         level += 1
         rng = rng_for(seed, 0x516, level)
         members = [np.flatnonzero(assignment == b) for b in range(n)]
@@ -694,19 +682,18 @@ def _search_sign_split(obj, eps, budget, seed, max_n):
         assignment = trial
         n *= 2
         best_d = d
-    return best_d, assignment, n
+    return assignment
 
 
 def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
-                frame: MasaFrame | None = None,
-                max_n: int | None = None) -> tuple[Partition, PavingReport]:
+                frame: MasaFrame | None = None) -> tuple[Partition, PavingReport]:
     """Search for a small partition paving x at ratio <= eps.
 
     Deterministic given (strategy, budget, seed).  Except for sign_split
-    (which doubles blocks), strategies sweep the block count upward and
-    return at the first count achieving the target; the best partition
-    found is returned even when the target is missed.  No strategy returns
-    more than max_n blocks: exhaustive then returns the one block.
+    (which doubles blocks and returns its last level even when the target
+    is missed), strategies sweep the block count upward and return at the
+    first count achieving the target; at the latest that is the singletons,
+    whose defect is 0.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -720,8 +707,6 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
     t0 = time.perf_counter()
     obj = _Objective(a, frame)
     dim = obj.dim
-    if max_n is None:
-        max_n = dim
 
     def finish(part: Partition) -> tuple[Partition, PavingReport]:
         # obj.off and obj.base come from the code paving_defect runs on a
@@ -733,26 +718,19 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
     if strategy == "exhaustive":
         if dim > EXHAUSTIVE_DIM_LIMIT:
             raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
-        found = _first_paving(obj, eps, max_n)
-        # no paving within max_n blocks: the one block every sweep starts from
-        return finish(Partition(*found, frame) if found else Partition.one_block(frame))
+        return finish(Partition(*_first_paving(obj, eps), frame))
 
     if strategy == "sign_split":
-        d, assignment, n = _search_sign_split(obj, eps, budget, seed, max_n)
-        return finish(Partition.from_labels(assignment, frame))
+        return finish(Partition.from_labels(_search_sign_split(obj, eps, budget, seed), frame))
 
-    best = (np.inf, Partition.one_block(frame).assignment, 1)
-    for n in range(1, min(max_n, dim) + 1):
+    for n in range(1, dim):
         if n == 1:
-            d, cand = obj.defect(best[1]), best[1]
-        elif n == dim:
-            d, cand = 0.0, np.arange(dim)
+            cand = Partition.one_block(frame).assignment
+            d = obj.defect(cand)
         elif strategy == "anneal":
             d, cand = _search_anneal(obj, eps, budget, seed, n)
         else:
             d, cand = _search_draws(obj, budget, seed, n, *_DRAWS[strategy])
-        if d < best[0]:
-            best = (d, cand, n)
         if d <= eps * obj.base:
             return finish(Partition(np.asarray(cand, dtype=np.int64), n, frame))
-    return finish(Partition(np.asarray(best[1], dtype=np.int64), best[2], frame))
+    return finish(Partition.singletons(frame))

@@ -111,6 +111,11 @@ def test_pave_exact_guard_exit_code(capsys):
     assert code == 2
 
 
+def test_pave_exact_help_names_the_exhaustive_limit():
+    text = " ".join(cli.build_parser().format_help().split())
+    assert f"exhaustive paving number (dim <= {paving.EXHAUSTIVE_DIM_LIMIT})" in text
+
+
 def test_curve_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, _ = run(capsys, "curve", "--dim", "32", "--seed", "1", "--budget", "50",

@@ -5,13 +5,9 @@ import pytest
 
 from pavlab import (
     MasaFrame,
-    NormTriple,
     TracedMatrix,
-    absolute_value,
     conditional_expectation,
-    l1_norm,
     l2_norm,
-    norm_triple,
     normalized_trace,
     op_norm,
     perpendicular_frame,
@@ -21,6 +17,12 @@ from pavlab import (
 def random_matrix(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def l1_norm(x):
+    """tau(|x|) = (1/dim) * sum of singular values."""
+    a = x.entries if isinstance(x, TracedMatrix) else np.asarray(x)
+    return np.linalg.svd(a, compute_uv=False).sum() / a.shape[0]
 
 
 def test_traced_matrix_rejects_nonfinite():
@@ -90,16 +92,6 @@ def test_op_norm_power_iteration_path_matches_svd():
     assert abs(approx - np.linalg.norm(a, 2)) < 1e-6 * np.linalg.norm(a, 2)
 
 
-def test_norm_triple_op_is_exact_above_svd_limit():
-    import pavlab.finite_vn as fv
-
-    a = np.asarray(random_matrix(fv.SVD_DIM_LIMIT + 1, 12), dtype=np.complex128)
-    t = norm_triple(a)
-    sv = np.linalg.svd(a, compute_uv=False)
-    assert t.op == sv[0]
-    assert t.l1 == sv.sum() / a.shape[0]
-
-
 def test_l2_l1_identity():
     assert l2_norm(TracedMatrix.identity(7)) == pytest.approx(1.0)
     assert l1_norm(TracedMatrix.identity(7)) == pytest.approx(1.0)
@@ -115,26 +107,14 @@ def test_rank_one_projection_norms():
 
 def test_norm_ordering_random():
     for seed in range(20):
-        t = norm_triple(random_matrix(16, seed))
-        assert t.l1 <= t.l2 + 1e-12 and t.l2 <= t.op + 1e-12
-
-
-def test_norm_triple_rejects_bad_order():
-    with pytest.raises(ValueError):
-        NormTriple(op=1.0, l2=2.0, l1=0.5)
+        x = random_matrix(16, seed)
+        assert l1_norm(x) <= l2_norm(x) + 1e-12 and l2_norm(x) <= op_norm(x) + 1e-12
 
 
 def test_op_norm_submultiplicative():
     for seed in range(10):
         x, y = random_matrix(12, seed), random_matrix(12, 100 + seed)
         assert op_norm(x @ y) <= op_norm(x) * op_norm(y) + 1e-9
-
-
-def test_absolute_value_matches_singular_values():
-    x = random_matrix(9, 4)
-    ax = absolute_value(x).entries
-    sv = np.linalg.svd(x, compute_uv=False)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(ax)), np.sort(sv), atol=1e-9)
 
 
 def test_conditional_expectation_identity_frame():
@@ -159,7 +139,7 @@ def test_conditional_expectation_orthogonal_split():
 
 
 def test_conditional_expectation_dim_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch: matrix 3, frame 4"):
         conditional_expectation(np.eye(3), MasaFrame.identity(4))
 
 

@@ -21,7 +21,6 @@ from pavlab import (
     compress,
     conditional_expectation,
     dixmier_average,
-    l1_norm,
     l2_norm,
     normalized_trace,
     op_norm,
@@ -32,7 +31,6 @@ from pavlab import (
     refine,
     roots_of_unity_tuple,
     sign_split,
-    spectral_tail_mass,
 )
 from pavlab import finite_vn, free_model, paving
 from pavlab.paving import (
@@ -55,6 +53,12 @@ def random_matrix(dim, seed):
 
 def zero_diag(a):
     return a - np.diag(np.diagonal(a))
+
+
+def l1_norm(x):
+    """tau(|x|) = (1/dim) * sum of singular values."""
+    a = x.entries if isinstance(x, TracedMatrix) else np.asarray(x)
+    return np.linalg.svd(a, compute_uv=False).sum() / a.shape[0]
 
 
 FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -244,12 +248,15 @@ def test_zero_defect_report_takes_no_norm(monkeypatch):
     assert calls == [9]
 
 
-# -- spectral_tail_mass ------------------------------------------------------
+# -- spectral tail -----------------------------------------------------------
 
 def test_tail_examples():
-    assert spectral_tail_mass(np.zeros((3, 3)), 0.1) == 0
-    assert spectral_tail_mass(np.eye(4), 0.5) == 1.0
-    assert spectral_tail_mass(np.diag([0.1, 0.9]).astype(complex), 0.5) == 0.5
+    # one block keeps the whole off-diagonal part, whose singular values are
+    # those of its 2x2 flips; the tail counts those above eps * ||x - E_A(x)||
+    one_block = Partition.one_block(MasaFrame.identity(4))
+    for scales, tail in (((0.0, 0.0), 0.0), ((1.0, 1.0), 1.0), ((0.1, 0.9), 0.5)):
+        x = np.kron(np.diag(scales), FLIP)
+        assert paving_defect(x, one_block, eps=0.5).spectral_tail == tail
 
 
 # -- dixmier_average ---------------------------------------------------------
@@ -511,19 +518,23 @@ def test_paving_number_monotone_in_eps():
     for seed in range(6):
         x = random_matrix(5, 900 + seed)
         values = [paving_number_exact(x, e, frame) for e in (0.2, 0.3, 0.5, 0.7, 0.9)]
-        assert all(v is not None for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_paving_number_respects_max_n():
-    x = np.ones((4, 4), dtype=complex) - np.eye(4)
-    frame = MasaFrame.identity(4)
-    assert paving_number_exact(x, 0.01, frame, max_n=1) is None
 
 
 def test_paving_number_dim_guard():
     with pytest.raises(ValueError):
         paving_number_exact(np.eye(13), 0.5, MasaFrame.identity(13))
+
+
+def test_a_frame_of_another_dimension_is_refused():
+    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 8, 0))
+    frame = MasaFrame.identity(10)
+    with pytest.raises(ValueError, match="dimension mismatch: matrix 8, frame 10"):
+        paving_number_exact(x, 0.6, frame)
+    with pytest.raises(ValueError, match="dimension mismatch: matrix 8, frame 10"):
+        pave_search(x, 0.6, "roots_of_unity", 100, 0, frame=frame)
+    with pytest.raises(ValueError, match="dimension mismatch: matrix 8, frame 10"):
+        compress(x, Partition.one_block(frame))
 
 
 # -- incremental objective ---------------------------------------------------
@@ -787,21 +798,18 @@ def reference_rgs_with_blocks(dim, k):
     yield from rec(1, 1)
 
 
-def reference_first_paving(obj, eps, max_n):
-    """Score every restricted-growth string, n = 1..max_n, and return the
+def reference_first_paving(obj, eps):
+    """Score every restricted-growth string, n = 1..dim, and return the
     first (assignment, n) with ratio <= eps; the walk must return it too."""
-    for n in range(1, min(max_n, obj.dim) + 1):
+    for n in range(1, obj.dim + 1):
         for rgs in reference_rgs_with_blocks(obj.dim, n):
             cand = np.array(rgs, dtype=np.int64)
             if obj.ratio(cand) <= eps:
                 return cand, n
-    return None
 
 
 def _same_found(got, want):
-    if want is None:
-        return got is None
-    return got is not None and got[1] == want[1] and np.array_equal(got[0], want[0])
+    return got[1] == want[1] and np.array_equal(got[0], want[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -815,9 +823,8 @@ def test_first_paving_equals_the_rgs_sweep_property(data):
     else:
         x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
     eps = data.draw(st.floats(0.01, 0.99))
-    max_n = data.draw(st.integers(1, dim))
     obj = _Objective(x, frame)
-    assert _same_found(_first_paving(obj, eps, max_n), reference_first_paving(obj, eps, max_n))
+    assert _same_found(_first_paving(obj, eps), reference_first_paving(obj, eps))
 
 
 def test_first_paving_prunes_most_block_norms(monkeypatch):
@@ -830,9 +837,9 @@ def test_first_paving_prunes_most_block_norms(monkeypatch):
         return _block_norms(a, idx_list, shift)
 
     monkeypatch.setattr(paving, "_block_norms", counted)
-    want = reference_first_paving(obj, 0.6, 10)
+    want = reference_first_paving(obj, 0.6)
     swept, count[0] = count[0], 0
-    got = _first_paving(obj, 0.6, 10)
+    got = _first_paving(obj, 0.6)
     assert _same_found(got, want)
     assert 4 * count[0] <= swept
 
@@ -868,7 +875,7 @@ def test_sign_split_search_skips_only_swaps_it_would_refuse(monkeypatch):
         assert repr(rep.ratio) == repr(want_rep.ratio)
 
 
-def reference_search_sign_split(obj, eps, budget, seed, max_n):
+def reference_search_sign_split(obj, eps, budget, seed):
     """The sign_split loop with no refusal level: every swap proposes both
     halves in full, and the caller compares the defect."""
     dim = obj.dim
@@ -878,8 +885,7 @@ def reference_search_sign_split(obj, eps, budget, seed, max_n):
     best_d = obj.defect(assignment)
     spent = 0
     level = 0
-    while (n < dim and best_d > target and spent < budget
-           and np.minimum(np.bincount(assignment), 2).sum() <= max_n):
+    while n < dim and best_d > target and spent < budget:
         level += 1
         rng = rng_for(seed, 0x516, level)
         members = [np.flatnonzero(assignment == b) for b in range(n)]
@@ -908,7 +914,7 @@ def reference_search_sign_split(obj, eps, budget, seed, max_n):
         assignment = trial
         n *= 2
         best_d = d
-    return best_d, assignment, n
+    return assignment
 
 
 def test_sign_split_refusal_level_keeps_every_decision(monkeypatch):
@@ -1077,17 +1083,6 @@ def test_search_benchmark_digest_matches():
                           "--workload", "search"], cwd=ROOT, capture_output=True, text=True,
                          timeout=600)
     assert out.returncode == 0, out.stdout + out.stderr
-
-
-# -- max_n --------------------------------------------------------------------
-
-def test_search_respects_max_n_in_every_strategy():
-    x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 8, 0)).entries
-    for strategy in paving.STRATEGIES:
-        part, rep = pave_search(x, 0.1, strategy, budget=200, seed=0, max_n=2)
-        assert part.n_blocks <= 2 and rep.n_blocks <= 2, strategy
-        assert rep.ratio == paving_defect(x, part, eps=0.1).ratio
-        assert rep.ratio > 0.1
 
 
 # -- pinned search results -------------------------------------------------------

@@ -1,0 +1,61 @@
+"""Every name pavlab exports has a caller, or carries a paper identity.
+
+A caller is a use of the name in ``src/pavlab`` outside its own top-level
+definition and ``__init__.py``, or a use in the benchmark under
+``perfbench/`` (its tests left out).  Tests do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pavlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pavlab"
+
+# exported for the paper's setting, with no caller: name -> what it carries
+PAPER_IDENTITIES = {
+    "normalized_trace": "the trace tau of the II_1 factor, tau(1) = 1 and tau(xy) = tau(yx)",
+    "perpendicular_frame": "the Fourier MASA, perpendicular to the diagonal one",
+    "arc_partition": "the partition by the spectral arcs of a MASA unitary",
+    "sign_split": "the eigenprojections of a period-2 unitary and their L2 paving bound",
+}
+
+
+def exported_names() -> list[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def uses_name(path: Path, name: str) -> bool:
+    """Whether the module at path uses name outside its top-level definition."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == name:
+                return True
+            if isinstance(sub, ast.Attribute) and sub.attr == name:
+                return True
+    return False
+
+
+CALLER_FILES = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+                + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                   if not p.name.startswith("test_")])
+
+
+@pytest.mark.parametrize("name", exported_names())
+def test_each_export_has_a_caller_or_a_paper_identity(name):
+    assert hasattr(pavlab, name)
+    if name in PAPER_IDENTITIES:
+        return
+    callers = [p.name for p in CALLER_FILES if uses_name(p, name)]
+    assert callers, f"{name} has no caller in src or perfbench and no paper identity"
+
+
+def test_paper_identities_are_exported():
+    assert set(PAPER_IDENTITIES) <= set(exported_names())
