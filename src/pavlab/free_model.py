@@ -125,6 +125,12 @@ def kesten_norm_oracle(m: int, dim: int, seed: int) -> float:
     return op_norm(acc)
 
 
+def kesten_values(m: int) -> tuple[float, float]:
+    """The two reference values for the norm of m Haar unitaries: the
+    paper's sqrt(m) and the free 2 sqrt(m-1) (1 when m = 1)."""
+    return float(np.sqrt(m)), float(2 * np.sqrt(m - 1)) if m > 1 else 1.0
+
+
 def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperimentReport:
     """Compression of a zero-diagonal Haar model by roots-of-unity eigenblocks.
 
@@ -342,9 +348,10 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
     kesten = {}
     for m in _CALIBRATION_KESTEN_MS:
         vals = [kesten_norm_oracle(m, dim_kesten, s) for s in seeds]
+        paper, free = kesten_values(m)
         kesten[str(m)] = {
-            "paper_value": float(np.sqrt(m)),
-            "free_value": float(2 * np.sqrt(m - 1)) if m > 1 else 1.0,
+            "paper_value": paper,
+            "free_value": free,
             "measured_min": float(min(vals)),
             "measured_max": float(max(vals)),
             "measured_median": float(np.median(vals)),

@@ -41,29 +41,11 @@ MAX_WORD_LEVEL = 4
 SIGN_RESTARTS = 20
 
 
-@dataclass(frozen=True)
-class WordSpec:
-    """An alternating word a_1 x_1 a_2 x_2 ... of block letters and test elements.
-
-    Indices point into the two letter families; the compact label form
-    ("a1.x0.a3.x1") reproduces a failing word in logs.
-    """
-
-    a_indices: tuple
-    x_indices: tuple
-
-    def __post_init__(self):
-        if len(self.a_indices) != len(self.x_indices):
-            raise ValueError("word letters must alternate a, x pairwise")
-        if not 1 <= len(self.a_indices) <= MAX_WORD_LEVEL:
-            raise ValueError(f"word level must lie in 1..{MAX_WORD_LEVEL}")
-
-    @property
-    def level(self) -> int:
-        return len(self.a_indices)
-
-    def label(self) -> str:
-        return ".".join(f"a{a}.x{x}" for a, x in zip(self.a_indices, self.x_indices))
+def word_label(a_indices, x_indices) -> str:
+    """The compact form ("a1.x0.a3.x1") of the alternating word
+    a_1 x_1 a_2 x_2 ... of block letters and test elements, which
+    reproduces a failing word in logs."""
+    return ".".join(f"a{a}.x{x}" for a, x in zip(a_indices, x_indices))
 
 
 @dataclass(frozen=True)
@@ -357,7 +339,7 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
             if r > level_best:
                 level_best = r
             if r > worst[0]:
-                worst = (r, WordSpec(tuple(a_all[w].tolist()), tuple(x_all[w].tolist())).label())
+                worst = (r, word_label(a_all[w].tolist(), x_all[w].tolist()))
         residuals[j] = level_best
         total_words += len(combos)
     return IndependenceReport(
@@ -734,7 +716,8 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     sampled level-1/2 word traces) over candidate phase chunks, and the
     level-3 words enter the final report.  With no test elements the
     result is a scrambled full cycle of dim-th roots of unity, whose
-    nonzero power traces vanish identically.
+    nonzero power traces vanish identically.  ``delta`` is unread; the
+    perfbench indep workload still passes it positionally.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")

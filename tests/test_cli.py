@@ -351,35 +351,57 @@ def test_unread_flag_is_a_usage_error(capsys, sub, flag):
     assert f"--{flag}" in capsys.readouterr().err
 
 
-DEFAULT_CONFIG = {"subcommand": None, "dim": 64, "eps": 0.5, "n": 4, "seed": 0, "seed_count": 1,
-                  "strategy": "anneal", "budget": 10_000, "input": None, "output": None,
-                  "format": "json"}
+OUT = object()    # stands for the --out path of the run
 
-
+# each subcommand's config: exactly the flags it takes, in table order, with
+# the value given or the default
 CONFIG_CASES = [
     (["pave", "--dim", "8", "--eps", "0.6", "--budget", "20", "--strategy", "roots_of_unity"],
-     {"dim": 8, "eps": 0.6, "budget": 20, "strategy": "roots_of_unity"}),
-    (["pave-exact", "--dim", "4", "--seed", "2"], {"dim": 4, "seed": 2}),
-    (["curve", "--dim", "8", "--budget", "20", "--eps-grid", "0.6", "--format", "csv"],
-     {"dim": 8, "budget": 20, "format": "csv"}),
-    (["indep", "--dim", "8", "--levels", "1", "--budget", "20"], {"dim": 8, "budget": 20}),
+     {"dim": 8, "eps": 0.6, "seed": 0, "strategy": "roots_of_unity", "budget": 20,
+      "input": None, "output": OUT}),
+    (["pave-exact", "--dim", "4", "--seed", "2"],
+     {"dim": 4, "eps": 0.5, "seed": 2, "input": None, "output": OUT}),
+    (["curve", "--dim", "8", "--budget", "20", "--format", "csv"],
+     {"dim": 8, "seed": 0, "budget": 20, "input": None, "output": OUT, "format": "csv",
+      "eps_grid": [0.6, 0.5, 0.4, 0.3]}),
+    (["indep", "--dim", "8", "--levels", "1", "--alpha", "0.5", "--budget", "20"],
+     {"dim": 8, "seed": 0, "budget": 20, "input": None, "output": OUT, "levels": 1,
+      "alpha": 0.5}),
     (["free", "--op", "kesten", "--dim", "8", "--n", "3", "--seeds", "2"],
-     {"dim": 8, "n": 3, "seed_count": 2}),
-    (["reduce", "--dim", "8", "--eps", "0.6"], {"dim": 8, "eps": 0.6}),
-    (["dixmier", "--dim", "8", "--n", "2"], {"dim": 8, "n": 2}),
+     {"dim": 8, "n": 3, "seed": 0, "seed_count": 2, "output": OUT, "format": "json",
+      "op": "kesten", "t": 0.5, "m": 2, "n_max": 16}),
+    (["reduce", "--dim", "8", "--eps", "0.6"],
+     {"dim": 8, "eps": 0.6, "seed": 0, "input": None, "output": OUT}),
+    (["dixmier", "--dim", "8", "--n", "2"],
+     {"dim": 8, "n": 2, "seed": 0, "input": None, "output": OUT}),
     (["calibrate", "--seed", "1", "--dim-conj", "16", "--dim-proj", "64", "--dim-kesten", "16"],
-     {"seed": 1}),
+     {"seed": 1, "seed_count": 1, "output": OUT, "dim_conj": 16, "dim_proj": 64,
+      "dim_kesten": 16}),
 ]
 
 
-@pytest.mark.parametrize("argv,given", CONFIG_CASES, ids=[argv[0] for argv, _ in CONFIG_CASES])
-def test_manifest_config_keeps_every_key_with_defaults(tmp_path, capsys, argv, given):
+@pytest.mark.parametrize("argv,want", CONFIG_CASES, ids=[argv[0] for argv, _ in CONFIG_CASES])
+def test_manifest_config_keeps_every_key_with_defaults(tmp_path, capsys, argv, want):
     out_path = tmp_path / "out"
     code, _ = run(capsys, *argv, "--out", str(out_path))
     assert code == 0
     config = json.loads((tmp_path / "out.manifest.json").read_text())["config"]
-    want = {**DEFAULT_CONFIG, "subcommand": argv[0], "output": str(out_path), **given}
-    assert list(config.items()) == list(want.items())
+    want = {k: str(out_path) if v is OUT else v for k, v in want.items()}
+    assert list(config.items()) == [("subcommand", argv[0]), *want.items()]
+
+
+def test_pave_exact_runs_at_its_default_dim(capsys):
+    code, out = run(capsys, "pave-exact")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == payload["manifest"]["config"]["dim"] == paving.EXHAUSTIVE_DIM_LIMIT
+
+
+@pytest.mark.parametrize("sub", ["free", "calibrate"])
+def test_zero_seeds_is_a_usage_error(capsys, sub):
+    code, out = run(capsys, sub, "--seeds", "0")
+    assert code == 2
+    assert json.loads(out) == {"error": "seed_count must be >= 1", "code": 2}
 
 
 @pytest.mark.parametrize("case", ["compare-missing", "compare-not-json", "compare-directory",

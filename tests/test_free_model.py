@@ -14,6 +14,7 @@ from pavlab.free_model import (
     conjugation_paving_experiment,
     equal_block_partition,
     kesten_norm_oracle,
+    kesten_values,
     make_block_paver,
     power_conjugation_growth,
     projection_paving_experiment,
@@ -136,6 +137,13 @@ def test_kesten_two_haars_tracks_free_value():
 def test_kesten_rejects_m0():
     with pytest.raises(ValueError):
         kesten_norm_oracle(0, 16, 0)
+
+
+@pytest.mark.parametrize("m, paper, free", [(1, 1.0, 1.0), (2, np.sqrt(2), 2.0),
+                                            (5, np.sqrt(5), 4.0)])
+def test_kesten_values(m, paper, free):
+    # one unitary has norm 1 in both models
+    assert kesten_values(m) == (pytest.approx(paper), pytest.approx(free))
 
 
 # -- conjugation experiment -------------------------------------------------------

@@ -27,7 +27,6 @@ from pavlab.independence import (
     ConditionCheck,
     Cor37Report,
     IndependenceReport,
-    WordSpec,
     _block_letters,
     _alpha_inputs,
     _center_and_normalize,
@@ -39,6 +38,7 @@ from pavlab.independence import (
     find_mixing_sign_unitary,
     incremental_patch_haar,
     k_independence_residual,
+    word_label,
 )
 from pavlab.seeds import rng_for
 
@@ -75,14 +75,8 @@ def exact_two_indep_witness(dim, n):
     return x.astype(complex), part
 
 
-def test_wordspec_validation_and_label():
-    w = WordSpec((1, 3), (0, 1))
-    assert w.level == 2
-    assert w.label() == "a1.x0.a3.x1"
-    with pytest.raises(ValueError):
-        WordSpec((1, 2), (0,))
-    with pytest.raises(ValueError):
-        WordSpec((1,) * 5, (0,) * 5)
+def test_word_label():
+    assert word_label((1, 3), (0, 1)) == "a1.x0.a3.x1"
 
 
 # -- k_independence_residual ---------------------------------------------------
@@ -178,7 +172,7 @@ def reference_k_independence_residual(blocks, X, k=2, sampling_budget=100_000, s
             if r > level_best:
                 level_best = r
             if r > worst[0]:
-                worst = (r, WordSpec(tuple(a_idx), tuple(x_idx)).label())
+                worst = (r, ".".join(f"a{a}.x{x}" for a, x in zip(a_idx, x_idx)))
         residuals[j] = level_best
         total_words += n_words
     return IndependenceReport(k, residuals, total_words, max(residuals.values()), coverage,
