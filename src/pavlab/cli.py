@@ -86,10 +86,13 @@ def _csv_text(header, rows) -> str:
 
 def _emit(args, payload: dict, seeds, csv=None) -> None:
     """Write the artifact to --out with its manifest beside it, or to stdout
-    with the manifest inside a JSON payload; only curve and free take
-    --format, and both pass csv."""
+    with the manifest inside a JSON payload; CSV on stdout keeps its
+    manifest on stderr.  Only curve and free take --format, and both pass
+    csv."""
     manifest = _manifest(args, seeds)
-    if csv and args.format == "csv":
+    manifest_text = json.dumps(manifest, indent=2) + "\n"
+    as_csv = csv and args.format == "csv"
+    if as_csv:
         text = _csv_text(*csv)
     elif args.output:
         text = json.dumps(payload, indent=2) + "\n"
@@ -97,9 +100,11 @@ def _emit(args, payload: dict, seeds, csv=None) -> None:
         text = json.dumps({**payload, "manifest": manifest}, indent=2) + "\n"
     if args.output:
         Path(args.output).write_text(text)
-        Path(args.output + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        Path(args.output + ".manifest.json").write_text(manifest_text)
     else:
         sys.stdout.write(text)
+        if as_csv:
+            sys.stderr.write(manifest_text)
 
 
 def _input_matrix(args):

@@ -14,16 +14,22 @@ Words whose block letters are frame diagonals -- those of
 samples each level's words as index rows, and ``_near_max_traces`` screens
 them with the one kernel ``_word_traces`` and sends only the words near
 the maximum through the per-word chain ``_word_product`` again, so
-reported values are exactly the chain's.  The kernel has two orders and
-takes the one that needs fewer flops.  The per-tail order multiplies out
+reported values are exactly the chain's; at level 1 it sums the chain's
+diagonal products d_i X_ii without building D X.  The kernel has two
+orders and takes the one that needs fewer flops, counting a fixed cost
+for each leaf of the grouped order.  The per-tail order multiplies out
 each distinct tail X2 D3 X3 ... Dj Xj of the sampled words.  The grouped
 order writes each letter as a combination of the projections onto the
 groups of indices with equal letter columns (a partition's blocks), so a
 level costs one dim^3 product per x tail at level 3, whatever the letters,
 and 1 + G of them at level 4 with G groups.  Letters with few equal
-columns keep the per-tail order.  The mixing sign search halves blocks
-with the move of paving's sign_split (``_balanced_halves``,
-``_pick_swap``).
+columns keep the per-tail order.
+
+While ``incremental_patch_haar`` chooses a chunk, it scores its level-2
+words as one stack: index arrays give each word its pair matrix and two
+powers, and batched matmuls add every word's chunk terms for all
+candidates at once.  The mixing sign search halves blocks with the move
+of paving's sign_split (``_balanced_halves``, ``_pick_swap``).
 """
 
 import itertools
@@ -118,6 +124,14 @@ def _letters_from(blocks, frame: MasaFrame):
 # the two evaluations round it differently.
 _NEAR_MAX = 1e-9
 
+# The fixed cost of one leaf of the grouped order (one x1 and one tuple of
+# groups: about a dozen numpy calls on small arrays), in the complex
+# multiply-adds that the order rule of ``_word_traces`` counts.  Fitted on
+# timings of both orders at dim 16-128, levels 2-4, 2, 4 and 16 blocks,
+# one and two test elements (one BLAS thread): it cuts the time lost to
+# the slower order over those 144 cases from 133 ms to 21 ms.
+_LEAF_COST = 30_000
+
 
 def _word_product(a_diags, xs) -> np.ndarray:
     """D1 X1 D2 X2 ...: alternate diagonal scalings with matmuls."""
@@ -211,8 +225,9 @@ def _word_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarray) 
     blocks -- and pays dim^3 (1 + G + ... + G^(j-3)) per distinct x tail
     (x2, ..., xj), whatever its letters, and G^(j-2) sets of G x G block
     sums per distinct (x1, x tail).  The block sums cost about G dim^2
-    each, so letters with few equal columns, such as raw MASA elements or
-    the powers of the patch's v, keep the per-tail order.  Values agree
+    each, plus the fixed ``_LEAF_COST``, so letters with few equal columns,
+    such as raw MASA elements or the powers of the patch's v, keep the
+    per-tail order, and so do many x tails over many groups.  Values agree
     with ``_word_product`` up to rounding, not bit for bit.
     """
     dim = letters.shape[1]
@@ -231,11 +246,12 @@ def _word_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarray) 
     x_tails = np.ravel_multi_index(x_idx[:, 1:].T, [n_x] * (j - 1))
     x_keys = _distinct(x_tails * n_x + x_idx[:, 0])
     # complex multiply-adds of each order; a grouped leaf's block sums
-    # are counted as n_g dim^2
+    # are counted as n_g dim^2, and its dozen numpy calls as _LEAF_COST
     per_tail = (len(_distinct(keys // n_x)) * (j - 2) * dim ** 3
                 + len(keys) * n_l * dim * (dim + n_l))
     grouped = (len(_distinct(x_keys // n_x)) * dim ** 3 * sum(n_g ** d for d in range(j - 2))
-               + len(x_keys) * n_g ** (j - 2) * ((1 + n_g) * dim * dim + n_l * n_g * (n_g + n_l)))
+               + len(x_keys) * n_g ** (j - 2)
+               * ((1 + n_g) * dim * dim + n_l * n_g * (n_g + n_l) + _LEAF_COST))
     if grouped < per_tail:
         return _grouped_traces(xs, a_idx, x_idx, x_tails, perm, spans, coef) / dim
     order = np.argsort(group, kind="stable")
@@ -262,7 +278,9 @@ def _near_max_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarr
     scored |trace| / denoms; rows whose denominator is below 1e-30 are left
     out.  The rows within ``_NEAR_MAX`` of the largest score, ascending, go
     through the chain ``_word_product`` again, and their traces np.trace of
-    the chain (not divided by dim) come back in row order.
+    the chain (not divided by dim) come back in row order.  At level 1 the
+    chain D X is not built: the same products d_i X_ii are summed in the
+    same order, at O(dim) cost.
     """
     valid = denoms >= 1e-30
     if not valid.any():
@@ -271,6 +289,9 @@ def _near_max_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarr
     r = np.where(valid, r, -np.inf)
     top = float(r.max())
     rows = np.flatnonzero(r >= top - _NEAR_MAX * max(top, 1.0))
+    if a_idx.shape[1] == 1:
+        # the trace of the chain D X reads only its diagonal
+        return rows, [(letters[a_idx[w, 0]] * np.diagonal(xs[x_idx[w, 0]])).sum() for w in rows]
     return rows, [np.trace(_word_product(letters[a_idx[w]], [xs[x] for x in x_idx[w]]))
                   for w in rows]
 
@@ -607,15 +628,16 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
         comp_sq = 0.0
         for i, si in enumerate(spans):
             for j, sj in enumerate(spans):
-                blk = xp[si, sj]
-                nsq = float(np.linalg.norm(blk) ** 2 / dim)
+                nsq = float(np.linalg.norm(xp[si, sj]) ** 2 / dim)
                 worst_a2 = max(worst_a2, abs(nsq - t * t))
                 if i == j:
                     comp_sq += nsq
                     worst_c2a = max(worst_c2a, np.sqrt(nsq))
-                    sv = np.linalg.svd(blk, compute_uv=False)
-                    worst_d2 = max(worst_d2, float(sv.sum() / dim))
         worst_c2b = max(worst_c2b, comp_sq)
+        # equal traces make the diagonal blocks one size, so they take one
+        # stacked SVD, which gives each block the bits of its own SVD
+        for sv in np.linalg.svd(np.stack([xp[si, si] for si in spans]), compute_uv=False):
+            worst_d2 = max(worst_d2, float(sv.sum() / dim))
     worst_b2 = 0.0
     for eta in etas:
         d = np.diagonal(eta)
@@ -712,10 +734,16 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     """Build a diagonal unitary with small power traces and word traces.
 
     Entries are order_L-th roots of unity assigned chunk by chunk; each
-    chunk choice minimizes the running objective (power traces plus
-    sampled level-1/2 word traces) over candidate phase chunks, and the
-    level-3 words enter the final report.  With no test elements the
-    result is a scrambled full cycle of dim-th roots of unity, whose
+    chunk choice minimizes the running objective (the power traces and
+    the sampled level-2 word traces) over 64 drawn candidate phase chunks,
+    or over all of them when order_L ** chunk <= 64.  Each level-2 word
+    keeps a running trace sum; a chunk adds its terms for every word and
+    candidate at once, as stacked (candidates x chunk) @ (chunk x 1)
+    matmuls indexed by each word's pair matrix and powers, and the first
+    candidate below the best value by more than 1e-15 wins.  The final
+    report checks the powers and the sampled level-1, 2 and 3 words; a
+    level-1 word's trace is read off the diagonal.  With no test elements
+    the result is a scrambled full cycle of dim-th roots of unity, whose
     nonzero power traces vanish identically.  ``delta`` is unread; the
     perfbench indep workload still passes it positionally.
     """
@@ -747,30 +775,28 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     roots = np.exp(2j * np.pi * np.arange(order_L) / order_L)
     n_x = len(xs)
     powers = [p for p in range(-n, n + 1) if p != 0]
+    n_p = len(powers)
     # levels 1, 2, 3; letter c is the pair (powers[c // n_x], xs[c % n_x])
-    words = [_level_words(len(powers) * n_x, k, max(1, budget // 3), rng)[0] for k in (1, 2, 3)]
+    words = [_level_words(n_p * n_x, k, max(1, budget // 3), rng)[0] for k in (1, 2, 3)]
 
-    # pair matrices for level-2 words: M[j,k] = x1[j,k] x2[k,j]
-    pair_mats = {}
-    for x1 in range(n_x):
-        for x2 in range(n_x):
-            pair_mats[(x1, x2)] = xs[x1] * xs[x2].T
+    # pair matrices of the level-2 words: pair[x1 * n_x + x2][j, k] = x1[j, k] x2[k, j]
+    pair = [a * b.T for a in xs for b in xs]
+    # level-2 word w has the powers p1[w], p2[w] (indices into powers) and
+    # the pair matrix pair[xx[w]]; it reads that matrix's products with
+    # power p2 (row r1_idx[w] of r1) and with power p1 (row c_idx[w] of r2
+    # and cms), each keyed xx * n_p + p
+    (p1, p2), (x1, x2) = (a.T for a in np.divmod(words[1], n_x))
+    xx = x1 * n_x + x2
+    r1_keys, r1_idx = np.unique(xx * n_p + p2, return_inverse=True)
+    c_keys, c_idx = np.unique(xx * n_p + p1, return_inverse=True)
 
     def powers_of(z):
-        # z ** p for each power p, with the conjugate for p < 0
-        return {p: z ** p if p > 0 else np.conj(z) ** (-p) for p in powers}
+        # z ** p stacked over the powers p, with the conjugate for p < 0
+        return np.array([z ** p if p > 0 else np.conj(z) ** (-p) for p in powers])
 
     v = np.zeros(dim, dtype=np.complex128)
-    power_sums = {k: 0.0 + 0.0j for k in range(1, n + 1)}
-    # running level-2 word sums
-    l2_words = []
-    for w in words[1].tolist():
-        p1, x1 = powers[w[0] // n_x], w[0] % n_x
-        p2, x2 = powers[w[1] // n_x], w[1] % n_x
-        l2_words.append({"p": (p1, p2), "xx": (x1, x2), "sum": 0.0 + 0.0j})
-    # the (pair, power) keys of the products that the level-2 words read
-    r1_keys = sorted({(wd["xx"], wd["p"][1]) for wd in l2_words})
-    c_keys = sorted({(wd["xx"], wd["p"][0]) for wd in l2_words})
+    power_sums = np.zeros(n, dtype=np.complex128)  # tau(v^k) dim, k = 1..n
+    sums = np.zeros(len(xx), dtype=np.complex128)  # running level-2 word sums
 
     n_cands = 64
     for s0 in range(0, dim, chunk):
@@ -783,45 +809,39 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
             # of n_cands successive draws of csize
             cands = roots[rng.integers(0, order_L, size=(n_cands, csize))]
         vp, cp = powers_of(v), powers_of(cands)
-        # one row per objective term, one column per candidate
-        terms = [np.abs(power_sums[k] + np.sum(cp[k], axis=1)) / dim for k in range(1, n + 1)]
-        # each product depends on one pair matrix and one power: take it once
-        r1s = {(xx, p): pair_mats[xx][sl, :] @ vp[p] for xx, p in r1_keys}   # delta1 . r1
-        r2s = {(xx, p): vp[p] @ pair_mats[xx][:, sl] for xx, p in c_keys}    # r2 . delta2
-        cms = {(xx, p): cp[p] @ pair_mats[xx][sl, sl] for xx, p in c_keys}
-        sums = []
-        for wd in l2_words:
-            p1, p2 = wd["p"]
-            xx = wd["xx"]
-            c1, c2 = cp[p1], cp[p2]
-            snew = (wd["sum"] + c1 @ r1s[xx, p2] + c2 @ r2s[xx, p1]
-                    + (cms[xx, p1] * c2).sum(axis=1))
-            sums.append(snew)
-            terms.append(np.abs(snew) / dim)
-        vals = np.max(terms, axis=0)
+        # each product depends on one pair matrix and one power: take it
+        # once; r1 pairs with delta1, r2 with delta2
+        r1 = np.array([pair[k // n_p][sl, :] @ vp[k % n_p] for k in r1_keys.tolist()])
+        r2 = np.array([vp[k % n_p] @ pair[k // n_p][:, sl] for k in c_keys.tolist()])
+        cms = np.array([cp[k % n_p] @ pair[k // n_p][sl, sl] for k in c_keys.tolist()])
+        # one row per level-2 word, one column per candidate; a stacked
+        # matmul of (candidates x csize) @ (csize x 1) keeps the bits of C @ r
+        c1, c2 = cp[p1], cp[p2]
+        snew = (sums[:, None] + np.matmul(c1, r1[r1_idx][..., None])[..., 0]
+                + np.matmul(c2, r2[c_idx][..., None])[..., 0] + (cms[c_idx] * c2).sum(axis=2))
+        # each candidate's objective: its largest power term (cp[n:] holds
+        # the powers 1..n) and its largest word term
+        vals = np.maximum(np.abs(power_sums[:, None] + cp[n:].sum(axis=2)).max(axis=0),
+                          np.abs(snew).max(axis=0)) / dim
         best_val, best = np.inf, None
         for c, val in enumerate(vals.tolist()):
             if val < best_val - 1e-15:
                 best_val, best = val, c
-        best_cand = cands[best]
-        v[sl] = best_cand
-        for k in range(1, n + 1):
-            power_sums[k] += np.sum(best_cand ** k)
-        for wd, snew in zip(l2_words, sums):
-            wd["sum"] = snew[best]
+        v[sl] = cands[best]
+        power_sums += cp[n:, best].sum(axis=1)
+        sums = snew[:, best]
 
     # final verification: powers, and all sampled words including level 3;
     # the kernel screens, the chain evaluates the words near the maximum
     eta = max(abs(np.sum(v ** k)) / dim for k in range(1, n + 1))
-    vp = powers_of(v)
-    letters = np.array([vp[p] for p in powers])
+    letters = powers_of(v)
     delta_prime = 0.0
     for rows in words:
         # the level holding the largest chain value has that word near its own maximum
         for t in _near_max_traces(letters, xs, *np.divmod(rows, n_x), np.ones(len(rows)))[1]:
             delta_prime = max(delta_prime, abs(t) / dim)
     evaluated = sum(len(rows) for rows in words)
-    total_possible = sum((len(powers) * n_x) ** k for k in (1, 2, 3))
+    total_possible = sum((n_p * n_x) ** k for k in (1, 2, 3))
     report = PatchReport(
         power_residual=float(eta),
         word_residual=float(delta_prime),

@@ -1,5 +1,7 @@
 """CLI subcommands, artifacts, manifests, and exit codes."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -144,6 +146,21 @@ def test_free_conj_csv(tmp_path, capsys):
         cells = line.split(",")
         assert float(cells[5]) == pytest.approx(bound)
         assert float(cells[6]) == pytest.approx(float(cells[4]) - bound, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "--op", "kesten", "--dim", "8"),
+    ("curve", "--dim", "16", "--budget", "20", "--eps-grid", "0.6"),
+])
+def test_csv_on_stdout_keeps_its_manifest_on_stderr(capsys, argv):
+    assert main([*argv, "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert len(rows) >= 2 and all(len(row) == len(rows[0]) for row in rows)
+    manifest = json.loads(captured.err)
+    assert list(manifest) == ["config", "versions", "seeds"]
+    assert manifest["config"]["subcommand"] == argv[0]
+    assert manifest["config"]["format"] == "csv"
 
 
 def test_free_kesten_json(capsys):

@@ -27,10 +27,13 @@ from pavlab.independence import (
     ConditionCheck,
     Cor37Report,
     IndependenceReport,
+    PatchReport,
     _block_letters,
     _alpha_inputs,
     _center_and_normalize,
     _letters_from,
+    _level_words,
+    _near_max_traces,
     _word_product,
     _word_traces,
     build_independent_partition,
@@ -217,6 +220,26 @@ def test_word_traces_equal_the_chain_property(data):
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
+def test_level_one_trace_equals_the_chain_property(data):
+    # at level 1 the near-max step sums d_i X_ii instead of tracing the chain D X
+    dim = data.draw(st.integers(1, 200))
+    fourier = dim > 1 and data.draw(st.booleans())
+    frame = perpendicular_frame(dim) if fourier else MasaFrame.identity(dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    x = frame.to_frame(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    letters = np.array([rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+                        np.exp(2j * np.pi * rng.integers(0, 8, size=dim) / 8),
+                        Partition(np.arange(dim) % 2, 2, frame).roots_of_unity_diagonal()])
+    for a in range(len(letters)):
+        rows, traces = _near_max_traces(letters, [x], np.array([[a]]), np.array([[0]]),
+                                        np.ones(1))
+        assert rows.tolist() == [0]
+        want = np.trace(_word_product([letters[a]], [x]))
+        assert np.array([traces[0]]).tobytes() == np.array([want]).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
 def test_k_independence_report_equals_reference_property(data):
     dim = data.draw(st.integers(2, 10))
     frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
@@ -332,6 +355,26 @@ def test_per_tail_order_keeps_letters_with_distinct_columns(monkeypatch, dim, j)
     blocks = [frame.diagonal_element(rng.standard_normal(dim)) for _ in range(3)]
     _check_kernel_and_report(monkeypatch, blocks, [haar_model(dim, dim)], frame, j,
                              grouped=False)
+
+
+def test_many_grouped_leaves_take_the_per_tail_order(monkeypatch):
+    # dim 32, 16 blocks, two test elements, 2000 level-4 words: the grouped
+    # order has 16 x keys times 256 tuples of groups, 4096 leaves, whose
+    # fixed cost outweighs the flops it saves
+    dim, j = 32, 4
+    frame = MasaFrame.identity(dim)
+    part = Partition(np.random.default_rng(dim).permutation(np.arange(dim) % 16), 16, frame)
+    _, diags = _block_letters(part)
+    xs = [frame.to_frame(x) for x in _center_and_normalize(
+        [haar_model(dim, 10 * dim + s) for s in range(2)], frame)]
+    combos = np.random.default_rng(j).integers(0, len(diags) * 2, size=(2000, j))
+    a_idx, x_idx = np.divmod(combos, 2)
+    levels = _count_grouped(monkeypatch)
+    got = _word_traces(np.array(diags), xs, a_idx, x_idx)
+    assert levels == []
+    for w in range(0, 2000, 8):
+        m = _word_product([diags[a] for a in a_idx[w]], [xs[x] for x in x_idx[w]])
+        assert abs(got[w] - np.trace(m) / dim) <= 1e-12
 
 
 def test_patch_check_keeps_the_per_tail_order(monkeypatch):
@@ -755,6 +798,99 @@ def test_patch_haar_model_residuals_small():
     assert rep.power_residual <= 0.1
     assert rep.word_residual <= 0.15
     assert 0 < rep.coverage <= 1.0
+
+
+def reference_incremental_patch_haar(X, n, delta, order_L, budget, seed):
+    """incremental_patch_haar with its earlier chunk objective: one dict per
+    level-2 word and a Python loop over the words in every chunk.  The
+    final check is the library's.  Test elements must be given."""
+    rng = rng_for(seed, 0x9A7)
+    dim = X[0].shape[0]
+    xs = _center_and_normalize(X, MasaFrame.identity(dim))
+    chunk = max(1, dim // 32)
+    roots = np.exp(2j * np.pi * np.arange(order_L) / order_L)
+    n_x = len(xs)
+    powers = [p for p in range(-n, n + 1) if p != 0]
+    words = [_level_words(len(powers) * n_x, k, max(1, budget // 3), rng)[0] for k in (1, 2, 3)]
+    pair_mats = {(x1, x2): xs[x1] * xs[x2].T for x1 in range(n_x) for x2 in range(n_x)}
+
+    def powers_of(z):
+        return {p: z ** p if p > 0 else np.conj(z) ** (-p) for p in powers}
+
+    v = np.zeros(dim, dtype=np.complex128)
+    power_sums = {k: 0.0 + 0.0j for k in range(1, n + 1)}
+    l2_words = []
+    for w in words[1].tolist():
+        p1, x1 = powers[w[0] // n_x], w[0] % n_x
+        p2, x2 = powers[w[1] // n_x], w[1] % n_x
+        l2_words.append({"p": (p1, p2), "xx": (x1, x2), "sum": 0.0 + 0.0j})
+    r1_keys = sorted({(wd["xx"], wd["p"][1]) for wd in l2_words})
+    c_keys = sorted({(wd["xx"], wd["p"][0]) for wd in l2_words})
+    n_cands = 64
+    for s0 in range(0, dim, chunk):
+        sl = slice(s0, min(s0 + chunk, dim))
+        csize = sl.stop - s0
+        if order_L ** csize <= n_cands:
+            cands = np.array(list(itertools.product(roots, repeat=csize)))
+        else:
+            cands = roots[rng.integers(0, order_L, size=(n_cands, csize))]
+        vp, cp = powers_of(v), powers_of(cands)
+        terms = [np.abs(power_sums[k] + np.sum(cp[k], axis=1)) / dim for k in range(1, n + 1)]
+        r1s = {(xx, p): pair_mats[xx][sl, :] @ vp[p] for xx, p in r1_keys}
+        r2s = {(xx, p): vp[p] @ pair_mats[xx][:, sl] for xx, p in c_keys}
+        cms = {(xx, p): cp[p] @ pair_mats[xx][sl, sl] for xx, p in c_keys}
+        sums = []
+        for wd in l2_words:
+            p1, p2 = wd["p"]
+            xx = wd["xx"]
+            c1, c2 = cp[p1], cp[p2]
+            snew = (wd["sum"] + c1 @ r1s[xx, p2] + c2 @ r2s[xx, p1]
+                    + (cms[xx, p1] * c2).sum(axis=1))
+            sums.append(snew)
+            terms.append(np.abs(snew) / dim)
+        vals = np.max(terms, axis=0)
+        best_val, best = np.inf, None
+        for c, val in enumerate(vals.tolist()):
+            if val < best_val - 1e-15:
+                best_val, best = val, c
+        best_cand = cands[best]
+        v[sl] = best_cand
+        for k in range(1, n + 1):
+            power_sums[k] += np.sum(best_cand ** k)
+        for wd, snew in zip(l2_words, sums):
+            wd["sum"] = snew[best]
+
+    eta = max(abs(np.sum(v ** k)) / dim for k in range(1, n + 1))
+    vp = powers_of(v)
+    letters = np.array([vp[p] for p in powers])
+    delta_prime = 0.0
+    for rows in words:
+        for t in _near_max_traces(letters, xs, *np.divmod(rows, n_x), np.ones(len(rows)))[1]:
+            delta_prime = max(delta_prime, abs(t) / dim)
+    evaluated = sum(len(rows) for rows in words)
+    total_possible = sum((len(powers) * n_x) ** k for k in (1, 2, 3))
+    report = PatchReport(float(eta), float(delta_prime), evaluated, evaluated / total_possible,
+                         chunk)
+    return TracedMatrix(np.diag(v)), report
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_patch_equals_the_per_word_loop_property(data):
+    # chunk is 1 below dim 64, where the chunk's own block M[sl, sl] is the
+    # zero diagonal of the centered pair matrix; at dim 64 it is 2
+    dim = data.draw(st.one_of(st.integers(8, 63), st.just(64)))
+    X = [haar_model(dim, data.draw(st.integers(0, 2 ** 16)))
+         for _ in range(data.draw(st.integers(1, 2)))]
+    n = data.draw(st.integers(1, 3))
+    # order_L ** chunk <= 64 makes the candidates exhaustive
+    order_L = dim * data.draw(st.integers(1, 8))
+    budget = data.draw(st.sampled_from([3, 30, 300, 2000]))
+    seed = data.draw(st.integers(0, 100))
+    got = incremental_patch_haar(X, n, 0.1, order_L, budget, seed)
+    want = reference_incremental_patch_haar(X, n, 0.1, order_L, budget, seed)
+    assert np.diagonal(got[0].entries).tobytes() == np.diagonal(want[0].entries).tobytes()
+    assert json.dumps(got[1].to_json_dict()) == json.dumps(want[1].to_json_dict())
 
 
 # (dim, test-element seeds, n, order_L, budget, seed): order_L ** chunk <= 64 at
