@@ -74,36 +74,58 @@ class NormExperimentReport(JsonReport):
 
 
 def _haar(dim: int, rng) -> np.ndarray:
-    """QR of a complex Ginibre matrix, column phases fixed by diag(R)."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    """QR of a complex Ginibre matrix, column phases fixed by diag(R).
+
+    The Ginibre matrix is drawn into one complex buffer and the phases are
+    divided out of q in place: the bits of (g1 + i g2) / sqrt(2) and of
+    q / phases, without their dim x dim temporaries.
+    """
+    z = np.empty((dim, dim), dtype=np.complex128)
+    z.real = rng.standard_normal((dim, dim))
+    z.imag = rng.standard_normal((dim, dim))
+    z /= np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q / (d / np.abs(d))
+    q /= d / np.abs(d)
+    return q
 
 
 def _zero_diag_haar(dim: int, rng) -> np.ndarray:
+    """A Haar unitary with its diagonal zeroed in place, at unit norm: the
+    bits of u - diag(u) divided by its norm.  The division is not in place,
+    so the array whose norm was taken keeps its entries."""
     u = _haar(dim, rng)
-    x = u - np.diag(np.diagonal(u))
-    return x / op_norm(x)
+    np.fill_diagonal(u, 0)
+    return u / op_norm(u)
+
+
+def _rng(spec: EnsembleSpec) -> np.random.Generator:
+    """The stream that a spec's sample draws from."""
+    return rng_for(spec.seed, _KIND_TAGS[spec.kind], spec.dim)
+
+
+def _roots_of_unity_values(spec: EnsembleSpec) -> np.ndarray:
+    """The diagonal of a roots_of_unity_diag sample: each order-th root with
+    multiplicity dim/order, slots in seeded-shuffled order."""
+    reps = spec.dim // spec.order
+    vals = np.repeat(np.exp(2j * np.pi * np.arange(spec.order) / spec.order), reps)
+    _rng(spec).shuffle(vals)
+    return vals
 
 
 def sample(spec: EnsembleSpec) -> TracedMatrix:
-    rng = rng_for(spec.seed, _KIND_TAGS[spec.kind], spec.dim)
+    if spec.kind == "roots_of_unity_diag":
+        return TracedMatrix(np.diag(_roots_of_unity_values(spec)))
+    rng = _rng(spec)
     if spec.kind == "haar_unitary":
         return TracedMatrix(_haar(spec.dim, rng))
     if spec.kind == "zero_diag_haar":
         return TracedMatrix(_zero_diag_haar(spec.dim, rng))
-    if spec.kind == "random_projection":
-        k = round(spec.trace * spec.dim)
-        v = _haar(spec.dim, rng)
-        cols = v[:, :k]
-        return TracedMatrix(cols @ cols.conj().T)
-    # roots_of_unity_diag: each n-th root with multiplicity dim/order,
-    # slots in seeded-shuffled order
-    reps = spec.dim // spec.order
-    vals = np.repeat(np.exp(2j * np.pi * np.arange(spec.order) / spec.order), reps)
-    rng.shuffle(vals)
-    return TracedMatrix(np.diag(vals))
+    # random_projection
+    k = round(spec.trace * spec.dim)
+    v = _haar(spec.dim, rng)
+    cols = v[:, :k]
+    return TracedMatrix(cols @ cols.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +163,12 @@ def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperiment
     if n < 1 or dim % n != 0:
         raise ValueError(f"n={n} must divide dim={dim}")
     u = _zero_diag_haar(dim, rng_for(seed, 0xC07, 0))
-    v = sample(EnsembleSpec("roots_of_unity_diag", dim, seed, order=n)) if n > 1 else None
-
     if n == 1:
         measured = op_norm(u)
         return NormExperimentReport(measured, 1.0, measured - 1.0, n, dim, seed)
 
-    d = np.diagonal(v.entries)
+    # the eigenvalues of the roots_of_unity_diag sample, without its dim x dim matrix
+    d = _roots_of_unity_values(EnsembleSpec("roots_of_unity_diag", dim, seed, order=n))
     avg = np.zeros_like(u)
     for j in range(n):
         phase = d ** j

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_vn import MasaFrame, TracedMatrix, _as_entries, conditional_expectation, l2_norm
+from .finite_vn import MasaFrame, TracedMatrix, _as_entries, _expectation, l2_norm
 from .matrix_io import JsonReport
 from .paving import Partition, _balanced_halves, _pick_swap
 from .seeds import rng_for
@@ -69,7 +69,7 @@ def _center_and_normalize(X, frame: MasaFrame) -> list[np.ndarray]:
     out = []
     for x in X:
         a = _as_entries(x)
-        a = a - conditional_expectation(a, frame).entries
+        a = a - _expectation(a, frame)
         nrm = l2_norm(a)
         if nrm > 1e-14:
             out.append(a / nrm)
@@ -385,6 +385,15 @@ class MixingSignResult:
     evaluations: int
 
 
+@dataclass(frozen=True)
+class _SignSearch:
+    """What ``_search_signs`` finds; the builder reads no unitary."""
+
+    signs: np.ndarray
+    objective: float
+    evaluations: int
+
+
 class _SignObjective:
     """max of |tau(u xi1* u* xi2)| pair terms and |tau(u eta)|/||eta||_1 terms.
 
@@ -452,7 +461,7 @@ class _SignObjective:
 
 
 def _search_signs(obj: _SignObjective, frame: MasaFrame, blocks: Partition, delta: float,
-                  budget: int, seed: int) -> MixingSignResult:
+                  budget: int, seed: int) -> _SignSearch:
     """The restarts of ``find_mixing_sign_unitary`` on a prepared objective."""
     block_idx = [idx for idx in (blocks.block_indices(b) for b in range(blocks.n_blocks))
                  if idx.size > 0]
@@ -481,9 +490,7 @@ def _search_signs(obj: _SignObjective, frame: MasaFrame, blocks: Partition, delt
             best = (cur, obj.s.copy(), w)
         if best[0] <= delta:
             break
-    signs = best[1]
-    u = frame.diagonal_element(signs.astype(np.complex128))
-    return MixingSignResult(unitary=u, signs=signs, objective=float(best[0]), evaluations=spent)
+    return _SignSearch(signs=best[1], objective=float(best[0]), evaluations=spent)
 
 
 def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
@@ -503,7 +510,10 @@ def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
         size = blocks.block_indices(b).size
         if size % 2 != 0:
             raise ValueError(f"block {b} has odd size {size}; balanced signs need even blocks")
-    return _search_signs(_SignObjective(X, Y, frame), frame, blocks, delta, budget, seed)
+    res = _search_signs(_SignObjective(X, Y, frame), frame, blocks, delta, budget, seed)
+    return MixingSignResult(unitary=frame.diagonal_element(res.signs.astype(np.complex128)),
+                            signs=res.signs, objective=res.objective,
+                            evaluations=res.evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_vn import SVD_DIM_LIMIT, MasaFrame, TracedMatrix, _as_entries, op_norm
+from .finite_vn import SVD_DIM_LIMIT, UNITARY_TOL, MasaFrame, TracedMatrix, _as_entries, op_norm
 from .matrix_io import JsonReport
 from .seeds import rng_for
 
@@ -243,13 +243,14 @@ def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: fl
 # Dixmier averaging
 # ---------------------------------------------------------------------------
 
-def _check_masa_unitary(v: np.ndarray, frame: MasaFrame, tol: float = 1e-10) -> np.ndarray:
-    """Return the frame-diagonal of v, refusing non-unitary or off-frame input."""
+def _check_masa_unitary(v: np.ndarray, frame: MasaFrame) -> np.ndarray:
+    """Return the frame-diagonal of v, refusing non-unitary or off-frame
+    input (deviation above UNITARY_TOL)."""
     d = frame.to_frame(v)
     diag = np.diagonal(d).copy()
-    if np.abs(d - np.diag(diag)).max() > tol:
+    if np.abs(d - np.diag(diag)).max() > UNITARY_TOL:
         raise ValueError("averaging unitary is not diagonal in the frame")
-    if np.abs(np.abs(diag) - 1.0).max() > tol:
+    if np.abs(np.abs(diag) - 1.0).max() > UNITARY_TOL:
         raise ValueError("averaging element is not unitary")
     return diag
 

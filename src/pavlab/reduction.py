@@ -13,10 +13,20 @@ Exact trace matching for the dilation is impossible on a discrete trace
 grid; the corner element is shifted by a scalar gamma < t/(s+m) so the
 dilated g is an exact projection with exactly constant diagonal at the
 shifted anchor, and gamma is recorded.
+
+The pipeline holds a dense dim x dim matrix only while a later step reads
+it.  The paver receives the (s+m) x (s+m) corner of g, so the full-size g
+is built only when a caller reads ``DilationResult.g``; the normalized
+element is dropped once it is flattened, a component once it is scaled,
+and an exactly zero component (the imaginary part of a self-adjoint
+input) is never kept.  Internal steps take E_A as an array
+(``finite_vn._expectation``), without the copy and finiteness scan of a
+TracedMatrix.
 """
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +35,7 @@ from .finite_vn import (
     TracedMatrix,
     _as_entries,
     _dft_matrix,
-    conditional_expectation,
+    _expectation,
     op_norm,
 )
 from .matrix_io import JsonReport
@@ -81,7 +91,7 @@ def _normalize_with_spectrum(x, frame: MasaFrame) -> tuple[np.ndarray, np.ndarra
     a = _as_entries(x)
     if np.abs(a - a.conj().T).max() > 1e-10:
         raise ValueError("input must be self-adjoint")
-    if np.abs(conditional_expectation(a, frame).entries).max() > 1e-10:
+    if np.abs(_expectation(a, frame)).max() > 1e-10:
         raise ValueError("input must have zero expectation on the MASA")
     y0 = (a + 5.0 * np.eye(a.shape[0])) / 12.0
     ev = np.linalg.eigvalsh(y0)
@@ -161,11 +171,15 @@ def flatten(y0, bands: list[Band], eps: float, frame: MasaFrame | None = None) -
         raise ValueError("band scaling escaped [1, 1 + eps/2]; slots assigned to wrong bands")
     scale = 1.0 / np.sqrt(b)
     y = frame.from_frame(z * np.outer(scale, scale))
-    drift = op_norm(m - y)
+    delta = m - y
+    drift = op_norm(delta)
     if drift > eps / 4 + 1e-12:
         raise AssertionError(f"flatten drift {drift:.3e} exceeds eps/4")
-    delta = m - y
-    transfer = op_norm(delta - conditional_expectation(delta, frame).entries)
+    # y0 - y is formed once: the drift reads it, then it becomes its
+    # off-expectation part in place, with the bits of delta - E_A(delta)
+    delta -= _expectation(delta, frame)
+    transfer = op_norm(delta)
+    del delta
     yy = frame.to_frame(y)
     for band in bands:
         dev = np.abs(np.real(np.diagonal(yy))[band.slots] - band.anchor).max()
@@ -180,7 +194,14 @@ def flatten(y0, bands: list[Band], eps: float, frame: MasaFrame | None = None) -
 
 @dataclass(frozen=True)
 class DilationResult:
-    g: TracedMatrix          # the projection, full size, frame conjugated
+    """The dilated corner and its checks.
+
+    The pipeline reads the (s+m) x (s+m) ``corner`` only.  The full-size
+    projection ``g``, the corner scattered onto its slots and conjugated out
+    of the frame, is built on first read: a dim x dim matrix, and two dim^3
+    products in a non-identity frame.
+    """
+
     corner: np.ndarray       # (s+m) x (s+m) block: [e-part, p-part] coordinates
     e_slots: np.ndarray
     p_slots: np.ndarray
@@ -188,6 +209,15 @@ class DilationResult:
     shift: float             # gamma, the scalar absorbed to match the trace grid
     g2_dev: float
     diag_dev: float
+    frame: MasaFrame
+
+    @cached_property
+    def g(self) -> TracedMatrix:
+        """The projection, full size, frame conjugated."""
+        full = np.zeros((self.frame.dim, self.frame.dim), dtype=np.complex128)
+        slots = np.concatenate([self.e_slots, self.p_slots])
+        full[np.ix_(slots, slots)] = self.corner
+        return TracedMatrix(self.frame.from_frame(full))
 
 
 def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None) -> DilationResult:
@@ -244,22 +274,49 @@ def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None)
     g2_dev = float(np.abs(corner @ corner - corner).max())
     diag_dev = float(np.abs(np.real(np.diagonal(corner)) - t_prime).max()
                      + np.abs(np.imag(np.diagonal(corner))).max())
-
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    slots = np.concatenate([e_slots, p_slots])
-    full[np.ix_(slots, slots)] = corner
-    g = TracedMatrix(frame.from_frame(full))
-    return DilationResult(g, corner, e_slots, p_slots, float(t_prime), float(gamma),
-                          g2_dev, diag_dev)
+    return DilationResult(corner, e_slots, p_slots, float(t_prime), float(gamma),
+                          g2_dev, diag_dev, frame)
 
 
 # ---------------------------------------------------------------------------
 # The full pipeline
 # ---------------------------------------------------------------------------
 
+def _nonzero_components(centered: np.ndarray) -> tuple[float, list]:
+    """The reassembly error of :func:`split_real_imag` on centered, and its
+    (label, entries) components that are not exactly zero; the imaginary
+    part of a self-adjoint input is."""
+    y1, y2 = split_real_imag(centered)
+    # y1 + i y2 - centered, formed in one buffer: addition commutes, so the
+    # bits are those of the left-to-right sum
+    r = 1j * y2.entries
+    r += y1.entries
+    r -= centered
+    return np.abs(r).max(), [(label, c.entries) for label, c in (("real", y1), ("imag", y2))
+                             if c.entries.any()]
+
+
 def _quarter_split(slots: np.ndarray) -> list[np.ndarray]:
     """Four contiguous quarters in frame order, remainders to the first."""
     return [q for q in np.array_split(slots, 4) if q.size]
+
+
+def _flatten_component(z: np.ndarray, eps: float, frame: MasaFrame,
+                       trace: ReductionTrace) -> tuple[list[Band], FlattenResult]:
+    """Normalize z into the window, slice its expectation into bands and
+    flatten it; y0 is not held past the flattening."""
+    y0, ev = _normalize_with_spectrum(z, frame)
+    trace.add("normalize_window", max(1 / 3 - ev.min(), ev.max() - 0.5), 1e-10,
+              lo=float(ev.min()), hi=float(ev.max()))
+
+    bands = band_slices(_expectation(y0, frame), eps, frame)
+    trace.band_count = max(trace.band_count, len(bands))
+    trace.anchors = tuple(sorted(set(trace.anchors) | {b.anchor for b in bands}))
+    trace.add("band_count", len(bands), 1 / eps + 1)
+
+    flat = flatten(y0, bands, eps, frame)
+    trace.add("flatten_drift", flat.drift, eps / 4)
+    return bands, flat
 
 
 def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFrame,
@@ -269,18 +326,7 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFram
     z must be self-adjoint, centered, unit operator norm.
     """
     dim = frame.dim
-    y0, ev = _normalize_with_spectrum(z, frame)
-    trace.add("normalize_window", max(1 / 3 - ev.min(), ev.max() - 0.5), 1e-10,
-              lo=float(ev.min()), hi=float(ev.max()))
-
-    a = conditional_expectation(y0, frame)
-    bands = band_slices(a, eps, frame)
-    trace.band_count = max(trace.band_count, len(bands))
-    trace.anchors = tuple(sorted(set(trace.anchors) | {b.anchor for b in bands}))
-    trace.add("band_count", len(bands), 1 / eps + 1)
-
-    flat = flatten(y0, bands, eps, frame)
-    trace.add("flatten_drift", flat.drift, eps / 4)
+    bands, flat = _flatten_component(z, eps, frame, trace)
     y = frame.to_frame(flat.y.entries)
 
     # the affine normalization is undone by a factor 12, so corner defects
@@ -304,6 +350,7 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFram
             base_g = max(1.0 - dil.anchor, dil.anchor)
             target_ratio = max(0.0, (target_abs - dil.shift)) / base_g
             part = projection_paver(dil.corner, target_ratio, seed + corner_id)
+            del dil  # its corner is paved; the next corner builds its own
             n_proj_max = max(n_proj_max, part.effective_blocks)
             s = quarter.size
             # restrict the corner paving to the e-part of the corner: one new
@@ -361,20 +408,19 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
         return part, trace, report
 
     # in the identity frame x - E_A(x) is off itself, bit for bit
-    centered = off if frame.is_identity else a - conditional_expectation(a, frame).entries
-    y1, y2 = split_real_imag(centered)
-    reassembly = np.abs(y1.entries + 1j * y2.entries - centered).max()
+    reassembly, comps = _nonzero_components(
+        off if frame.is_identity else a - _expectation(a, frame))
     trace.add("real_imag_reassembly", reassembly, 1e-14)
 
     parts = []
-    for label, comp in (("real", y1.entries), ("imag", y2.entries)):
-        if not comp.any():
-            continue
+    while comps:
+        label, comp = comps.pop(0)
         same_as_off = frame.is_identity and np.array_equal(comp.view(np.int64), off.view(np.int64))
         nrm = base if same_as_off else op_norm(comp)
         if nrm < DEGENERATE_NORM:
             continue
         z = comp / nrm
+        del comp  # the pipeline reads the scaled component only
         labels = _pave_component(z, eps, projection_paver, frame, seed, trace)
         part = Partition.from_labels(labels, frame)
         rep = paving_defect(z, part, eps=eps, strategy=f"reduction/{label}", seed=seed)

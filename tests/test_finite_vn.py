@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pavlab import (
     MasaFrame,
@@ -12,6 +14,7 @@ from pavlab import (
     op_norm,
     perpendicular_frame,
 )
+from pavlab.finite_vn import _dft_matrix, _expectation
 
 
 def random_matrix(dim, seed):
@@ -161,6 +164,23 @@ def test_conditional_expectation_properties_random_frames():
         b = frame.diagonal_element(rng.standard_normal(16)).entries
         lhs = conditional_expectation(a @ x @ b, frame).entries
         assert np.allclose(lhs, a @ ex.entries @ b, atol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_expectation_array_equals_the_wrapper_property(data):
+    # the internal steps read E_A as an array; it must hold the wrapper's bytes
+    dim = data.draw(st.integers(1, 64), label="dim")
+    # the Fourier frame at dim 1 is the 1 x 1 identity
+    fourier = data.draw(st.booleans(), label="fourier")
+    frame = MasaFrame(_dft_matrix(dim)) if fourier else MasaFrame.identity(dim)
+    x = random_matrix(dim, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="traced"):
+        x = TracedMatrix(x)
+    got = _expectation(x, frame)
+    want = conditional_expectation(x, frame).entries
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_perpendicular_frame_dim2():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavlab import MasaFrame, Partition, compress, normalized_trace, op_norm, paving
+from pavlab import MasaFrame, Partition, compress, free_model, normalized_trace, op_norm, paving
 from pavlab.free_model import (
     EnsembleSpec,
     conjugation_paving_experiment,
@@ -20,6 +20,7 @@ from pavlab.free_model import (
     projection_paving_experiment,
     sample,
 )
+from pavlab.seeds import rng_for
 
 
 # -- EnsembleSpec / sample ---------------------------------------------------
@@ -60,6 +61,36 @@ def test_zero_diag_haar_properties():
     x = sample(EnsembleSpec("zero_diag_haar", 32, 1)).entries
     assert np.abs(np.diagonal(x)).max() == 0
     assert op_norm(x) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_haar(dim, rng):
+    """The expression form that the one-buffer ``_haar`` replaces."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q / (d / np.abs(d))
+
+
+def reference_zero_diag_haar(dim, rng):
+    """The subtraction form that the in-place zeroing of ``_zero_diag_haar`` replaces."""
+    u = reference_haar(dim, rng)
+    x = u - np.diag(np.diagonal(u))
+    return x / op_norm(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_haar_sampling_equals_the_expression_forms_property(data):
+    # every workload's inputs are drawn here, so the bits must not move
+    dim = data.draw(st.integers(1, 256), label="dim")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    got = free_model._haar(dim, rng_for(seed, 0xC07, dim))
+    want = reference_haar(dim, rng_for(seed, 0xC07, dim))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if dim >= 2:
+        got = free_model._zero_diag_haar(dim, rng_for(seed, 0xC07, dim))
+        want = reference_zero_diag_haar(dim, rng_for(seed, 0xC07, dim))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_random_projection_trace_and_idempotence():

@@ -299,6 +299,50 @@ def test_reduce_takes_three_full_size_norms(monkeypatch):
     assert sizes.count(128) == 3
 
 
+def benchmark_reduce_input(dim, seed):
+    """The reduce benchmark's input: a Hermitian Haar model at unit norm."""
+    a = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed)).entries
+    a = (a + a.conj().T) / 2
+    return a / op_norm(a)
+
+
+@pytest.mark.parametrize("dim", [128, 256])
+def test_reduce_live_set_stays_within_seven_and_a_half_dense_matrices(dim):
+    # each dense dim x dim matrix is held only while a later step reads it:
+    # the traced peak reads 7.31 and 7.02 matrices at dims 128 and 256, and
+    # 13.9 and 13.8 with a full-size dilation per corner and spare copies.
+    # The bound of 7.5 is tighter than 9 so that each single regression
+    # fails it: an eager g, y0 or the unscaled component held through the
+    # corner loop, or a kept zero imaginary part read 8.02 to 8.31
+    import tracemalloc
+
+    x = benchmark_reduce_input(dim, 0)
+    reduce_and_pave(x, 0.6, make_block_paver(), seed=0)  # first-call set-up is not what is guarded
+    tracemalloc.start()
+    try:
+        reduce_and_pave(x, 0.6, make_block_paver(), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 16 * dim * dim, peak / (16 * dim * dim)
+
+
+def test_reduce_never_reads_the_full_size_dilation(monkeypatch):
+    reads, dilations = [], []
+    dilate = reduction.dilate_to_projection
+
+    def counted(*args, **kwargs):
+        dilations.append(args[1].size)
+        return dilate(*args, **kwargs)
+
+    monkeypatch.setattr(reduction.DilationResult, "g", property(lambda self: reads.append(1)))
+    monkeypatch.setattr(reduction, "dilate_to_projection", counted)
+    for frame in (None, perpendicular_frame(16)):
+        reduce_and_pave(haar_model_selfadjoint(16, 7), 0.6, make_block_paver(), frame=frame,
+                        seed=1)
+    assert dilations and not reads
+
+
 def test_reduce_rejects_bad_eps():
     with pytest.raises(ValueError):
         reduce_and_pave(FLIP, 1.5, make_block_paver())

@@ -18,6 +18,7 @@ SRC = ROOT / "src" / "pavlab"
 # exported for the paper's setting, with no caller: name -> what it carries
 PAPER_IDENTITIES = {
     "normalized_trace": "the trace tau of the II_1 factor, tau(1) = 1 and tau(xy) = tau(yx)",
+    "conditional_expectation": "E_A, the trace-preserving A-bimodular projection onto the MASA",
     "perpendicular_frame": "the Fourier MASA, perpendicular to the diagonal one",
     "arc_partition": "the partition by the spectral arcs of a MASA unitary",
     "sign_split": "the eigenprojections of a period-2 unitary and their L2 paving bound",
