@@ -331,6 +331,11 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
     def q95(vals):
         return float(np.quantile(np.asarray(vals), 0.95))
 
+    def tolerance(vals, bound):
+        """The slack of the 95% quantile over the bound, rounded up to a
+        hundredth and never below 0, plus 0.01."""
+        return max(0.0, float(np.ceil((q95(vals) - bound) * 100) / 100)) + 0.01
+
     haar_hits = 0
     for s in seeds:
         u = _haar(dim_conj, rng_for(s, 0xCA1))
@@ -343,25 +348,25 @@ def calibrate(seeds, dim_conj: int = 1024, dim_proj: int = 2048, dim_kesten: int
         reports = [conjugation_paving_experiment(n, dim_conj, s) for s in seeds]
         vals = [r.measured_norm for r in reports]
         bound = reports[0].paper_bound
-        tol = max(0.0, float(np.ceil((q95(vals) - bound) * 100) / 100)) + 0.01
         conj[str(n)] = {
             "paper_bound": bound,
             "free_value": float(2 * np.sqrt(n - 1) / n) if n > 1 else 1.0,
             "measured_max": float(max(vals)),
             "measured_p95": q95(vals),
             "measured_median": float(np.median(vals)),
-            "tolerance": tol,
+            "tolerance": tolerance(vals, bound),
         }
     manifest["conjugation"] = conj
 
     proj_reports = [projection_paving_experiment(0.5, _CALIBRATION_PROJ_N, dim_proj, s) for s in seeds]
     block_vals = [r[0].measured_norm for r in proj_reports]
     half_vals = [r[1].measured_norm for r in proj_reports]
+    bound = proj_reports[0][0].paper_bound
     manifest["projection"] = {
-        "paper_bound": proj_reports[0][0].paper_bound,
+        "paper_bound": bound,
         "measured_max": float(max(block_vals)),
         "measured_p95": q95(block_vals),
-        "tolerance": max(0.0, float(np.ceil((q95(block_vals) - proj_reports[0][0].paper_bound) * 100) / 100)) + 0.01,
+        "tolerance": tolerance(block_vals, bound),
         "half_split_bound": proj_reports[0][1].paper_bound,
         "half_split_max": float(max(half_vals)),
     }

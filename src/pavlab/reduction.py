@@ -14,19 +14,22 @@ grid; the corner element is shifted by a scalar gamma < t/(s+m) so the
 dilated g is an exact projection with exactly constant diagonal at the
 shifted anchor, and gamma is recorded.
 
+Frame convention: in M_dim every MASA is U Diag U*, so paving x over it is
+paving U* x U over the diagonal MASA.  ``reduce_and_pave`` alone takes a
+frame; it writes x in frame coordinates once, and every step after it
+reads frame coordinates, where E_A keeps the diagonal.  Only the returned
+partition carries the caller's frame.
+
 The pipeline holds a dense dim x dim matrix only while a later step reads
-it.  The paver receives the (s+m) x (s+m) corner of g, so the full-size g
-is built only when a caller reads ``DilationResult.g``; the normalized
-element is dropped once it is flattened, a component once it is scaled,
-and an exactly zero component (the imaginary part of a self-adjoint
-input) is never kept.  Internal steps take E_A as an array
-(``finite_vn._expectation``), without the copy and finiteness scan of a
-TracedMatrix.
+it.  The paver receives the (s+m) x (s+m) corner of the dilated
+projection, which is never scattered to full size; the normalized element
+is dropped once it is flattened, a component once it is scaled, and an
+exactly zero component (the imaginary part of a self-adjoint input) is
+never kept.
 """
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .finite_vn import (
     TracedMatrix,
     _as_entries,
     _dft_matrix,
-    _expectation,
     op_norm,
 )
 from .matrix_io import JsonReport
@@ -85,13 +87,17 @@ def split_real_imag(x) -> tuple[TracedMatrix, TracedMatrix]:
     return TracedMatrix(y1), TracedMatrix(y2)
 
 
-def _normalize_with_spectrum(x, frame: MasaFrame) -> tuple[np.ndarray, np.ndarray]:
-    """(y0, eigenvalues of y0): the checks and the one eigvalsh of
-    :func:`normalize_selfadjoint`, whose spectrum the pipeline records."""
+def normalize_selfadjoint(x) -> tuple[np.ndarray, np.ndarray]:
+    """(y0, eigenvalues of y0) with y0 = (x + 5)/12, for x self-adjoint,
+    with zero diagonal and unit norm.
+
+    The affine map puts the spectrum inside [1/3, 1/2] (checked within
+    1e-10); paving is invariant under the map, so nothing is lost.
+    """
     a = _as_entries(x)
     if np.abs(a - a.conj().T).max() > 1e-10:
         raise ValueError("input must be self-adjoint")
-    if np.abs(_expectation(a, frame)).max() > 1e-10:
+    if np.abs(np.diagonal(a)).max() > 1e-10:
         raise ValueError("input must have zero expectation on the MASA")
     y0 = (a + 5.0 * np.eye(a.shape[0])) / 12.0
     ev = np.linalg.eigvalsh(y0)
@@ -100,34 +106,23 @@ def _normalize_with_spectrum(x, frame: MasaFrame) -> tuple[np.ndarray, np.ndarra
     return y0, ev
 
 
-def normalize_selfadjoint(x, frame: MasaFrame) -> TracedMatrix:
-    """y0 = (x + 5)/12 for centered unit-norm self-adjoint x.
-
-    The affine map puts the spectrum inside [1/3, 1/2] (checked within
-    1e-10); paving is invariant under the map, so nothing is lost.
-    """
-    return TracedMatrix(_normalize_with_spectrum(x, frame)[0])
-
-
 @dataclass(frozen=True)
 class Band:
     index: int          # 1-based band number
     anchor: float       # t_k = 1/3 + (k-1) eps/6, the band's left endpoint
-    slots: np.ndarray   # frame-basis indices whose expectation lies in the band
+    slots: np.ndarray   # indices whose expectation lies in the band
 
 
-def band_slices(a, eps: float, frame: MasaFrame | None = None) -> list[Band]:
-    """Spectral bands [1/3 + (k-1) eps/6, 1/3 + k eps/6) of a MASA element.
+def band_slices(a, eps: float) -> list[Band]:
+    """Spectral bands [1/3 + (k-1) eps/6, 1/3 + k eps/6) of E_A(a), the
+    diagonal of a.
 
     Nonzero bands only; their count is at most 1/eps + 1 because the
     window [1/3, 1/2] has width 1/6.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    m = _as_entries(a)
-    if frame is None:
-        frame = MasaFrame.identity(m.shape[0])
-    d = np.real(np.diagonal(frame.to_frame(m)))
+    d = np.real(np.diagonal(_as_entries(a)))
     if d.min() < 1 / 3 - 1e-9 or d.max() > 0.5 + 1e-9:
         raise ValueError("expectation values must lie in [1/3, 1/2]")
     width = eps / 6
@@ -143,23 +138,20 @@ def band_slices(a, eps: float, frame: MasaFrame | None = None) -> list[Band]:
 
 @dataclass(frozen=True)
 class FlattenResult:
-    y: TracedMatrix
-    scaling: np.ndarray     # the diagonal of b, in frame coordinates
+    y: np.ndarray
+    scaling: np.ndarray     # the diagonal of b
     drift: float            # ||y0 - y||
     transfer: float         # ||(y0 - y) - E_A(y0 - y)||, the paving-relevant part
 
 
-def flatten(y0, bands: list[Band], eps: float, frame: MasaFrame | None = None) -> FlattenResult:
+def flatten(y0, bands: list[Band], eps: float) -> FlattenResult:
     """y = b^(-1/2) y0 b^(-1/2) with b = sum_k a_k / t_k.
 
     Makes the expectation exactly constant (the band anchor) on every
     band, moving y0 by at most eps/4 in operator norm.
     """
     m = _as_entries(y0)
-    if frame is None:
-        frame = MasaFrame.identity(m.shape[0])
-    z = frame.to_frame(m)
-    d = np.real(np.diagonal(z))
+    d = np.real(np.diagonal(m))
     b = np.zeros(m.shape[0])
     covered = np.zeros(m.shape[0], dtype=bool)
     for band in bands:
@@ -170,22 +162,21 @@ def flatten(y0, bands: list[Band], eps: float, frame: MasaFrame | None = None) -
     if b.min() < 1 - 1e-12 or b.max() > 1 + eps / 2 + 1e-12:
         raise ValueError("band scaling escaped [1, 1 + eps/2]; slots assigned to wrong bands")
     scale = 1.0 / np.sqrt(b)
-    y = frame.from_frame(z * np.outer(scale, scale))
+    y = m * np.outer(scale, scale)
     delta = m - y
     drift = op_norm(delta)
     if drift > eps / 4 + 1e-12:
         raise AssertionError(f"flatten drift {drift:.3e} exceeds eps/4")
-    # y0 - y is formed once: the drift reads it, then it becomes its
-    # off-expectation part in place, with the bits of delta - E_A(delta)
-    delta -= _expectation(delta, frame)
+    # y0 - y is formed once: the drift reads it, then its diagonal is
+    # zeroed in place, with the bits of delta - E_A(delta)
+    np.fill_diagonal(delta, 0)
     transfer = op_norm(delta)
     del delta
-    yy = frame.to_frame(y)
     for band in bands:
-        dev = np.abs(np.real(np.diagonal(yy))[band.slots] - band.anchor).max()
+        dev = np.abs(np.real(np.diagonal(y))[band.slots] - band.anchor).max()
         if dev > 1e-9:
             raise AssertionError(f"flattened expectation deviates {dev:.3e} on band {band.index}")
-    return FlattenResult(TracedMatrix(y), b, float(drift), float(transfer))
+    return FlattenResult(y, b, float(drift), float(transfer))
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +185,8 @@ def flatten(y0, bands: list[Band], eps: float, frame: MasaFrame | None = None) -
 
 @dataclass(frozen=True)
 class DilationResult:
-    """The dilated corner and its checks.
-
-    The pipeline reads the (s+m) x (s+m) ``corner`` only.  The full-size
-    projection ``g``, the corner scattered onto its slots and conjugated out
-    of the frame, is built on first read: a dim x dim matrix, and two dim^3
-    products in a non-identity frame.
-    """
+    """The dilated projection g, held as its (s+m) x (s+m) ``corner`` on
+    the slots e_slots then p_slots (g is zero off them), and its checks."""
 
     corner: np.ndarray       # (s+m) x (s+m) block: [e-part, p-part] coordinates
     e_slots: np.ndarray
@@ -209,18 +195,9 @@ class DilationResult:
     shift: float             # gamma, the scalar absorbed to match the trace grid
     g2_dev: float
     diag_dev: float
-    frame: MasaFrame
-
-    @cached_property
-    def g(self) -> TracedMatrix:
-        """The projection, full size, frame conjugated."""
-        full = np.zeros((self.frame.dim, self.frame.dim), dtype=np.complex128)
-        slots = np.concatenate([self.e_slots, self.p_slots])
-        full[np.ix_(slots, slots)] = self.corner
-        return TracedMatrix(self.frame.from_frame(full))
 
 
-def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None) -> DilationResult:
+def dilate_to_projection(y, e_slots, t_k: float) -> DilationResult:
     """Dilate the corner y restricted to e_slots into a projection g.
 
     g agrees with the (shifted) corner on e, maps the complement of the
@@ -231,14 +208,11 @@ def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None)
     """
     a = _as_entries(y)
     dim = a.shape[0]
-    if frame is None:
-        frame = MasaFrame.identity(dim)
-    z = frame.to_frame(a)
     e_slots = np.asarray(e_slots, dtype=np.int64)
     s = e_slots.size
     if s == 0:
         raise ValueError("empty corner")
-    r = z[np.ix_(e_slots, e_slots)]
+    r = a[np.ix_(e_slots, e_slots)]
     if np.abs(r - r.conj().T).max() > 1e-9:
         raise ValueError("corner element must be self-adjoint")
     lam_r, w = np.linalg.eigh(r)
@@ -275,7 +249,7 @@ def dilate_to_projection(y, e_slots, t_k: float, frame: MasaFrame | None = None)
     diag_dev = float(np.abs(np.real(np.diagonal(corner)) - t_prime).max()
                      + np.abs(np.imag(np.diagonal(corner))).max())
     return DilationResult(corner, e_slots, p_slots, float(t_prime), float(gamma),
-                          g2_dev, diag_dev, frame)
+                          g2_dev, diag_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -301,38 +275,37 @@ def _quarter_split(slots: np.ndarray) -> list[np.ndarray]:
     return [q for q in np.array_split(slots, 4) if q.size]
 
 
-def _flatten_component(z: np.ndarray, eps: float, frame: MasaFrame,
+def _flatten_component(z: np.ndarray, eps: float,
                        trace: ReductionTrace) -> tuple[list[Band], FlattenResult]:
     """Normalize z into the window, slice its expectation into bands and
     flatten it; y0 is not held past the flattening."""
-    y0, ev = _normalize_with_spectrum(z, frame)
+    y0, ev = normalize_selfadjoint(z)
     trace.add("normalize_window", max(1 / 3 - ev.min(), ev.max() - 0.5), 1e-10,
               lo=float(ev.min()), hi=float(ev.max()))
 
-    bands = band_slices(_expectation(y0, frame), eps, frame)
+    bands = band_slices(y0, eps)
     trace.band_count = max(trace.band_count, len(bands))
     trace.anchors = tuple(sorted(set(trace.anchors) | {b.anchor for b in bands}))
     trace.add("band_count", len(bands), 1 / eps + 1)
 
-    flat = flatten(y0, bands, eps, frame)
+    flat = flatten(y0, bands, eps)
     trace.add("flatten_drift", flat.drift, eps / 4)
     return bands, flat
 
 
-def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFrame,
+def _pave_component(z: np.ndarray, eps: float, projection_paver,
                     seed: int, trace: ReductionTrace) -> np.ndarray:
     """Assign every slot a piece label realizing the reduction paving of z.
 
     z must be self-adjoint, centered, unit operator norm.
     """
-    dim = frame.dim
-    bands, flat = _flatten_component(z, eps, frame, trace)
-    y = frame.to_frame(flat.y.entries)
+    bands, flat = _flatten_component(z, eps, trace)
+    y = flat.y
 
     # the affine normalization is undone by a factor 12, so corner defects
     # plus the flatten transfer must fit into eps/12
     target_abs = max(1e-9, 0.9 * (eps / 12 - flat.transfer))
-    assignment = np.full(dim, -1, dtype=np.int64)
+    assignment = np.full(y.shape[0], -1, dtype=np.int64)
     next_label = 0
     worst_g2 = worst_diag = 0.0
     worst_gamma = (0.0, 1.0)  # (gamma, its per-corner bound t/(s+m))
@@ -342,7 +315,7 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver, frame: MasaFram
     for band in bands:
         for quarter in _quarter_split(band.slots):
             corner_id += 1
-            dil = dilate_to_projection(flat.y, quarter, band.anchor, frame)
+            dil = dilate_to_projection(y, quarter, band.anchor)
             worst_g2 = max(worst_g2, dil.g2_dev)
             worst_diag = max(worst_diag, dil.diag_dev)
             if dil.shift >= worst_gamma[0]:
@@ -379,13 +352,16 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
     The projection_paver callback receives (corner matrix, target ratio,
     seed) and returns a Partition of the corner in the identity frame.
 
-    The norm of the off-diagonal part x - E_A(x) in frame coordinates is
+    x is taken into frame coordinates once, as its off-diagonal part
+    off = U* x U - E_A(U* x U), and every later step reads off; so the
+    result is that of ``reduce_and_pave(frame.to_frame(x))``, bit for bit,
+    apart from the frame of the returned partition.  The norm of off is
     taken once.  It decides the short circuit, and it is the base of the
     returned report, which ``paving_defect`` would take again.  A component
     that is exactly zero (the imaginary part of a self-adjoint input) is
     skipped, as its zero norm would skip it.  When the real component has
-    the bits of the off-diagonal part (an exactly self-adjoint input in the
-    identity frame), its norm is the base.  So the pipeline takes no SVD
+    the bits of off (an input whose frame coordinates are exactly
+    self-adjoint), its norm is the base.  So the pipeline takes no SVD
     whose result it already has; the masked SVD of a singleton paving is
     skipped by ``paving._defect_report``, and each component report from
     ``paving_defect`` takes its base only for a nonzero defect.
@@ -394,8 +370,9 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
         raise ValueError("eps must lie in (0, 1)")
     a = _as_entries(x)
     dim = a.shape[0]
+    diagonal = MasaFrame.identity(dim)  # the frame of every step after the conversion
     if frame is None:
-        frame = MasaFrame.identity(dim)
+        frame = diagonal
     trace = ReductionTrace(eps=eps)
     t0 = time.perf_counter()
 
@@ -407,31 +384,28 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
         trace.add("short_circuit", report.ratio, eps)
         return part, trace, report
 
-    # in the identity frame x - E_A(x) is off itself, bit for bit
-    reassembly, comps = _nonzero_components(
-        off if frame.is_identity else a - _expectation(a, frame))
+    reassembly, comps = _nonzero_components(off)
     trace.add("real_imag_reassembly", reassembly, 1e-14)
 
     parts = []
     while comps:
         label, comp = comps.pop(0)
-        same_as_off = frame.is_identity and np.array_equal(comp.view(np.int64), off.view(np.int64))
-        nrm = base if same_as_off else op_norm(comp)
+        nrm = base if np.array_equal(comp.view(np.int64), off.view(np.int64)) else op_norm(comp)
         if nrm < DEGENERATE_NORM:
             continue
         z = comp / nrm
         del comp  # the pipeline reads the scaled component only
-        labels = _pave_component(z, eps, projection_paver, frame, seed, trace)
-        part = Partition.from_labels(labels, frame)
+        part = Partition.from_labels(_pave_component(z, eps, projection_paver, seed, trace),
+                                     diagonal)
         rep = paving_defect(z, part, eps=eps, strategy=f"reduction/{label}", seed=seed)
         trace.add(f"component_ratio_{label}", rep.ratio, eps)
         parts.append(part)
 
     # both components can fall below DEGENERATE_NORM while off does not; the
     # one block then stands, and its ratio of 1 fails the combined stage
-    combined = parts[0] if parts else Partition.one_block(frame)
+    combined = parts[0] if parts else Partition.one_block(diagonal)
     for other in parts[1:]:
         combined = refine(combined, other)
     report = _defect_report(off, base, combined, eps, "reduction", seed, t0)
     trace.add("combined_ratio", report.ratio, 2 * eps if len(parts) == 2 else eps)
-    return combined, trace, report
+    return Partition(combined.assignment, combined.n_blocks, frame), trace, report

@@ -6,6 +6,7 @@ definition and ``__init__.py``, or a use in the benchmark under
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,15 @@ def test_each_export_has_a_caller_or_a_paper_identity(name):
 
 def test_paper_identities_are_exported():
     assert set(PAPER_IDENTITIES) <= set(exported_names())
+
+
+def test_only_reduce_and_pave_takes_a_frame():
+    # the pipeline converts to frame coordinates once, at entry; every step
+    # after it reads frame coordinates, where E_A keeps the diagonal
+    from pavlab import reduction
+
+    takes_frame = sorted(name for name, obj in vars(reduction).items()
+                         if inspect.isfunction(obj) and obj.__module__ == reduction.__name__
+                         and not name.startswith("_")
+                         and "frame" in inspect.signature(obj).parameters)
+    assert takes_frame == ["reduce_and_pave"]
