@@ -8,7 +8,7 @@ expectation onto a frame, and the discrete-Fourier frame that is
 perpendicular to the diagonal one.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,46 +62,48 @@ class TracedMatrix:
         return cls(np.eye(dim))
 
 
-@dataclass(frozen=True)
 class MasaFrame:
     """Unitary change of basis defining a MASA A = U . Diag . U*.
 
-    The diagonal MASA is the identity frame; every frame is stored as an
-    explicit unitary so there is a single code path.  A basis bit-equal to
-    the identity has u*u - 1 exactly 0 in floating point, so its unitarity
-    check is the O(dim^2) comparison; every other basis takes the product
-    u*u and is refused when it deviates from 1 by more than UNITARY_TOL.
+    The identity frame (the diagonal MASA) holds no dense basis: ``basis``
+    builds it when read.  Any other basis must satisfy |u*u - 1| <=
+    UNITARY_TOL; a basis bit-equal to the identity is taken as the identity
+    frame without that O(dim^3) product.  Instances are immutable.
     """
 
-    basis: np.ndarray
-    # Derived from basis once; to_frame/from_frame consult it on every call.
-    _is_identity: bool = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        u = np.array(self.basis, dtype=np.complex128, copy=True)
+    def __init__(self, basis):
+        u = np.array(basis, dtype=np.complex128, copy=True)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("frame basis must be square")
         eye = np.eye(u.shape[0])
-        is_identity = bool(np.array_equal(u, eye))
-        if not is_identity:
+        if np.array_equal(u, eye):
+            u = None
+        else:
             dev = np.abs(u.conj().T @ u - eye).max()
             if not dev <= UNITARY_TOL:  # also refuses a NaN deviation
                 raise ValueError(f"frame basis is not unitary (deviation {dev:.3e})")
-        u.setflags(write=False)
-        object.__setattr__(self, "basis", u)
-        object.__setattr__(self, "_is_identity", is_identity)
+            u.setflags(write=False)
+        self.__dict__.update(dim=eye.shape[0], _basis=u)  # _basis None: the identity frame
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MasaFrame is immutable; cannot set {name!r}")
 
     @property
     def is_identity(self) -> bool:
-        return self._is_identity
+        return self._basis is None
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The unitary U; the identity frame builds it anew on each read."""
+        return np.eye(self.dim, dtype=np.complex128) if self._basis is None else self._basis
 
     @classmethod
     def identity(cls, dim: int) -> "MasaFrame":
-        return cls(np.eye(dim))
+        if dim < 0:
+            raise ValueError(f"frame dim must be >= 0, got {dim}")
+        frame = object.__new__(cls)
+        frame.__dict__.update(dim=int(dim), _basis=None)
+        return frame
 
     def to_frame(self, x) -> np.ndarray:
         """Coordinates of x in the frame eigenbasis: U* x U."""

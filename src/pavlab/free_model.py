@@ -9,10 +9,10 @@ Haar unitaries.  Every bound check carries an explicit additive tolerance
 because freeness only holds in the large-dimension limit; tolerances are
 pinned by the calibration run (see calibrate) rather than invented.
 
-Equal shuffled blocks and block-diagonal norms come from ``paving``
-(``_equal_blocks``, ``_block_diagonal_norm``, ``_Objective``), the same
-code the paving searches use; reports serialize through
-``matrix_io.JsonReport``.
+Equal shuffled blocks, off-diagonal parts and block-diagonal norms come
+from ``paving`` (``_equal_blocks``, ``_off_diagonal``,
+``_block_diagonal_norm``), the same code the paving searches use; reports
+serialize through ``matrix_io.JsonReport``.
 """
 
 import math
@@ -28,7 +28,7 @@ from .paving import (
     _block_diagonal_norm,
     _block_mask,
     _equal_blocks,
-    _Objective,
+    _off_diagonal,
 )
 from .seeds import rng_for
 
@@ -259,37 +259,39 @@ def equal_block_partition(dim: int, n: int, seed: int) -> Partition:
 
 
 def make_block_paver():
-    """Projection paver callback: doubles the shuffled-block count until
-    the corner target ratio is met.
+    """Projection paver callback (corner, target, seed) -> Partition of the
+    corner in the identity frame, target being the absolute bound on
+    ||sum_i p_i (c - E(c)) p_i|| for the corner c.
 
-    It takes one norm of the whole corner, the base ||corner - E(corner)||.
-    One block has ratio 1, so it answers a target >= 1 without a block norm
-    and the doubling starts at n = 2; singletons have ratio 0, so when the
-    doubling reaches n = dim it returns them without evaluating them.  Every
-    level cuts the same seeded permutation into n equal blocks.  A block's
-    norm is at least each of its column norms, so a level whose largest
-    masked column norm exceeds target * base cannot pass and is refused
-    before its block norms are taken; the relative slack of 1e-9 on that
-    screen is far above the rounding of either side, so the screen refuses
-    no level that the block norms would accept.  A negative or NaN target
-    is refused with ValueError: no level meets it, singletons included."""
+    Levels cut one seeded permutation into n = 2, 4, ... equal blocks, and
+    the doubling returns the singletons (defect 0) unevaluated at n = dim.
+    A norm is at least each column norm of its matrix, so a level whose
+    largest masked column norm exceeds the target is refused before its
+    block norms are taken, and ||c - E(c)||, which decides one block (it
+    meets the target or lies below DEGENERATE_NORM), is taken only when the
+    largest column fits; the relative slack of 1e-9 on both screens is far
+    above the rounding of either side, so they refuse nothing the norms
+    would accept.  A negative or NaN target is refused with ValueError: no
+    level meets it, singletons included."""
 
-    def paver(corner: np.ndarray, target_ratio: float, seed: int) -> Partition:
-        if not target_ratio >= 0:
-            raise ValueError(f"target ratio must be >= 0, got {target_ratio!r}")
+    def paver(corner: np.ndarray, target: float, seed: int) -> Partition:
+        if not target >= 0:
+            raise ValueError(f"target must be >= 0, got {target!r}")
         dim = corner.shape[0]
         frame = MasaFrame.identity(dim)
-        obj = _Objective(corner, frame)
-        if obj.base < DEGENERATE_NORM or target_ratio >= 1:
-            return Partition.one_block(frame)
+        off = _off_diagonal(corner, frame)
+        abs_sq = off.real ** 2 + off.imag ** 2
+        cut = target * (1 + 1e-9)
+        if np.sqrt(abs_sq.sum(axis=0).max()) <= max(cut, DEGENERATE_NORM * (1 + 1e-9)):
+            base = op_norm(off)
+            if base < DEGENERATE_NORM or base <= target:
+                return Partition.one_block(frame)
         order = _free_order(dim, seed)
-        abs_sq = obj.off.real ** 2 + obj.off.imag ** 2
-        cut = target_ratio * obj.base * (1 + 1e-9)
         n = 2
         while n < dim:
             labels = _equal_blocks(order, n)
             if (np.sqrt((abs_sq * _block_mask(labels)).sum(axis=0).max()) <= cut
-                    and obj.ratio(labels) <= target_ratio):
+                    and _block_diagonal_norm(off, labels) <= target):
                 return Partition(labels, n, frame)
             n *= 2
         return Partition.singletons(frame)

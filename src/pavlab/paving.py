@@ -120,7 +120,9 @@ class PavingReport(JsonReport):
 
 
 def _same_frame(p: Partition, q: Partition) -> bool:
-    return p.frame is q.frame or np.array_equal(p.frame.basis, q.frame.basis)
+    """For partitions of one dim; an identity frame is told by its flag, not its basis."""
+    f, g = p.frame, q.frame
+    return f.is_identity == g.is_identity and (f.is_identity or np.array_equal(f.basis, g.basis))
 
 
 def _block_mask(assignment: np.ndarray) -> np.ndarray:
@@ -130,9 +132,11 @@ def _block_mask(assignment: np.ndarray) -> np.ndarray:
 def _equal_blocks(order: np.ndarray, n: int) -> np.ndarray:
     """Labels of ``np.array_split(order, n)``: index order[j] lies in the
     block of the chunk holding position j."""
+    if n < 1:
+        raise ValueError(f"number of blocks must be >= 1, got n={n}")
+    each, extra = divmod(order.size, n)
     labels = np.empty(order.size, dtype=np.int64)
-    for i, chunk in enumerate(np.array_split(order, n)):
-        labels[chunk] = i
+    labels[order] = np.repeat(np.arange(n), each + (np.arange(n) < extra))
     return labels
 
 
@@ -367,7 +371,6 @@ class _Objective:
     def __init__(self, x, frame: MasaFrame):
         self.off = _off_diagonal(x, frame)
         self.base = op_norm(self.off)
-        self.frame = frame
         self.dim = self.off.shape[0]
         self._bounds_hold = self.dim <= SVD_DIM_LIMIT
         self._committed = None

@@ -14,6 +14,11 @@ grid; the corner element is shifted by a scalar gamma < t/(s+m) so the
 dilated g is an exact projection with exactly constant diagonal at the
 shifted anchor, and gamma is recorded.
 
+A corner's base ||g - E_A(g)|| is max(t', 1 - t'), t' = t - gamma: on the
+corner E_A(g) = t' 1, and g is a projection of trace t'(s+m), strictly
+between 0 and s+m, so g - t' 1 has exactly the eigenvalues -t' and 1 - t'.
+The paver needs no base: it receives the corner's absolute budget.
+
 Frame convention: in M_dim every MASA is U Diag U*, so paving x over it is
 paving U* x U over the diagonal MASA.  ``reduce_and_pave`` alone takes a
 frame; it writes x in frame coordinates once, and every step after it
@@ -316,14 +321,17 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver,
         for quarter in _quarter_split(band.slots):
             corner_id += 1
             dil = dilate_to_projection(y, quarter, band.anchor)
+            size = dil.corner.shape[0]
             worst_g2 = max(worst_g2, dil.g2_dev)
             worst_diag = max(worst_diag, dil.diag_dev)
             if dil.shift >= worst_gamma[0]:
-                worst_gamma = (dil.shift, band.anchor / (quarter.size + dil.p_slots.size))
-            base_g = max(1.0 - dil.anchor, dil.anchor)
-            target_ratio = max(0.0, (target_abs - dil.shift)) / base_g
-            part = projection_paver(dil.corner, target_ratio, seed + corner_id)
+                worst_gamma = (dil.shift, band.anchor / size)
+            part = projection_paver(dil.corner, max(0.0, target_abs - dil.shift),
+                                    seed + corner_id)
             del dil  # its corner is paved; the next corner builds its own
+            if not (isinstance(part, Partition) and part.dim == size):
+                got = f"dim {part.dim}" if isinstance(part, Partition) else type(part).__name__
+                raise ValueError(f"paver must return a Partition of dim {size}, got {got}")
             n_proj_max = max(n_proj_max, part.effective_blocks)
             s = quarter.size
             # restrict the corner paving to the e-part of the corner: one new
@@ -349,8 +357,9 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
                     seed: int = 0) -> tuple[Partition, ReductionTrace, PavingReport]:
     """Full reduction pipeline; returns the partition, trace, and report.
 
-    The projection_paver callback receives (corner matrix, target ratio,
-    seed) and returns a Partition of the corner in the identity frame.
+    The projection_paver callback receives (corner, target, seed), target the
+    absolute bound on ||sum_i p_i (c - E_A(c)) p_i|| for the corner c, and
+    must return a Partition of the corner's dim (else ValueError).
 
     x is taken into frame coordinates once, as its off-diagonal part
     off = U* x U - E_A(U* x U), and every later step reads off; so the

@@ -414,6 +414,12 @@ def test_pave_exact_runs_at_its_default_dim(capsys):
     assert payload["dim"] == payload["manifest"]["config"]["dim"] == paving.EXHAUSTIVE_DIM_LIMIT
 
 
+def test_dixmier_zero_blocks_is_a_usage_error(capsys):
+    code, out = run(capsys, "dixmier", "--dim", "8", "--n", "0")
+    assert code == 2
+    assert json.loads(out) == {"error": "number of blocks must be >= 1, got n=0", "code": 2}
+
+
 @pytest.mark.parametrize("sub", ["free", "calibrate"])
 def test_zero_seeds_is_a_usage_error(capsys, sub):
     code, out = run(capsys, sub, "--seeds", "0")

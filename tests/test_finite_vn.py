@@ -223,6 +223,28 @@ def test_masa_frame_accepts_permutation_basis():
     assert MasaFrame(np.eye(5)).is_identity
 
 
+def test_identity_frame_holds_no_dense_basis():
+    import tracemalloc
+
+    MasaFrame.identity(8)  # first-call set-up is not what is guarded
+    tracemalloc.start()
+    try:
+        frame = MasaFrame.identity(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert frame.dim == 2048 and frame.is_identity
+    x = random_matrix(4, 1)
+    small = MasaFrame.identity(4)
+    assert small.to_frame(x) is x
+    assert np.array_equal(small.from_frame(x), x)
+    assert np.array_equal(small.basis, np.eye(4))  # built on demand
+    assert MasaFrame(np.eye(4)).is_identity
+    with pytest.raises(AttributeError):
+        small.dim = 5
+
+
 def test_perpendicular_frame_is_unitary_and_guarded():
     for m in (2, 3, 8, 17):
         MasaFrame(perpendicular_frame(m).basis)  # re-validates unitarity

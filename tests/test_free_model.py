@@ -274,51 +274,69 @@ def test_block_paver_meets_target_or_singletons():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
     corner = (a + a.conj().T) / 2
-    paver = make_block_paver()
-    part = paver(corner, 0.5, seed=2)
-    mask = part.assignment[:, None] == part.assignment[None, :]
     off = corner - np.diag(np.diagonal(corner))
-    assert op_norm(off * mask) <= 0.5 * op_norm(off) + 1e-12
+    target = 0.5 * op_norm(off)
+    part = make_block_paver()(corner, target, seed=2)
+    mask = part.assignment[:, None] == part.assignment[None, :]
+    assert op_norm(off * mask) <= target + 1e-12
 
 
 def test_block_paver_diagonal_input():
     paver = make_block_paver()
-    part = paver(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), 0.3, seed=0)
+    part = paver(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), 0.0, seed=0)
     assert part.effective_blocks == 1
 
 
-def test_block_paver_takes_one_norm_of_the_whole_corner(monkeypatch):
-    # the one-block partition has ratio 1: its norm is the base norm already taken
+def _recording_norms(monkeypatch):
+    """Record the shape of every op_norm the paver takes, directly or
+    through the block norms."""
     shapes = []
 
     def recording_norm(a):
         shapes.append(a.shape)
         return op_norm(a)
 
-    monkeypatch.setattr(paving, "op_norm", recording_norm)
+    for mod in (free_model, paving):
+        monkeypatch.setattr(mod, "op_norm", recording_norm)
+    return shapes
+
+
+def test_block_paver_takes_a_corner_norm_only_when_its_largest_column_fits(monkeypatch):
+    # ||off|| is at least every column norm of off, so one block can meet
+    # the target only when the largest column does
+    shapes = _recording_norms(monkeypatch)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     corner = (a + a.conj().T) / 2
+    off = corner - np.diag(np.diagonal(corner))
+    base = op_norm(off)
+    column = np.sqrt((np.abs(off) ** 2).sum(axis=0).max())
     paver = make_block_paver()
-    part = paver(corner, 0.5, seed=2)
-    assert shapes.count((32, 32)) == 1
+    part = paver(corner, 0.5 * base, seed=2)
+    assert 0.5 * base < column
+    assert (32, 32) not in shapes
     assert part.effective_blocks >= 2
     shapes.clear()
-    assert paver(corner, 1.0, seed=2).effective_blocks == 1
+    assert paver(corner, base, seed=2).effective_blocks == 1
     assert shapes == [(32, 32)]
+    shapes.clear()
+    # the column fits but the whole corner does not: one norm, then the levels
+    part = paver(corner, column, seed=2)
+    assert column < base and part.effective_blocks >= 2
+    assert shapes.count((32, 32)) == 1
 
 
-def _reference_block_paver(corner, target_ratio, seed):
-    """The doubling loop of the block paver before its column-norm screen."""
+def _reference_block_paver(corner, target, seed):
+    """The doubling loop of the block paver before its column-norm screens."""
     dim = corner.shape[0]
     frame = MasaFrame.identity(dim)
     obj = paving._Objective(corner, frame)
-    if obj.base < paving.DEGENERATE_NORM or target_ratio >= 1:
+    if obj.base < paving.DEGENERATE_NORM or obj.base <= target:
         return Partition.one_block(frame)
     n = 2
     while True:
         part = equal_block_partition(dim, n, seed) if n < dim else Partition.singletons(frame)
-        if obj.ratio(part.assignment) <= target_ratio:
+        if obj.defect(part.assignment) <= target:
             return part
         n = min(2 * n, dim)
 
@@ -330,15 +348,16 @@ def test_screened_block_paver_equals_doubling_loop(data):
     seed = data.draw(st.integers(0, 2**16), label="seed")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="input seed"))
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    # sparse corners spread the level ratios further apart
+    # sparse corners spread the level defects further apart
     a *= rng.random((dim, dim)) < data.draw(st.sampled_from([1.0, 0.3, 0.1]), label="density")
     corner = (a + a.conj().T) / 2 if data.draw(st.booleans(), label="hermitian") else a
     obj = paving._Objective(corner, MasaFrame.identity(dim))
     levels = [n for n in (2 ** k for k in range(1, 6)) if n < dim]
-    # each level's exact ratio as a target lets that level pass at equality
-    exact = [obj.ratio(equal_block_partition(dim, n, seed).assignment) for n in levels]
-    target = data.draw(st.sampled_from(exact) if exact and data.draw(st.booleans())
-                       else st.floats(0.0, 1.2), label="target")
+    # each level's exact defect, and the corner's own norm, as a target lets
+    # that level (or one block) pass at equality
+    exact = [obj.defect(equal_block_partition(dim, n, seed).assignment) for n in levels]
+    target = data.draw(st.sampled_from(exact + [obj.base]) if data.draw(st.booleans())
+                       else st.floats(0.0, 1.2).map(lambda f: f * obj.base), label="target")
     got = make_block_paver()(corner, target, seed)
     want = _reference_block_paver(corner, target, seed)
     assert np.array_equal(got.assignment, want.assignment)
@@ -346,25 +365,22 @@ def test_screened_block_paver_equals_doubling_loop(data):
 
 
 def test_block_paver_screen_rules_out_every_level_without_block_norms(monkeypatch):
-    block_norm_calls, norm_shapes = [], []
-    block_norms, norm = paving._block_norms, paving.op_norm
+    block_norm_calls = []
+    block_norms = paving._block_norms
 
     def recording_block_norms(*args, **kwargs):
         block_norm_calls.append(args)
         return block_norms(*args, **kwargs)
 
-    def recording_norm(a):
-        norm_shapes.append(a.shape)
-        return norm(a)
-
+    shapes = _recording_norms(monkeypatch)
     monkeypatch.setattr(paving, "_block_norms", recording_block_norms)
-    monkeypatch.setattr(paving, "op_norm", recording_norm)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     corner = (a + a.conj().T) / 2
-    part = make_block_paver()(corner, 0.01, seed=2)
+    part = make_block_paver()(corner, 0.01 * op_norm(corner - np.diag(np.diagonal(corner))),
+                              seed=2)
     assert block_norm_calls == []
-    assert norm_shapes == [(32, 32)]
+    assert shapes == []
     assert part.n_blocks == 32 and np.array_equal(part.assignment, np.arange(32))
 
 

@@ -616,6 +616,43 @@ def test_block_diagonal_norm_equals_masked_norm(data):
     assert abs(_block_diagonal_norm(a, labels, shift) - want) <= 1e-12 * want
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 300), data=st.data())
+def test_equal_blocks_are_the_array_split_chunks(dim, data):
+    n = data.draw(st.integers(1, dim + 3), label="n")
+    order = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed")).permutation(dim)
+    want = np.empty(dim, dtype=np.int64)
+    for i, chunk in enumerate(np.array_split(order, n)):
+        want[chunk] = i
+    got = _equal_blocks(order, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_equal_blocks_refuse_fewer_than_one_block(n):
+    with pytest.raises(ValueError, match=f"n={n}"):
+        _equal_blocks(np.arange(5), n)
+
+
+def test_same_frame_compares_identity_frames_without_their_bases(monkeypatch):
+    def no_identity_basis(self):
+        assert not self.is_identity, "an identity frame built its basis"
+        return self._basis
+
+    monkeypatch.setattr(MasaFrame, "basis", property(no_identity_basis))
+    ident = MasaFrame.identity(6)
+    p = Partition(np.array([0, 0, 1, 1, 2, 2]), 3, ident)
+    q = Partition(np.array([0, 1, 0, 1, 0, 1]), 2, MasaFrame(np.eye(6)))
+    assert refine(p, q).n_blocks == 6
+    assert np.array_equal(compress(np.ones((6, 6)), p).entries, np.kron(np.eye(3), np.ones((2, 2))))
+    fourier = Partition(np.zeros(6, dtype=np.int64), 1, perpendicular_frame(6))
+    with pytest.raises(ValueError, match="share dimension and frame"):
+        refine(p, fourier)
+    with pytest.raises(ValueError, match="share dimension and frame"):
+        refine(fourier, p)
+    assert refine(fourier, fourier).n_blocks == 1
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_block_norms_equal_each_blocks_own_norm(data):

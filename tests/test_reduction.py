@@ -333,6 +333,44 @@ def test_reduce_live_set_stays_within_seven_and_a_half_dense_matrices(dim):
     assert peak <= 7.5 * 16 * dim * dim, peak / (16 * dim * dim)
 
 
+@pytest.mark.parametrize("dim", [128, 256])
+def test_reduce_takes_no_corner_norm_on_the_benchmark_input(dim, monkeypatch):
+    # the base and two in flatten at the full dim; each corner's largest
+    # column exceeds its target, so the paver takes no norm of the corner
+    sizes, corner_sizes = [], set()
+    paver = make_block_paver()
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return op_norm(a)
+
+    def recording_paver(corner, target, seed):
+        corner_sizes.add(corner.shape[0])
+        return paver(corner, target, seed)
+
+    x = benchmark_reduce_input(dim, 0)
+    for mod in (free_model, paving, reduction):
+        monkeypatch.setattr(mod, "op_norm", counted)
+    part, trace, report = reduce_and_pave(x, 0.6, recording_paver, seed=0)
+    assert sizes.count(dim) == 3
+    assert corner_sizes and not corner_sizes & set(sizes)
+
+
+def _short_paver(corner, target, seed):
+    """A paver that drops the corner's last index."""
+    return Partition.one_block(MasaFrame.identity(corner.shape[0] - 1))
+
+
+@pytest.mark.parametrize("paver, message", [
+    (_short_paver, r"a Partition of dim (\d+), got dim (?!\1)\d+"),
+    (lambda corner, target, seed: np.zeros(corner.shape[0], dtype=np.int64),
+     r"a Partition of dim \d+, got ndarray"),
+])
+def test_reduce_refuses_a_paver_result_of_the_wrong_size(paver, message):
+    with pytest.raises(ValueError, match=message):
+        reduce_and_pave(haar_model_selfadjoint(24, 5), 0.6, paver, seed=2)
+
+
 def _result_bits(part, trace, report):
     rep = report.to_json_dict()
     del rep["elapsed_ms"]
