@@ -168,20 +168,13 @@ def l2_norm(x) -> float:
     return float(np.linalg.norm(a) / np.sqrt(a.shape[0]))
 
 
-def _expectation(x, frame: MasaFrame) -> np.ndarray:
-    """The entries of :func:`conditional_expectation`, for internal steps
-    that read them at once: no copy and no finiteness scan."""
-    y = frame.to_frame(x)
-    return frame.from_frame(np.diag(np.diagonal(y)))
-
-
 def conditional_expectation(x, frame: MasaFrame) -> TracedMatrix:
     """E_A(x): keep the diagonal of x in the frame eigenbasis.
 
     Trace preserving, idempotent, and A-bimodular; orthogonal projection
     onto the MASA in the L2 inner product.
     """
-    return TracedMatrix(_expectation(x, frame))
+    return frame.diagonal_element(np.diagonal(frame.to_frame(x)))
 
 
 def perpendicular_frame(dim: int) -> MasaFrame:

@@ -279,7 +279,7 @@ def make_block_paver():
             raise ValueError(f"target must be >= 0, got {target!r}")
         dim = corner.shape[0]
         frame = MasaFrame.identity(dim)
-        off = _off_diagonal(corner, frame)
+        off = _off_diagonal(corner)
         abs_sq = off.real ** 2 + off.imag ** 2
         cut = target * (1 + 1e-9)
         if np.sqrt(abs_sq.sum(axis=0).max()) <= max(cut, DEGENERATE_NORM * (1 + 1e-9)):

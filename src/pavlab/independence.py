@@ -8,6 +8,14 @@ zero trace; the builders below search for partitions making the measured
 residuals small, and the certificate checker turns the measured residual
 into the deterministic inequality suite it implies.
 
+Frame convention: in M_dim every MASA is U Diag U*, so testing
+independence over it is testing it over the diagonal MASA after one change
+of basis.  Each public entry writes its test elements, trace targets and
+raw block elements in frame coordinates once, at entry; every step after
+that reads frame coordinates, where E_A keeps the diagonal (centering
+zeroes it), and no private helper takes a frame.  Only the returned
+partitions and the mixing unitary carry the caller's frame.
+
 Words whose block letters are frame diagonals -- those of
 ``k_independence_residual`` and the final check of
 ``incremental_patch_haar`` -- take one path: ``_level_words`` lists or
@@ -37,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_vn import MasaFrame, TracedMatrix, _as_entries, _expectation, l2_norm
+from .finite_vn import MasaFrame, TracedMatrix, _as_entries, l2_norm
 from .matrix_io import JsonReport
-from .paving import Partition, _balanced_halves, _pick_swap
+from .paving import Partition, _balanced_halves, _block_order, _members, _off_diagonal, _pick_swap
 from .seeds import rng_for
 
 MAX_WORD_LEVEL = 4
@@ -64,12 +72,12 @@ class IndependenceReport(JsonReport):
     worst_word: str = ""
 
 
-def _center_and_normalize(X, frame: MasaFrame) -> list[np.ndarray]:
-    """E_A-center each test element and scale to unit L2 norm."""
+def _center_and_normalize(xs) -> list[np.ndarray]:
+    """E_A-center each test element in frame coordinates (zero its diagonal)
+    and scale it to unit L2 norm; elements of L2 norm 1e-14 or less drop out."""
     out = []
-    for x in X:
-        a = _as_entries(x)
-        a = a - _expectation(a, frame)
+    for x in xs:
+        a = _off_diagonal(x)
         nrm = l2_norm(a)
         if nrm > 1e-14:
             out.append(a / nrm)
@@ -100,12 +108,13 @@ def _block_letters(part: Partition) -> tuple[list[str], list[np.ndarray]]:
     return labels, diags
 
 
-def _letters_from(blocks, frame: MasaFrame):
+def _letters_from(blocks):
+    """The letters of a partition, or the centered diagonals of raw blocks in frame coordinates."""
     if isinstance(blocks, Partition):
         return _block_letters(blocks)
     labels, diags = [], []
     for i, b in enumerate(blocks):
-        d = np.diagonal(frame.to_frame(_as_entries(b))).copy()
+        d = np.diagonal(b).copy()
         d = d - d.mean()
         labels.append(f"a{i}")
         diags.append(d)
@@ -322,6 +331,8 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > MAX_WORD_LEVEL:
+        raise ValueError(f"word level capped at {MAX_WORD_LEVEL}")
     if sampling_budget < 1:
         raise ValueError("sampling_budget must be positive")
     if not X:
@@ -330,10 +341,10 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
         frame = blocks.frame
     elif frame is None:
         raise ValueError("frame required when passing raw block elements")
-    if k > MAX_WORD_LEVEL:
-        raise ValueError(f"word level capped at {MAX_WORD_LEVEL}")
-    labels, diags = _letters_from(blocks, frame)
-    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    else:
+        blocks = [frame.to_frame(b) for b in blocks]
+    labels, diags = _letters_from(blocks)
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
     dim = frame.dim
     norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
 
@@ -398,22 +409,26 @@ class _SignObjective:
     """max of |tau(u xi1* u* xi2)| pair terms and |tau(u eta)|/||eta||_1 terms.
 
     Quadratic/linear forms in the sign vector, with O(dim) swap updates.
-    Built from the test elements X and trace targets Y of
-    ``find_mixing_sign_unitary``: it depends on neither the blocks nor the
-    seed, so the builder searches one objective at every level.
+    Built from the test elements X and trace targets etas of
+    ``find_mixing_sign_unitary``, in frame coordinates: it depends on
+    neither the blocks nor the seed, so the builder searches one objective
+    at every level.
     """
 
-    def __init__(self, X, Y, frame: MasaFrame):
-        self.dim = frame.dim
-        xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    def __init__(self, X, etas, dim: int):
+        self.dim = dim
+        # The builder passes elements it has centered and normalized already.
+        # A second pass divides by an L2 norm that is 1 only up to rounding
+        # (entries move by up to 6.2e-17), and the builder's recorded signs
+        # and alpha rest on those bits, so it stays.
+        xs = _center_and_normalize(X)
         self.pair_mats = []
         for x1 in xs:
             x1h = x1.conj().T
             for x2 in xs:
                 self.pair_mats.append(x1h * x2.T)  # M[j,k] = (x1*)[j,k] x2[k,j]
         self.eta_diags = []
-        for y in Y:
-            eta = frame.to_frame(_as_entries(y))
+        for eta in etas:
             nrm1 = float(np.linalg.svd(eta, compute_uv=False).sum() / self.dim)  # ||eta||_1
             if nrm1 > 1e-14:
                 self.eta_diags.append(np.diagonal(eta) / nrm1)
@@ -460,17 +475,16 @@ class _SignObjective:
         self.s[j] = -sj
 
 
-def _search_signs(obj: _SignObjective, frame: MasaFrame, blocks: Partition, delta: float,
-                  budget: int, seed: int) -> _SignSearch:
+def _search_signs(obj: _SignObjective, blocks: Partition, delta: float, budget: int,
+                  seed: int) -> _SignSearch:
     """The restarts of ``find_mixing_sign_unitary`` on a prepared objective."""
-    block_idx = [idx for idx in (blocks.block_indices(b) for b in range(blocks.n_blocks))
-                 if idx.size > 0]
+    block_idx = [idx for idx in _members(blocks.assignment, blocks.n_blocks) if idx.size]
     best: tuple[float, np.ndarray, int] = (np.inf, np.empty(0), -1)
     spent = 0
     per_restart = max(1, budget // SIGN_RESTARTS)
     for w in range(SIGN_RESTARTS):
         rng = rng_for(seed, 0x516, w)
-        sides = _balanced_halves(block_idx, frame.dim, rng)  # side 0 has sign +1
+        sides = _balanced_halves(block_idx, blocks.dim, rng)  # side 0 has sign +1
         cur = obj.start(1 - 2 * sides)
         local = per_restart
         while local > 0 and cur > delta:
@@ -506,11 +520,12 @@ def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    for b in range(blocks.n_blocks):
-        size = blocks.block_indices(b).size
+    for b, size in enumerate(np.bincount(blocks.assignment, minlength=blocks.n_blocks).tolist()):
         if size % 2 != 0:
             raise ValueError(f"block {b} has odd size {size}; balanced signs need even blocks")
-    res = _search_signs(_SignObjective(X, Y, frame), frame, blocks, delta, budget, seed)
+    obj = _SignObjective([frame.to_frame(x) for x in X], [frame.to_frame(y) for y in Y],
+                         frame.dim)
+    res = _search_signs(obj, blocks, delta, budget, seed)
     return MixingSignResult(unitary=frame.diagonal_element(res.signs.astype(np.complex128)),
                             signs=res.signs, objective=res.objective,
                             evaluations=res.evaluations)
@@ -550,23 +565,12 @@ class Cor37Report(JsonReport):
         return all(c.ok for c in self.conditions.values())
 
 
-def _alpha_inputs(xs: list[np.ndarray], Y, frame: MasaFrame):
-    """(letters, etas) for ``_measured_alpha`` from frame-coordinate test
-    elements xs: the letters are each x and x*, the etas are Y in frame
-    coordinates followed by a b* for every ordered pair of letters."""
+def _alpha_inputs(xs: list[np.ndarray], etas: list[np.ndarray]):
+    """(letters, etas) for ``_measured_alpha`` from test elements xs and
+    trace targets etas in frame coordinates: the letters are each x and x*,
+    and a b* for every ordered pair of letters follows the etas."""
     letters = [y for x in xs for y in (x, x.conj().T)]
-    etas = [frame.to_frame(_as_entries(y)) for y in Y]
-    etas += [a @ b.conj().T for a in letters for b in letters]
-    return letters, etas
-
-
-def _block_order(labels: np.ndarray, n: int) -> tuple[np.ndarray, list[slice]]:
-    """(perm, spans): a stable argsort of labels in 0..n-1 and one slice per
-    label, so perm[spans[i]] lists label i's members in ascending order, as
-    a boolean mask of label i selects them."""
-    perm = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[perm], np.arange(n + 1)).tolist()
-    return perm, [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return letters, list(etas) + [a @ b.conj().T for a in letters for b in letters]
 
 
 def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray]):
@@ -623,8 +627,8 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
     dim = part.dim
     n = part.n_blocks
     t = 1.0 / n
-    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
-    letters, etas = _alpha_inputs(xs, Y, frame)
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
+    letters, etas = _alpha_inputs(xs, [frame.to_frame(y) for y in Y])
     alpha_a, alpha_b = _measured_alpha(part, letters, etas)
     alpha = max(alpha_a, alpha_b)
     slack = 1e-9
@@ -689,17 +693,15 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     if dim % (2 ** n) != 0:
         raise ValueError(f"dim {dim} not divisible by 2^{n}")
     part = Partition.one_block(frame)
-    xs_mats = _center_and_normalize(X, frame)
-    etas = list(Y)
-    for x in xs_mats:
-        etas.append(TracedMatrix(frame.from_frame(frame.to_frame(x) @ frame.to_frame(x).conj().T)))
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
+    etas = [frame.to_frame(y) for y in Y] + [x @ x.conj().T for x in xs]
     # every level searches the same objective; its blocks are even because
     # 2^n divides dim
-    obj = _SignObjective(xs_mats, etas, frame)
+    obj = _SignObjective(xs, etas, dim)
     evaluations = 0
     for level in range(n):
         res = _search_signs(
-            obj, frame, part,
+            obj, part,
             delta=alpha_target, budget=max(1, budget // max(1, n)),
             seed=int(rng_for(seed, 0xB1D, level).integers(0, 2 ** 63 - 1)),
         )
@@ -709,8 +711,7 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     if n == 0:
         report = IndependenceReport(2, {1: 0.0, 2: 0.0}, 0, 0.0, {1: 1.0, 2: 1.0}, "")
         return part, report
-    letters, etas_frame = _alpha_inputs([frame.to_frame(m) for m in xs_mats], etas, frame)
-    alpha_a, alpha_b = _measured_alpha(part, letters, etas_frame)
+    alpha_a, alpha_b = _measured_alpha(part, *_alpha_inputs(xs, etas))
     report = IndependenceReport(
         max_k=2,
         residual_per_level={1: float(alpha_b), 2: float(alpha_a)},
@@ -759,24 +760,22 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    frame_dim = None
+    dim = None
     xs = []
     rng = rng_for(seed, 0x9A7)
     if X:
         dims = {(_as_entries(x)).shape[0] for x in X}
         if len(dims) != 1:
             raise ValueError("test elements must share a dimension")
-        frame_dim = dims.pop()
-        frame = MasaFrame.identity(frame_dim)
-        xs = _center_and_normalize(X, frame)
+        dim = dims.pop()
+        xs = _center_and_normalize(X)
     if not xs:
-        dim = frame_dim if frame_dim else max(order_L // 8, 2)
+        dim = dim or max(order_L // 8, 2)
         v = _scrambled_cycle(dim, rng)
         eta = max(abs(np.sum(v ** k)) / dim for k in range(1, dim)) if dim > 1 else 0.0
         report = PatchReport(float(eta), 0.0, 0, 1.0, dim)
         return TracedMatrix(np.diag(v)), report
 
-    dim = frame_dim
     if order_L < dim or order_L % dim != 0:
         raise ValueError("order_L must be a multiple of dim")
     if n < 1:

@@ -16,7 +16,8 @@ objective takes the blocks of a move one at a time.  The same contractivity
 lets that objective keep a block that only lost indices at its old norm as
 an upper bound, taking its SVD only when the bound could decide the defect.
 The halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
-the move of the mixing sign search in independence.
+the move of the mixing sign search in independence.  Private helpers read
+frame coordinates; each public entry that takes a frame converts once.
 """
 
 import time
@@ -80,11 +81,8 @@ class Partition:
         return np.bincount(self.assignment, minlength=self.n_blocks) / self.dim
 
     def projections(self) -> list[TracedMatrix]:
-        out = []
-        for i in range(self.n_blocks):
-            d = (self.assignment == i).astype(np.complex128)
-            out.append(self.frame.diagonal_element(d))
-        return out
+        return [self.frame.diagonal_element((self.assignment == i).astype(np.complex128))
+                for i in range(self.n_blocks)]
 
     def roots_of_unity_diagonal(self) -> np.ndarray:
         """Frame diagonal of w = sum_i lambda^i p_i, lambda = exp(2 pi i / n_blocks)."""
@@ -170,10 +168,25 @@ def _block_norms(a: np.ndarray, idx_list, shift: float = 0.0) -> list[float]:
     return out
 
 
+def _block_order(labels: np.ndarray, n: int) -> tuple[np.ndarray, list[slice]]:
+    """(perm, spans): a stable argsort of labels in 0..n-1 and one slice per
+    label, so perm[spans[i]] lists label i's members in ascending order, as
+    a boolean mask of label i selects them."""
+    perm = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[perm], np.arange(n + 1)).tolist()
+    return perm, [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _members(labels: np.ndarray, n: int) -> list[np.ndarray]:
+    """The ascending member indices of each label in 0..n-1, empty ones included."""
+    perm, spans = _block_order(labels, n)
+    return [perm[sl] for sl in spans]
+
+
 def _block_diagonal_norm(a: np.ndarray, labels: np.ndarray, shift: float = 0.0) -> float:
     """||sum_k q_k a q_k - shift * 1|| for the blocks q_k of a label array:
     the masked matrix is block diagonal, so this is the max block norm."""
-    blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    blocks = [idx for idx in _members(labels, int(labels.max(initial=-1)) + 1) if idx.size]
     return max(_block_norms(a, blocks, shift), default=0.0)
 
 
@@ -183,13 +196,9 @@ def compress(x, part: Partition) -> TracedMatrix:
     return TracedMatrix(part.frame.from_frame(y * _block_mask(part.assignment)))
 
 
-def _tail_fraction(sv: np.ndarray, eps: float) -> float:
-    return float(np.count_nonzero(sv > eps) / sv.size)
-
-
-def _off_diagonal(x, frame: MasaFrame) -> np.ndarray:
-    """x - E_A(x) in frame coordinates."""
-    y = frame.to_frame(_as_entries(x))
+def _off_diagonal(y) -> np.ndarray:
+    """y - E_A(y) for y in frame coordinates: y with its diagonal zeroed."""
+    y = _as_entries(y)
     return y - np.diag(np.diagonal(y))
 
 
@@ -206,7 +215,8 @@ def paving_defect(x, part: Partition, eps: float | None = None,
     is already diagonal) reports 0 whatever the baseline is.
     """
     t0 = time.perf_counter()
-    return _defect_report(_off_diagonal(x, part.frame), None, part, eps, strategy, seed, t0)
+    off = _off_diagonal(part.frame.to_frame(x))
+    return _defect_report(off, None, part, eps, strategy, seed, t0)
 
 
 def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: float | None,
@@ -230,7 +240,7 @@ def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: fl
     defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
     threshold = defect if eps is None else eps * base
-    tail = _tail_fraction(sv, threshold + 1e-15)
+    tail = float(np.count_nonzero(sv > threshold + 1e-15) / sv.size)
     return PavingReport(
         n_blocks=part.n_blocks,
         effective_blocks=part.effective_blocks,
@@ -247,10 +257,9 @@ def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: fl
 # Dixmier averaging
 # ---------------------------------------------------------------------------
 
-def _check_masa_unitary(v: np.ndarray, frame: MasaFrame) -> np.ndarray:
-    """Return the frame-diagonal of v, refusing non-unitary or off-frame
-    input (deviation above UNITARY_TOL)."""
-    d = frame.to_frame(v)
+def _check_masa_unitary(d: np.ndarray) -> np.ndarray:
+    """Return the diagonal of d, a unitary in frame coordinates, refusing
+    non-unitary or off-frame input (deviation above UNITARY_TOL)."""
     diag = np.diagonal(d).copy()
     if np.abs(d - np.diag(diag)).max() > UNITARY_TOL:
         raise ValueError("averaging unitary is not diagonal in the frame")
@@ -261,13 +270,12 @@ def _check_masa_unitary(v: np.ndarray, frame: MasaFrame) -> np.ndarray:
 
 def dixmier_average(x, unitaries, frame: MasaFrame) -> TracedMatrix:
     """T_V(x) = n^(-1) sum_i v_i x v_i* over a tuple of MASA unitaries."""
-    a = _as_entries(x)
     if not unitaries:
         raise ValueError("need at least one unitary")
-    y = frame.to_frame(a)
+    y = frame.to_frame(x)
     acc = np.zeros_like(y)
     for v in unitaries:
-        dv = _check_masa_unitary(_as_entries(v), frame)
+        dv = _check_masa_unitary(frame.to_frame(v))
         acc += y * np.outer(dv, dv.conj())
     return TracedMatrix(frame.from_frame(acc / len(unitaries)))
 
@@ -287,7 +295,7 @@ def roots_of_unity_tuple(part: Partition) -> list[TracedMatrix]:
 
 def sign_split(u, frame: MasaFrame) -> Partition:
     """Two-block partition from the +/-1 eigenprojections of a period-2 unitary."""
-    d = _check_masa_unitary(_as_entries(u), frame)
+    d = _check_masa_unitary(frame.to_frame(u))
     if np.abs(d * d - 1.0).max() > 1e-10:
         raise ValueError("sign_split needs a period-2 unitary (u^2 = 1)")
     assignment = (d.real < 0).astype(np.int64)
@@ -302,7 +310,7 @@ def arc_partition(u, n: int, frame: MasaFrame) -> Partition:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    d = _check_masa_unitary(_as_entries(u), frame)
+    d = _check_masa_unitary(frame.to_frame(u))
     return Partition(_arc_labels(np.mod(np.angle(d), 2 * np.pi), n), n, frame)
 
 
@@ -323,7 +331,7 @@ def refine(p: Partition, q: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 
 class _Objective:
-    """Defect of a masked off-diagonal matrix, as the max of per-block norms.
+    """Defect of y - E_A(y), y in frame coordinates, as the max of per-block norms.
 
     The masked matrix is block diagonal up to permutation, so its norm is
     the max over per-block norms; that keeps large-dimension sweeps cheap.
@@ -368,8 +376,8 @@ class _Objective:
     difference could flip an accept decision.
     """
 
-    def __init__(self, x, frame: MasaFrame):
-        self.off = _off_diagonal(x, frame)
+    def __init__(self, y):
+        self.off = _off_diagonal(y)
         self.base = op_norm(self.off)
         self.dim = self.off.shape[0]
         self._bounds_hold = self.dim <= SVD_DIM_LIMIT
@@ -378,17 +386,13 @@ class _Objective:
         self._bound = {}  # label -> an upper bound on its committed block norm
         self._pending = None
 
-    def _label_norms(self, assignment: np.ndarray, labels, out: dict) -> dict:
-        """Write the block norm of each label into ``out`` and return it."""
-        big, blocks = [], []
-        for label in labels:
-            idx = (assignment == label).nonzero()[0]
-            if idx.size < 2:
-                out[label] = 0.0  # a lone index sees only the zero diagonal
-            else:
-                big.append(label)
-                blocks.append(idx)
-        out.update(zip(big, _block_norms(self.off, blocks)))
+    def _label_norms(self, assignment: np.ndarray) -> dict:
+        """The block norm of each label that occurs in the assignment."""
+        members = _members(assignment, int(assignment.max()) + 1)
+        # a lone index sees only the zero diagonal
+        out = {label: 0.0 for label, idx in enumerate(members) if idx.size == 1}
+        big = [label for label, idx in enumerate(members) if idx.size > 1]
+        out.update(zip(big, _block_norms(self.off, [members[label] for label in big])))
         return out
 
     def _norm(self, assignment: np.ndarray, label: int) -> float:
@@ -397,8 +401,7 @@ class _Objective:
         return op_norm(self.off.take(idx, 0).take(idx, 1)) if idx.size > 1 else 0.0
 
     def defect(self, assignment: np.ndarray) -> float:
-        return max(self._label_norms(assignment, np.unique(assignment).tolist(), {}).values(),
-                   default=0.0)
+        return max(self._label_norms(assignment).values(), default=0.0)
 
     def ratio(self, assignment: np.ndarray) -> float:
         if self.base < DEGENERATE_NORM:
@@ -407,7 +410,7 @@ class _Objective:
 
     def reset(self, assignment: np.ndarray) -> float:
         self._committed = np.array(assignment, dtype=np.int64)
-        self._exact = self._label_norms(self._committed, np.unique(self._committed).tolist(), {})
+        self._exact = self._label_norms(self._committed)
         self._bound = {}
         self._pending = None
         return max(self._exact.values(), default=0.0)
@@ -525,13 +528,12 @@ def paving_number_exact(x, eps: float, frame: MasaFrame) -> int:
     eps, but the number of set partitions (the Bell number) still bounds
     its worst case.
     """
-    a = _as_entries(x)
-    dim = a.shape[0]
-    if dim > EXHAUSTIVE_DIM_LIMIT:
+    y = frame.to_frame(x)
+    if y.shape[0] > EXHAUSTIVE_DIM_LIMIT:
         raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    obj = _Objective(a, frame)
+    obj = _Objective(y)
     if obj.base < DEGENERATE_NORM:
         return 1
     return _first_paving(obj, eps)[1]
@@ -657,7 +659,7 @@ def _search_sign_split(obj, eps, budget, seed):
     while n < dim and best_d > target and spent < budget:
         level += 1
         rng = rng_for(seed, 0x516, level)
-        members = [np.flatnonzero(assignment == b) for b in range(n)]
+        members = _members(assignment, n)
         signs = _balanced_halves(members, dim, rng)
         trial = assignment * 2 + signs
         d = obj.reset(trial)
@@ -695,9 +697,10 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
 
     Deterministic given (strategy, budget, seed).  Except for sign_split
     (which doubles blocks and returns its last level even when the target
-    is missed), strategies sweep the block count upward and return at the
-    first count achieving the target; at the latest that is the singletons,
-    whose defect is 0.
+    is missed), strategies sweep the block count upward from two (one
+    block's defect is the base, above the target eps * base) and return at
+    the first count achieving the target; at the latest that is the
+    singletons, whose defect is 0.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -705,15 +708,14 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
         raise ValueError("budget must be positive")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    a = _as_entries(x)
     if frame is None:
-        frame = MasaFrame.identity(a.shape[0])
+        frame = MasaFrame.identity(_as_entries(x).shape[0])
     t0 = time.perf_counter()
-    obj = _Objective(a, frame)
+    obj = _Objective(frame.to_frame(x))
     dim = obj.dim
 
     def finish(part: Partition) -> tuple[Partition, PavingReport]:
-        # obj.off and obj.base come from the code paving_defect runs on a
+        # obj.off and obj.base come from the code paving_defect runs on x
         return part, _defect_report(obj.off, obj.base, part, eps, strategy, seed, t0)
 
     if obj.base < DEGENERATE_NORM:
@@ -727,11 +729,8 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
     if strategy == "sign_split":
         return finish(Partition.from_labels(_search_sign_split(obj, eps, budget, seed), frame))
 
-    for n in range(1, dim):
-        if n == 1:
-            cand = Partition.one_block(frame).assignment
-            d = obj.defect(cand)
-        elif strategy == "anneal":
+    for n in range(2, dim):
+        if strategy == "anneal":
             d, cand = _search_anneal(obj, eps, budget, seed, n)
         else:
             d, cand = _search_draws(obj, budget, seed, n, *_DRAWS[strategy])

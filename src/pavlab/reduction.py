@@ -385,7 +385,7 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
     trace = ReductionTrace(eps=eps)
     t0 = time.perf_counter()
 
-    off = _off_diagonal(a, frame)
+    off = _off_diagonal(frame.to_frame(a))
     base = op_norm(off)
     if base < DEGENERATE_NORM or dim <= 2:
         part = Partition.one_block(frame) if base < DEGENERATE_NORM else Partition.singletons(frame)

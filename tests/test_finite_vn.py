@@ -14,7 +14,8 @@ from pavlab import (
     op_norm,
     perpendicular_frame,
 )
-from pavlab.finite_vn import _dft_matrix, _expectation
+from pavlab.finite_vn import _dft_matrix
+from pavlab.paving import _off_diagonal
 
 
 def random_matrix(dim, seed):
@@ -168,8 +169,10 @@ def test_conditional_expectation_properties_random_frames():
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_expectation_array_equals_the_wrapper_property(data):
-    # the internal steps read E_A as an array; it must hold the wrapper's bytes
+def test_conditional_expectation_keeps_the_frame_diagonal_property(data):
+    # E_A(x) holds the bytes of U diag(diag(U* x U)) U*; in the identity
+    # frame x - E_A(x) holds those of x with its diagonal zeroed, the
+    # centering that every internal step applies in frame coordinates
     dim = data.draw(st.integers(1, 64), label="dim")
     # the Fourier frame at dim 1 is the 1 x 1 identity
     fourier = data.draw(st.booleans(), label="fourier")
@@ -177,10 +180,13 @@ def test_expectation_array_equals_the_wrapper_property(data):
     x = random_matrix(dim, data.draw(st.integers(0, 2**32 - 1), label="seed"))
     if data.draw(st.booleans(), label="traced"):
         x = TracedMatrix(x)
-    got = _expectation(x, frame)
-    want = conditional_expectation(x, frame).entries
+    got = conditional_expectation(x, frame).entries
+    want = frame.from_frame(np.diag(np.diagonal(frame.to_frame(x))))
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    if frame.is_identity:
+        centered = frame.to_frame(x) - got
+        assert centered.tobytes() == _off_diagonal(x).tobytes()
 
 
 def test_perpendicular_frame_dim2():

@@ -330,7 +330,7 @@ def _reference_block_paver(corner, target, seed):
     """The doubling loop of the block paver before its column-norm screens."""
     dim = corner.shape[0]
     frame = MasaFrame.identity(dim)
-    obj = paving._Objective(corner, frame)
+    obj = paving._Objective(corner)
     if obj.base < paving.DEGENERATE_NORM or obj.base <= target:
         return Partition.one_block(frame)
     n = 2
@@ -351,7 +351,7 @@ def test_screened_block_paver_equals_doubling_loop(data):
     # sparse corners spread the level defects further apart
     a *= rng.random((dim, dim)) < data.draw(st.sampled_from([1.0, 0.3, 0.1]), label="density")
     corner = (a + a.conj().T) / 2 if data.draw(st.booleans(), label="hermitian") else a
-    obj = paving._Objective(corner, MasaFrame.identity(dim))
+    obj = paving._Objective(corner)
     levels = [n for n in (2 ** k for k in range(1, 6)) if n < dim]
     # each level's exact defect, and the corner's own norm, as a target lets
     # that level (or one block) pass at equality

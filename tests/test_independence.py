@@ -131,8 +131,10 @@ def reference_k_independence_residual(blocks, X, k=2, sampling_budget=100_000, s
     were screened by _word_traces: the reference its reports must equal."""
     if isinstance(blocks, Partition):
         frame = blocks.frame
-    labels, diags = _letters_from(blocks, frame)
-    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    else:
+        blocks = [frame.to_frame(b) for b in blocks]
+    labels, diags = _letters_from(blocks)
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
     dim = frame.dim
     norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
 
@@ -202,8 +204,7 @@ def test_word_traces_equal_the_chain_property(data):
     if not diags:
         return
     seeds = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=2))
-    xs = [frame.to_frame(x) for x in _center_and_normalize([haar_model(dim, s) for s in seeds],
-                                                          frame)]
+    xs = _center_and_normalize([frame.to_frame(haar_model(dim, s)) for s in seeds])
     j = data.draw(st.integers(1, 4))
     n_letters = len(diags) * len(xs)
     if n_letters ** j <= 300 and data.draw(st.booleans()):
@@ -314,9 +315,10 @@ def _check_kernel_and_report(monkeypatch, blocks, X, frame, j, grouped):
     some level of the report, iff ``grouped``."""
     dim = frame.dim
     budget = 2000
-    _, diags = _letters_from(blocks, frame)
+    _, diags = _letters_from(blocks if isinstance(blocks, Partition)
+                             else [frame.to_frame(b) for b in blocks])
     letters = np.array(diags)
-    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
     combos = np.random.default_rng(j).integers(0, len(diags) * len(xs), size=(budget, j))
     a_idx, x_idx = np.divmod(combos, len(xs))
     levels = _count_grouped(monkeypatch)
@@ -365,8 +367,7 @@ def test_many_grouped_leaves_take_the_per_tail_order(monkeypatch):
     frame = MasaFrame.identity(dim)
     part = Partition(np.random.default_rng(dim).permutation(np.arange(dim) % 16), 16, frame)
     _, diags = _block_letters(part)
-    xs = [frame.to_frame(x) for x in _center_and_normalize(
-        [haar_model(dim, 10 * dim + s) for s in range(2)], frame)]
+    xs = _center_and_normalize([frame.to_frame(haar_model(dim, 10 * dim + s)) for s in range(2)])
     combos = np.random.default_rng(j).integers(0, len(diags) * 2, size=(2000, j))
     a_idx, x_idx = np.divmod(combos, 2)
     levels = _count_grouped(monkeypatch)
@@ -481,8 +482,8 @@ def test_mixing_equals_each_level_of_the_shared_objective_build(monkeypatch, dim
     levels = []
     search = independence._search_signs
 
-    def recorded(obj, frame, blocks, delta, budget, seed):
-        res = search(obj, frame, blocks, delta, budget, seed)
+    def recorded(obj, blocks, delta, budget, seed):
+        res = search(obj, blocks, delta, budget, seed)
         levels.append(((blocks, delta, budget, seed), res))
         return res
 
@@ -490,12 +491,15 @@ def test_mixing_equals_each_level_of_the_shared_objective_build(monkeypatch, dim
     part, _ = build_independent_partition([x], [y], n, 1e-3, frame, budget, seed)
     monkeypatch.undo()
     assert len(levels) == n and part.n_blocks == 2 ** n
-    # the builder's inputs: centered unit test elements, and Y followed by x x*
-    xs = _center_and_normalize([x], frame)
-    etas = [y] + [TracedMatrix(frame.from_frame(frame.to_frame(m) @ frame.to_frame(m).conj().T))
-                  for m in xs]
+    # the builder's inputs in frame coordinates: centered unit test elements,
+    # and Y followed by x x*; the identity-frame search reads them as given
+    xs = _center_and_normalize([frame.to_frame(x)])
+    etas = [frame.to_frame(y)] + [m @ m.conj().T for m in xs]
+    diagonal = MasaFrame.identity(dim)
     for (blocks, delta, level_budget, level_seed), res in levels:
-        got = find_mixing_sign_unitary(xs, etas, frame, blocks, delta, level_budget, level_seed)
+        got = find_mixing_sign_unitary(xs, etas, diagonal,
+                                       Partition(blocks.assignment, blocks.n_blocks, diagonal),
+                                       delta, level_budget, level_seed)
         assert np.array_equal(got.signs, res.signs)
         assert repr(got.objective) == repr(res.objective)
         assert got.evaluations == res.evaluations
@@ -639,8 +643,8 @@ def reference_check_cor37(part, X, Y=()):
     must equal bit for bit."""
     frame, dim, n = part.frame, part.dim, part.n_blocks
     t = 1.0 / n
-    xs = [frame.to_frame(x) for x in _center_and_normalize(X, frame)]
-    letters, etas = _alpha_inputs(xs, Y, frame)
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
+    letters, etas = _alpha_inputs(xs, [frame.to_frame(y) for y in Y])
     w = part.roots_of_unity_diagonal()
     vand = np.array([w ** p for p in range(1, n)])
     alpha_a = 0.0
@@ -734,6 +738,67 @@ def test_report_json_key_order():
         assert list(d["coverage_per_level"]) == ["1", "2"]
 
 
+# -- frames at the boundary ----------------------------------------------------
+
+def spy_conversions(monkeypatch) -> dict:
+    """Counts of MasaFrame.to_frame and from_frame calls on non-identity frames."""
+    counts = {"to_frame": 0, "from_frame": 0}
+    for name in counts:
+        def spy(self, a, _name=name, _method=getattr(MasaFrame, name)):
+            if not self.is_identity:
+                counts[_name] += 1
+            return _method(self, a)
+
+        monkeypatch.setattr(MasaFrame, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["fourier", "haar"])
+def test_public_entries_convert_once_and_equal_the_frame_coordinate_call(monkeypatch, kind):
+    # every MASA is U Diag U*: a call in frame F equals the identity-frame
+    # call on F.to_frame inputs, bit for bit, and converts each input once
+    dim = 32
+    frame = perpendicular_frame(dim) if kind == "fourier" else MasaFrame(haar(dim, 77))
+    diagonal = MasaFrame.identity(dim)
+    rng = np.random.default_rng(5)
+    X = [haar_model(dim, 900), haar_model(dim, 901)]
+    Y = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))]
+    raw = [frame.diagonal_element(rng.standard_normal(dim)) for _ in range(3)]
+    fX, fY, fraw = ([frame.to_frame(a) for a in group] for group in (X, Y, raw))
+    labels = rng.permutation(np.arange(dim) % 4)
+    part, part_d = Partition(labels, 4, frame), Partition(labels, 4, diagonal)
+    counts = spy_conversions(monkeypatch)
+
+    def converting_once(call, n_to, n_from=0):
+        counts.update(to_frame=0, from_frame=0)
+        out = call()
+        assert counts == {"to_frame": n_to, "from_frame": n_from}
+        return out
+
+    def same_json(got, want):
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    same_json(converting_once(lambda: k_independence_residual(part, X, k=3, sampling_budget=300,
+                                                              seed=1), 2),
+              k_independence_residual(part_d, fX, k=3, sampling_budget=300, seed=1))
+    same_json(converting_once(lambda: k_independence_residual(raw, X, k=2, frame=frame), 5),
+              k_independence_residual(fraw, fX, k=2, frame=diagonal))
+    same_json(converting_once(lambda: check_cor37(part, X, Y), 3), check_cor37(part_d, fX, fY))
+
+    got = converting_once(lambda: find_mixing_sign_unitary(X, Y, frame, part, 1e-3, 400, 5), 3, 1)
+    want = find_mixing_sign_unitary(fX, fY, diagonal, part_d, 1e-3, 400, 5)
+    assert np.array_equal(got.signs, want.signs)
+    assert repr(got.objective) == repr(want.objective)
+    assert got.evaluations == want.evaluations
+
+    got_part, got_rep = converting_once(
+        lambda: build_independent_partition(X, Y, 3, 1e-3, frame, 600, 4), 3)
+    want_part, want_rep = build_independent_partition(fX, fY, 3, 1e-3, diagonal, 600, 4)
+    assert got_part.frame is frame
+    assert np.array_equal(got_part.assignment, want_part.assignment)
+    same_json(got_rep, want_rep)
+
+
 # -- incremental_patch_haar -----------------------------------------------------
 
 def test_patch_empty_targets_scrambled_cycle():
@@ -806,7 +871,7 @@ def reference_incremental_patch_haar(X, n, delta, order_L, budget, seed):
     final check is the library's.  Test elements must be given."""
     rng = rng_for(seed, 0x9A7)
     dim = X[0].shape[0]
-    xs = _center_and_normalize(X, MasaFrame.identity(dim))
+    xs = _center_and_normalize(X)
     chunk = max(1, dim // 32)
     roots = np.exp(2j * np.pi * np.arange(order_L) / order_L)
     n_x = len(xs)

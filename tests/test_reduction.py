@@ -313,13 +313,14 @@ def benchmark_reduce_input(dim, seed):
 
 
 @pytest.mark.parametrize("dim", [128, 256])
-def test_reduce_live_set_stays_within_seven_and_a_half_dense_matrices(dim):
+def test_reduce_live_set_stays_within_six_dense_matrices(dim):
     # each dense dim x dim matrix is held only while a later step reads it:
-    # the traced peak reads 7.31 and 7.02 matrices at dims 128 and 256, and
-    # 13.9 and 13.8 with a full-size dilation per corner and spare copies.
-    # The bound of 7.5 is tighter than 9 so that each single regression
-    # fails it: an eager g, y0 or the unscaled component held through the
-    # corner loop, or a kept zero imaginary part read 8.02 to 8.31
+    # the traced peak reads 5.75 and 5.42 matrices at dims 128 and 256 (5.41
+    # at dim 512), and 13.9 and 13.8 with a full-size dilation per corner
+    # and spare copies.  The bound of 6 is tight enough that each single
+    # regression fails it: an eager g, y0 or the unscaled component held
+    # through the corner loop, or a kept zero imaginary part, each adds
+    # about one matrix
     import tracemalloc
 
     x = benchmark_reduce_input(dim, 0)
@@ -330,7 +331,7 @@ def test_reduce_live_set_stays_within_seven_and_a_half_dense_matrices(dim):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * 16 * dim * dim, peak / (16 * dim * dim)
+    assert peak <= 6.0 * 16 * dim * dim, peak / (16 * dim * dim)
 
 
 @pytest.mark.parametrize("dim", [128, 256])

@@ -63,13 +63,29 @@ def test_paper_identities_are_exported():
     assert set(PAPER_IDENTITIES) <= set(exported_names())
 
 
-def test_only_reduce_and_pave_takes_a_frame():
-    # the pipeline converts to frame coordinates once, at entry; every step
-    # after it reads frame coordinates, where E_A keeps the diagonal
-    from pavlab import reduction
+# the public entries that take a frame; each converts its inputs to frame
+# coordinates once, and every step after it reads frame coordinates, where
+# E_A keeps the diagonal
+FRAME_ENTRIES = ["Partition", "arc_partition", "build_independent_partition", "dixmier_average",
+                 "find_mixing_sign_unitary", "k_independence_residual", "pave_search",
+                 "paving_number_exact", "reduce_and_pave", "sign_split"]
 
-    takes_frame = sorted(name for name, obj in vars(reduction).items()
-                         if inspect.isfunction(obj) and obj.__module__ == reduction.__name__
-                         and not name.startswith("_")
-                         and "frame" in inspect.signature(obj).parameters)
-    assert takes_frame == ["reduce_and_pave"]
+
+def test_only_public_entries_take_a_frame():
+    from pavlab import independence, paving, reduction
+
+    public, private = [], []
+    for mod in (paving, independence, reduction):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                params = inspect.signature(obj.__init__).parameters
+            elif inspect.isfunction(obj):
+                params = inspect.signature(obj).parameters
+            else:
+                continue
+            if "frame" in params:
+                (private if name.startswith("_") else public).append(name)
+    assert private == []
+    assert sorted(public) == FRAME_ENTRIES
