@@ -14,7 +14,7 @@ of basis.  Each public entry writes its test elements, trace targets and
 raw block elements in frame coordinates once, at entry; every step after
 that reads frame coordinates, where E_A keeps the diagonal (centering
 zeroes it), and no private helper takes a frame.  Only the returned
-partitions and the mixing unitary carry the caller's frame.
+partitions carry the caller's frame.
 
 Words whose block letters are frame diagonals -- those of
 ``k_independence_residual`` and the final check of
@@ -36,8 +36,9 @@ columns keep the per-tail order.
 While ``incremental_patch_haar`` chooses a chunk, it scores its level-2
 words as one stack: index arrays give each word its pair matrix and two
 powers, and batched matmuls add every word's chunk terms for all
-candidates at once.  The mixing sign search halves blocks with the move
-of paving's sign_split (``_balanced_halves``, ``_pick_swap``).
+candidates at once.  The builder halves blocks by mixing unitaries
+diag(signs), whose signs ``_search_signs`` tunes with the move of paving's
+sign_split (``_balanced_halves``, ``_pick_swap``).
 """
 
 import itertools
@@ -47,11 +48,12 @@ import numpy as np
 
 from .finite_vn import MasaFrame, TracedMatrix, _as_entries, l2_norm
 from .matrix_io import JsonReport
-from .paving import Partition, _balanced_halves, _block_order, _members, _off_diagonal, _pick_swap
+from .paving import (Partition, _balanced_halves, _block_order, _members, _off_diagonal,
+                     _pick_swap, _same_frame)
 from .seeds import rng_for
 
 MAX_WORD_LEVEL = 4
-# the mixing sign search splits its budget over this many restarts
+# each level's sign search splits its budget over this many restarts
 SIGN_RESTARTS = 20
 
 
@@ -66,7 +68,7 @@ def word_label(a_indices, x_indices) -> str:
 class IndependenceReport(JsonReport):
     max_k: int
     residual_per_level: dict    # level -> residual, levels ascending
-    word_count: int
+    word_count: int  # for the builder: sign swaps tried, perfbench's ``evaluations``
     achieved_alpha: float
     coverage_per_level: dict = field(default_factory=dict)
     worst_word: str = ""
@@ -84,41 +86,17 @@ def _center_and_normalize(xs) -> list[np.ndarray]:
     return out
 
 
-def _block_letters(part: Partition) -> tuple[list[str], list[np.ndarray]]:
+def _block_letters(part: Partition) -> list[np.ndarray]:
     """Centered spanning letters of the block algebra, as frame diagonals.
 
     Powers of the roots-of-unity unitary w (centered when block traces are
     unequal) followed by the centered projections q_i - tau(q_i).
     """
-    n = part.n_blocks
-    labels, diags = [], []
     w = part.roots_of_unity_diagonal()
     traces = part.block_traces()
-    for p in range(1, n):
-        d = w ** p
-        d = d - d.mean()
-        if np.abs(d).max() > 1e-14:
-            labels.append(f"w^{p}")
-            diags.append(d)
-    for i in range(n):
-        d = (part.assignment == i).astype(np.complex128) - traces[i]
-        if np.abs(d).max() > 1e-14:
-            labels.append(f"q{i}-t")
-            diags.append(d)
-    return labels, diags
-
-
-def _letters_from(blocks):
-    """The letters of a partition, or the centered diagonals of raw blocks in frame coordinates."""
-    if isinstance(blocks, Partition):
-        return _block_letters(blocks)
-    labels, diags = [], []
-    for i, b in enumerate(blocks):
-        d = np.diagonal(b).copy()
-        d = d - d.mean()
-        labels.append(f"a{i}")
-        diags.append(d)
-    return labels, diags
+    diags = [d - d.mean() for d in (w ** p for p in range(1, part.n_blocks))]
+    diags += [(part.assignment == i).astype(np.complex128) - t for i, t in enumerate(traces)]
+    return [d for d in diags if np.abs(d).max() > 1e-14]
 
 
 # The kernel and the chain agree to within 1.4e-15 of a level's largest
@@ -322,9 +300,11 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
                             seed: int = 0, frame: MasaFrame | None = None) -> IndependenceReport:
     """Max |tau(a_1 x_1 ... a_j x_j)| per level j <= k, scaled by the letter norms.
 
-    Block letters come from the partition (or are given directly); test
-    elements are centered and L2-normalized on entry.  Levels whose word
-    count exceeds the budget are sampled uniformly, with coverage reported.
+    Block letters come from the partition, whose frame another ``frame``
+    may not replace, or are the centered diagonals of raw MASA elements in
+    ``frame``.  Test elements are centered and L2-normalized on entry.
+    Levels whose word count exceeds the budget are sampled uniformly, with
+    coverage reported.
     ``_word_traces`` screens every word; those near the level's maximum are
     evaluated again by the chain in word order, which fixes the reported
     residuals and the first worst word.
@@ -338,12 +318,14 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
     if not X:
         raise ValueError("need at least one test element")
     if isinstance(blocks, Partition):
+        if frame is not None and not _same_frame(frame, blocks.frame):
+            raise ValueError("frame differs from the partition's frame")
         frame = blocks.frame
+        diags = _block_letters(blocks)
     elif frame is None:
         raise ValueError("frame required when passing raw block elements")
     else:
-        blocks = [frame.to_frame(b) for b in blocks]
-    labels, diags = _letters_from(blocks)
+        diags = [d - d.mean() for d in (np.diagonal(frame.to_frame(b)) for b in blocks)]
     xs = _center_and_normalize([frame.to_frame(x) for x in X])
     dim = frame.dim
     norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
@@ -385,34 +367,16 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
 
 
 # ---------------------------------------------------------------------------
-# Mixing sign-unitary search
+# Mixing sign search
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MixingSignResult:
-    unitary: TracedMatrix
-    signs: np.ndarray
-    objective: float
-    evaluations: int
-
-
-@dataclass(frozen=True)
-class _SignSearch:
-    """What ``_search_signs`` finds; the builder reads no unitary."""
-
-    signs: np.ndarray
-    objective: float
-    evaluations: int
-
 
 class _SignObjective:
     """max of |tau(u xi1* u* xi2)| pair terms and |tau(u eta)|/||eta||_1 terms.
 
-    Quadratic/linear forms in the sign vector, with O(dim) swap updates.
-    Built from the test elements X and trace targets etas of
-    ``find_mixing_sign_unitary``, in frame coordinates: it depends on
-    neither the blocks nor the seed, so the builder searches one objective
-    at every level.
+    Quadratic/linear forms in the sign vector of u = diag(signs), with
+    O(dim) swap updates.  Built from test elements X and trace targets etas
+    in frame coordinates: it depends on neither the blocks nor the seed, so
+    the builder searches one objective at every level.
     """
 
     def __init__(self, X, etas, dim: int):
@@ -476,10 +440,12 @@ class _SignObjective:
 
 
 def _search_signs(obj: _SignObjective, blocks: Partition, delta: float, budget: int,
-                  seed: int) -> _SignSearch:
-    """The restarts of ``find_mixing_sign_unitary`` on a prepared objective."""
+                  seed: int) -> tuple[np.ndarray, float, int]:
+    """(signs, objective, swaps tried): the best sign vector, balanced within
+    each (even) block, that randomized pair swaps within blocks find over
+    SIGN_RESTARTS restarts sharing the budget; stops once delta is reached."""
     block_idx = [idx for idx in _members(blocks.assignment, blocks.n_blocks) if idx.size]
-    best: tuple[float, np.ndarray, int] = (np.inf, np.empty(0), -1)
+    best_val, best = np.inf, np.empty(0)
     spent = 0
     per_restart = max(1, budget // SIGN_RESTARTS)
     for w in range(SIGN_RESTARTS):
@@ -500,35 +466,11 @@ def _search_signs(obj: _SignObjective, blocks: Partition, delta: float, budget: 
                 obj.commit()
                 sides[i], sides[j] = 1, 0
                 cur = cand
-        if cur < best[0]:
-            best = (cur, obj.s.copy(), w)
-        if best[0] <= delta:
+        if cur < best_val:
+            best_val, best = cur, obj.s.copy()
+        if best_val <= delta:
             break
-    return _SignSearch(signs=best[1], objective=float(best[0]), evaluations=spent)
-
-
-def find_mixing_sign_unitary(X, Y, frame: MasaFrame, blocks: Partition,
-                             delta: float, budget: int, seed: int) -> MixingSignResult:
-    """Search balanced-per-block sign vectors for a mixing period-2 unitary.
-
-    Minimizes max(|tau(u xi1* u* xi2)| / (||xi1||_2 ||xi2||_2),
-    |tau(u eta)| / ||eta||_1) by randomized pair swaps within blocks; the
-    best vector over SIGN_RESTARTS restarts, which share the budget, is
-    returned with its achieved value.
-    Block sizes must be even so candidates are balanced (constant on no
-    block); stops early when the target delta is reached.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    for b, size in enumerate(np.bincount(blocks.assignment, minlength=blocks.n_blocks).tolist()):
-        if size % 2 != 0:
-            raise ValueError(f"block {b} has odd size {size}; balanced signs need even blocks")
-    obj = _SignObjective([frame.to_frame(x) for x in X], [frame.to_frame(y) for y in Y],
-                         frame.dim)
-    res = _search_signs(obj, blocks, delta, budget, seed)
-    return MixingSignResult(unitary=frame.diagonal_element(res.signs.astype(np.complex128)),
-                            signs=res.signs, objective=res.objective,
-                            evaluations=res.evaluations)
+    return best, float(best_val), spent
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +642,13 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     obj = _SignObjective(xs, etas, dim)
     evaluations = 0
     for level in range(n):
-        res = _search_signs(
+        signs, _, spent = _search_signs(
             obj, part,
             delta=alpha_target, budget=max(1, budget // max(1, n)),
             seed=int(rng_for(seed, 0xB1D, level).integers(0, 2 ** 63 - 1)),
         )
-        evaluations += res.evaluations
-        assignment = part.assignment * 2 + (res.signs < 0).astype(np.int64)
+        evaluations += spent
+        assignment = part.assignment * 2 + (signs < 0).astype(np.int64)
         part = Partition(assignment, 2 ** (level + 1), frame)
     if n == 0:
         report = IndependenceReport(2, {1: 0.0, 2: 0.0}, 0, 0.0, {1: 1.0, 2: 1.0}, "")

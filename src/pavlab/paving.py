@@ -74,9 +74,6 @@ class Partition:
     def effective_blocks(self) -> int:
         return int(np.unique(self.assignment).size)
 
-    def block_indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == i)
-
     def block_traces(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_blocks) / self.dim
 
@@ -117,10 +114,10 @@ class PavingReport(JsonReport):
     elapsed_ms: float
 
 
-def _same_frame(p: Partition, q: Partition) -> bool:
-    """For partitions of one dim; an identity frame is told by its flag, not its basis."""
-    f, g = p.frame, q.frame
-    return f.is_identity == g.is_identity and (f.is_identity or np.array_equal(f.basis, g.basis))
+def _same_frame(f: MasaFrame, g: MasaFrame) -> bool:
+    """Whether two frames have one dim and basis; an identity frame is told by its flag."""
+    return (f.dim == g.dim and f.is_identity == g.is_identity
+            and (f.is_identity or np.array_equal(f.basis, g.basis)))
 
 
 def _block_mask(assignment: np.ndarray) -> np.ndarray:
@@ -321,7 +318,7 @@ def _arc_labels(angles: np.ndarray, n: int) -> np.ndarray:
 
 def refine(p: Partition, q: Partition) -> Partition:
     """Common refinement; labels are compacted in (p-block, q-block) order."""
-    if p.dim != q.dim or not _same_frame(p, q):
+    if not _same_frame(p.frame, q.frame):
         raise ValueError("partitions must share dimension and frame")
     return Partition.from_labels(p.assignment * q.n_blocks + q.assignment, p.frame)
 
@@ -653,7 +650,7 @@ def _search_sign_split(obj, eps, budget, seed):
     target = eps * obj.base
     assignment = np.zeros(dim, dtype=np.int64)
     n = 1
-    best_d = obj.defect(assignment)
+    best_d = obj.base  # the one-block defect, with its bits
     spent = 0
     level = 0
     while n < dim and best_d > target and spent < budget:

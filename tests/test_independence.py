@@ -1,4 +1,4 @@
-"""Independence residuals, sign-unitary search, doubling, patching."""
+"""Independence residuals, mixing sign search, doubling, patching."""
 
 import hashlib
 import itertools
@@ -31,14 +31,14 @@ from pavlab.independence import (
     _block_letters,
     _alpha_inputs,
     _center_and_normalize,
-    _letters_from,
     _level_words,
     _near_max_traces,
+    _search_signs,
+    _SignObjective,
     _word_product,
     _word_traces,
     build_independent_partition,
     check_cor37,
-    find_mixing_sign_unitary,
     incremental_patch_haar,
     k_independence_residual,
     word_label,
@@ -125,15 +125,24 @@ def test_residual_deterministic():
     assert r1.residual_per_level == r2.residual_per_level
 
 
+def letter_diags(blocks, frame):
+    """The letters of a partition, or the centered frame diagonals of raw blocks."""
+    if isinstance(blocks, Partition):
+        return _block_letters(blocks)
+    diags = []
+    for b in blocks:
+        d = np.diagonal(frame.to_frame(b)).copy()
+        diags.append(d - d.mean())
+    return diags
+
+
 def reference_k_independence_residual(blocks, X, k=2, sampling_budget=100_000, seed=0,
                                       frame=None):
     """The per-word loop that k_independence_residual ran before its words
     were screened by _word_traces: the reference its reports must equal."""
     if isinstance(blocks, Partition):
         frame = blocks.frame
-    else:
-        blocks = [frame.to_frame(b) for b in blocks]
-    labels, diags = _letters_from(blocks)
+    diags = letter_diags(blocks, frame)
     xs = _center_and_normalize([frame.to_frame(x) for x in X])
     dim = frame.dim
     norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
@@ -200,7 +209,7 @@ def test_word_traces_equal_the_chain_property(data):
     dim = data.draw(st.integers(2, 12))
     frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
     labels, n = draw_labels(data, dim)
-    _, diags = _block_letters(Partition(labels, n, frame))
+    diags = _block_letters(Partition(labels, n, frame))
     if not diags:
         return
     seeds = data.draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=2))
@@ -315,8 +324,7 @@ def _check_kernel_and_report(monkeypatch, blocks, X, frame, j, grouped):
     some level of the report, iff ``grouped``."""
     dim = frame.dim
     budget = 2000
-    _, diags = _letters_from(blocks if isinstance(blocks, Partition)
-                             else [frame.to_frame(b) for b in blocks])
+    diags = letter_diags(blocks, frame)
     letters = np.array(diags)
     xs = _center_and_normalize([frame.to_frame(x) for x in X])
     combos = np.random.default_rng(j).integers(0, len(diags) * len(xs), size=(budget, j))
@@ -366,7 +374,7 @@ def test_many_grouped_leaves_take_the_per_tail_order(monkeypatch):
     dim, j = 32, 4
     frame = MasaFrame.identity(dim)
     part = Partition(np.random.default_rng(dim).permutation(np.arange(dim) % 16), 16, frame)
-    _, diags = _block_letters(part)
+    diags = _block_letters(part)
     xs = _center_and_normalize([frame.to_frame(haar_model(dim, 10 * dim + s)) for s in range(2)])
     combos = np.random.default_rng(j).integers(0, len(diags) * 2, size=(2000, j))
     a_idx, x_idx = np.divmod(combos, 2)
@@ -420,6 +428,23 @@ def test_k_independence_rejects_a_nonpositive_sampling_budget(budget):
         k_independence_residual(part, [haar_model(8, 0)], k=2, sampling_budget=budget)
 
 
+def test_k_independence_refuses_a_frame_other_than_the_partitions():
+    # a partition's letters live in its own frame: another frame is refused,
+    # not silently replaced
+    dim = 8
+    part = Partition(np.arange(dim) % 2, 2, MasaFrame.identity(dim))
+    x = haar_model(dim, 0)
+    for other in (perpendicular_frame(dim), MasaFrame.identity(2 * dim)):
+        with pytest.raises(ValueError, match="frame differs from the partition's frame"):
+            k_independence_residual(part, [x], k=2, frame=other)
+    # an identity frame built apart, like a Fourier basis built twice, is the same frame
+    for p, again in ((part, MasaFrame.identity(dim)),
+                     (Partition(np.arange(dim) % 2, 2, perpendicular_frame(dim)),
+                      perpendicular_frame(dim))):
+        got = k_independence_residual(p, [x], k=2, frame=again)
+        assert got.to_json_dict() == k_independence_residual(p, [x], k=2).to_json_dict()
+
+
 def test_builder_certificate_consistency():
     # level-2 residual of the built partition is certified by its own alpha
     dim = 64
@@ -430,102 +455,42 @@ def test_builder_certificate_consistency():
     assert indep.residual_per_level[2] <= rep.achieved_alpha + 1e-9
 
 
-# -- find_mixing_sign_unitary --------------------------------------------------
+# -- the mixing sign search ---------------------------------------------------
 
 def test_mixing_no_targets():
     frame = MasaFrame.identity(4)
-    res = find_mixing_sign_unitary([], [], frame, Partition.one_block(frame),
-                                   delta=0.1, budget=10, seed=0)
-    assert res.objective == 0.0
-    assert abs(res.signs.sum()) == 0  # balanced
+    signs, objective, _ = _search_signs(_SignObjective([], [], 4), Partition.one_block(frame),
+                                        delta=0.1, budget=10, seed=0)
+    assert objective == 0.0
+    assert abs(signs.sum()) == 0  # balanced
 
 
 def test_mixing_dim2_exhausts_to_objective_one():
     frame = MasaFrame.identity(2)
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
-    res = find_mixing_sign_unitary([flip], [], frame, Partition.one_block(frame),
-                                   delta=0.0, budget=50, seed=3)
+    _, objective, _ = _search_signs(_SignObjective([flip], [], 2), Partition.one_block(frame),
+                                    delta=0.0, budget=50, seed=3)
     # both balanced sign vectors give |tau(u xi* u* xi)| = 1: reported, not an error
-    assert res.objective == pytest.approx(1.0, abs=1e-12)
-    u = res.unitary.entries
-    assert np.allclose(u @ u, np.eye(2), atol=1e-12)
+    assert objective == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mixing_rejects_odd_blocks():
-    frame = MasaFrame.identity(3)
-    with pytest.raises(ValueError):
-        find_mixing_sign_unitary([], [], frame, Partition.one_block(frame),
-                                 delta=0.1, budget=10, seed=0)
-    with pytest.raises(ValueError):
-        find_mixing_sign_unitary([], [], MasaFrame.identity(4),
-                                 Partition.one_block(MasaFrame.identity(4)),
-                                 delta=0.1, budget=0, seed=0)
-
-
-def test_mixing_rejects_an_odd_block_among_even_ones():
-    frame = MasaFrame.identity(8)
-    blocks = Partition(np.array([0, 0, 1, 1, 1, 2, 2, 2]), 3, frame)
-    with pytest.raises(ValueError, match="block 1 has odd size 3"):
-        find_mixing_sign_unitary([haar_model(8, 1)], [], frame, blocks, delta=0.1, budget=10,
-                                 seed=0)
-
-
-@pytest.mark.parametrize("dim,n,budget,seed,fourier",
-                         [(32, 3, 600, 1, True), (64, 4, 4000, 2, False)])
-def test_mixing_equals_each_level_of_the_shared_objective_build(monkeypatch, dim, n, budget,
-                                                                seed, fourier):
-    # the builder searches one objective for every level; the public search
-    # builds its own and must return the same signs, objective and count
-    frame = perpendicular_frame(dim) if fourier else MasaFrame.identity(dim)
-    x = haar_model(dim, 100 + seed)
-    y = frame.diagonal_element(np.random.default_rng(seed).standard_normal(dim)).entries
-    levels = []
-    search = independence._search_signs
-
-    def recorded(obj, blocks, delta, budget, seed):
-        res = search(obj, blocks, delta, budget, seed)
-        levels.append(((blocks, delta, budget, seed), res))
-        return res
-
-    monkeypatch.setattr(independence, "_search_signs", recorded)
-    part, _ = build_independent_partition([x], [y], n, 1e-3, frame, budget, seed)
-    monkeypatch.undo()
-    assert len(levels) == n and part.n_blocks == 2 ** n
-    # the builder's inputs in frame coordinates: centered unit test elements,
-    # and Y followed by x x*; the identity-frame search reads them as given
-    xs = _center_and_normalize([frame.to_frame(x)])
-    etas = [frame.to_frame(y)] + [m @ m.conj().T for m in xs]
-    diagonal = MasaFrame.identity(dim)
-    for (blocks, delta, level_budget, level_seed), res in levels:
-        got = find_mixing_sign_unitary(xs, etas, diagonal,
-                                       Partition(blocks.assignment, blocks.n_blocks, diagonal),
-                                       delta, level_budget, level_seed)
-        assert np.array_equal(got.signs, res.signs)
-        assert repr(got.objective) == repr(res.objective)
-        assert got.evaluations == res.evaluations
-
-
-def test_mixing_commutes_with_blocks_and_involutive():
+def test_mixing_signs_balanced_within_each_block():
     frame = MasaFrame.identity(16)
     blocks = Partition(np.arange(16) % 4, 4, frame)
-    x = haar_model(16, 21)
-    res = find_mixing_sign_unitary([x], [], frame, blocks, delta=0.0, budget=500, seed=1)
-    u = res.unitary.entries
-    assert np.allclose(u @ u, np.eye(16), atol=1e-12)
-    for p in blocks.projections():
-        assert np.allclose(u @ p.entries, p.entries @ u, atol=1e-12)
-    # balanced within each block: constant on no block
+    signs, _, _ = _search_signs(_SignObjective([haar_model(16, 21)], [], 16), blocks,
+                                delta=0.0, budget=500, seed=1)
+    assert set(np.abs(signs).tolist()) == {1.0}
+    # constant on no block: u = diag(signs) halves every block
     for b in range(4):
-        idx = blocks.block_indices(b)
-        assert res.signs[idx].sum() == 0
+        assert signs[np.flatnonzero(blocks.assignment == b)].sum() == 0
 
 
 def test_mixing_objective_small_on_haar_model():
     frame = MasaFrame.identity(128)
     x = haar_model(128, 31)
-    res = find_mixing_sign_unitary([x], [], frame, Partition.one_block(frame),
-                                   delta=0.0, budget=4000, seed=7)
-    assert res.objective <= 0.05
+    _, objective, _ = _search_signs(_SignObjective([x], [], 128), Partition.one_block(frame),
+                                    delta=0.0, budget=4000, seed=7)
+    assert objective <= 0.05
 
 
 # -- build_independent_partition -----------------------------------------------
@@ -784,12 +749,6 @@ def test_public_entries_convert_once_and_equal_the_frame_coordinate_call(monkeyp
     same_json(converting_once(lambda: k_independence_residual(raw, X, k=2, frame=frame), 5),
               k_independence_residual(fraw, fX, k=2, frame=diagonal))
     same_json(converting_once(lambda: check_cor37(part, X, Y), 3), check_cor37(part_d, fX, fY))
-
-    got = converting_once(lambda: find_mixing_sign_unitary(X, Y, frame, part, 1e-3, 400, 5), 3, 1)
-    want = find_mixing_sign_unitary(fX, fY, diagonal, part_d, 1e-3, 400, 5)
-    assert np.array_equal(got.signs, want.signs)
-    assert repr(got.objective) == repr(want.objective)
-    assert got.evaluations == want.evaluations
 
     got_part, got_rep = converting_once(
         lambda: build_independent_partition(X, Y, 3, 1e-3, frame, 600, 4), 3)

@@ -365,7 +365,7 @@ def test_arc_partition_trivial_cases():
     frame = MasaFrame.identity(5)
     part = arc_partition(np.eye(5), 4, frame)
     assert part.effective_blocks == 1
-    assert part.block_indices(0).size == 5  # angle 0 goes to the first arc
+    assert np.flatnonzero(part.assignment == 0).size == 5  # angle 0 goes to the first arc
     part1 = arc_partition(np.diag(np.exp(2j * np.pi * np.linspace(0, 0.9, 5))), 1, frame)
     assert part1.n_blocks == 1 and part1.effective_blocks == 1
 
@@ -1171,7 +1171,7 @@ def _search_pins():
 # np.linalg.svd calls, a stack counted per matrix, of each strategy over the
 # zero_diag_haar inputs at dims 32 and 64 and input seeds 0-3, each also the
 # search seed, at eps 0.6 and budget 1000 with one BLAS thread
-SVD_COUNT_PINS = {"sign_split": 3783, "anneal": 30794, "roots_of_unity": 1168, "arc": 1492}
+SVD_COUNT_PINS = {"sign_split": 3775, "anneal": 30794, "roots_of_unity": 1168, "arc": 1492}
 
 
 def _svd_counts():
