@@ -130,7 +130,7 @@ def cmd_pave(args) -> int:
 
 def cmd_pave_exact(args) -> int:
     x = _input_matrix(args)
-    n = paving_number_exact(x, args.eps, MasaFrame.identity(x.shape[0]))
+    n = paving_number_exact(x, args.eps)
     payload = {"eps": args.eps, "paving_number": n, "dim": int(x.shape[0])}
     _emit(args, payload, [args.seed])
     return 0

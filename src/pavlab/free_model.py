@@ -160,6 +160,8 @@ def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperiment
     sum_k e_k u e_k to 1e-12 (pure algebra) and reports the measured
     compression norm against (sqrt(n-1) + 1)/n.
     """
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
     if n < 1 or dim % n != 0:
         raise ValueError(f"n={n} must divide dim={dim}")
     u = _zero_diag_haar(dim, rng_for(seed, 0xC07, 0))
@@ -228,6 +230,8 @@ def power_conjugation_growth(dim: int, N: int, seed: int) -> GrowthReport:
     Emits the exponent of the least-squares fit g(n) ~ n^beta; the source
     question expects growth near sqrt(n), reported rather than asserted.
     """
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
     if N < 2:
         raise ValueError("need N >= 2")
     u = _haar(dim, rng_for(seed, 0x960, 0))

@@ -10,11 +10,10 @@ into the deterministic inequality suite it implies.
 
 Frame convention: in M_dim every MASA is U Diag U*, so testing
 independence over it is testing it over the diagonal MASA after one change
-of basis.  Each public entry writes its test elements, trace targets and
-raw block elements in frame coordinates once, at entry; every step after
-that reads frame coordinates, where E_A keeps the diagonal (centering
-zeroes it), and no private helper takes a frame.  Only the returned
-partitions carry the caller's frame.
+of basis.  Test elements and trace targets are written once, at entry, in
+the frame of the partition (the builder's given frame); the Haar patch
+reads them in frame coordinates.  Every later step reads frame coordinates,
+where E_A keeps the diagonal; no private helper takes a frame.
 
 Words whose block letters are frame diagonals -- those of
 ``k_independence_residual`` and the final check of
@@ -48,8 +47,7 @@ import numpy as np
 
 from .finite_vn import MasaFrame, TracedMatrix, _as_entries, l2_norm
 from .matrix_io import JsonReport
-from .paving import (Partition, _balanced_halves, _block_order, _members, _off_diagonal,
-                     _pick_swap, _same_frame)
+from .paving import Partition, _balanced_halves, _block_order, _members, _off_diagonal, _pick_swap
 from .seeds import rng_for
 
 MAX_WORD_LEVEL = 4
@@ -213,9 +211,9 @@ def _word_traces(letters: np.ndarray, xs, a_idx: np.ndarray, x_idx: np.ndarray) 
     (x2, ..., xj), whatever its letters, and G^(j-2) sets of G x G block
     sums per distinct (x1, x tail).  The block sums cost about G dim^2
     each, plus the fixed ``_LEAF_COST``, so letters with few equal columns,
-    such as raw MASA elements or the powers of the patch's v, keep the
-    per-tail order, and so do many x tails over many groups.  Values agree
-    with ``_word_product`` up to rounding, not bit for bit.
+    such as the powers of the patch's v, keep the per-tail order, and so do
+    many x tails over many groups.  Values agree with ``_word_product`` up
+    to rounding, not bit for bit.
     """
     dim = letters.shape[1]
     j = a_idx.shape[1]
@@ -296,15 +294,14 @@ def _level_words(n_letters: int, j: int, budget: int, rng) -> tuple[np.ndarray, 
     return rng.integers(0, n_letters, size=(budget, j)), budget / count
 
 
-def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_000,
-                            seed: int = 0, frame: MasaFrame | None = None) -> IndependenceReport:
+def k_independence_residual(part: Partition, X, k: int = 2, sampling_budget: int = 100_000,
+                            seed: int = 0) -> IndependenceReport:
     """Max |tau(a_1 x_1 ... a_j x_j)| per level j <= k, scaled by the letter norms.
 
-    Block letters come from the partition, whose frame another ``frame``
-    may not replace, or are the centered diagonals of raw MASA elements in
-    ``frame``.  Test elements are centered and L2-normalized on entry.
-    Levels whose word count exceeds the budget are sampled uniformly, with
-    coverage reported.
+    Block letters come from the partition (``_block_letters``).  Test
+    elements are written in the partition's frame once, then centered and
+    L2-normalized.  Levels whose word count exceeds the budget are sampled
+    uniformly, with coverage reported.
     ``_word_traces`` screens every word; those near the level's maximum are
     evaluated again by the chain in word order, which fixes the reported
     residuals and the first worst word.
@@ -317,17 +314,9 @@ def k_independence_residual(blocks, X, k: int = 2, sampling_budget: int = 100_00
         raise ValueError("sampling_budget must be positive")
     if not X:
         raise ValueError("need at least one test element")
-    if isinstance(blocks, Partition):
-        if frame is not None and not _same_frame(frame, blocks.frame):
-            raise ValueError("frame differs from the partition's frame")
-        frame = blocks.frame
-        diags = _block_letters(blocks)
-    elif frame is None:
-        raise ValueError("frame required when passing raw block elements")
-    else:
-        diags = [d - d.mean() for d in (np.diagonal(frame.to_frame(b)) for b in blocks)]
-    xs = _center_and_normalize([frame.to_frame(x) for x in X])
-    dim = frame.dim
+    diags = _block_letters(part)
+    xs = _center_and_normalize([part.frame.to_frame(x) for x in X])
+    dim = part.dim
     norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
 
     residuals, coverage = {}, {}
@@ -454,11 +443,7 @@ def _search_signs(obj: _SignObjective, blocks: Partition, delta: float, budget: 
         cur = obj.start(1 - 2 * sides)
         local = per_restart
         while local > 0 and cur > delta:
-            pick = _pick_swap(block_idx, sides, rng)
-            if pick is None:
-                local -= 1
-                continue
-            i, j = pick
+            i, j = _pick_swap(block_idx, sides, rng)  # even blocks: both sides occupied
             cand = obj.try_swap(i, j)
             spent += 1
             local -= 1
@@ -536,15 +521,14 @@ def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray
         for x2 in xs:
             m = x1 * x2.T
             b = vand @ m @ vand.T / dim
-            alpha_a = max(alpha_a, float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0)
+            alpha_a = max(alpha_a, float(np.linalg.svd(b, compute_uv=False)[0]))
     alpha_b = 0.0
     t = 1.0 / n
     perm, spans = _block_order(part.assignment, part.n_blocks)
     for eta in etas:
         d = np.diagonal(eta)
         vals = np.abs(vand @ d) / dim  # |tau(eta w^p)|, ||w^p|| = 1
-        if vals.size:
-            alpha_b = max(alpha_b, float(vals.max()))
+        alpha_b = max(alpha_b, float(vals.max()))
         dp = d[perm]
         for si in spans:
             num = abs(dp[si].sum() / dim - t * d.sum() / dim)
@@ -695,33 +679,31 @@ def incremental_patch_haar(X, n: int, delta: float, order_L: int, budget: int,
     matmuls indexed by each word's pair matrix and powers, and the first
     candidate below the best value by more than 1e-15 wins.  The final
     report checks the powers and the sampled level-1, 2 and 3 words; a
-    level-1 word's trace is read off the diagonal.  With no test elements
-    the result is a scrambled full cycle of dim-th roots of unity, whose
-    nonzero power traces vanish identically.  ``delta`` is unread; the
-    perfbench indep workload still passes it positionally.
+    level-1 word's trace is read off the diagonal.  Diagonal test elements
+    give a scrambled full cycle of dim-th roots of unity, whose nonzero
+    power traces vanish identically.  ``delta`` is unread; the perfbench
+    indep workload still passes it positionally.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    dim = None
-    xs = []
+    if not X:
+        raise ValueError("need at least one test element")
+    dims = {(_as_entries(x)).shape[0] for x in X}
+    if len(dims) != 1:
+        raise ValueError("test elements must share a dimension")
+    dim = dims.pop()
+    if order_L < dim or order_L % dim != 0:
+        raise ValueError("order_L must be a multiple of dim")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = rng_for(seed, 0x9A7)
-    if X:
-        dims = {(_as_entries(x)).shape[0] for x in X}
-        if len(dims) != 1:
-            raise ValueError("test elements must share a dimension")
-        dim = dims.pop()
-        xs = _center_and_normalize(X)
+    xs = _center_and_normalize(X)
     if not xs:
-        dim = dim or max(order_L // 8, 2)
         v = _scrambled_cycle(dim, rng)
         eta = max(abs(np.sum(v ** k)) / dim for k in range(1, dim)) if dim > 1 else 0.0
         report = PatchReport(float(eta), 0.0, 0, 1.0, dim)
         return TracedMatrix(np.diag(v)), report
 
-    if order_L < dim or order_L % dim != 0:
-        raise ValueError("order_L must be a multiple of dim")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     chunk = max(1, dim // 32)
     roots = np.exp(2j * np.pi * np.arange(order_L) / order_L)
     n_x = len(xs)

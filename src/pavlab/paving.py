@@ -16,8 +16,13 @@ objective takes the blocks of a move one at a time.  The same contractivity
 lets that objective keep a block that only lost indices at its old norm as
 an upper bound, taking its SVD only when the bound could decide the defect.
 The halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
-the move of the mixing sign search in independence.  Private helpers read
-frame coordinates; each public entry that takes a frame converts once.
+the move of the mixing sign search in independence.
+
+Frame convention: paving x over a MASA U Diag U* is paving U* x U over the
+diagonal one, so the searches read x in frame coordinates and return
+identity-frame partitions.  Only what builds or reads MASA elements takes a
+frame (``Partition``, ``dixmier_average``, ``sign_split``, ``arc_partition``),
+and converts once; no private helper takes a frame.
 """
 
 import time
@@ -517,15 +522,15 @@ def _first_paving(obj: _Objective, eps: float) -> tuple[np.ndarray, int]:
     return np.arange(dim), dim
 
 
-def paving_number_exact(x, eps: float, frame: MasaFrame) -> int:
-    """Smallest block count achieving ratio <= eps, by an exact branch and
-    bound over all set partitions (``_first_paving``).
+def paving_number_exact(x, eps: float) -> int:
+    """Smallest block count achieving ratio <= eps for x in frame
+    coordinates, by an exact branch and bound over all set partitions.
 
     Capped at dim EXHAUSTIVE_DIM_LIMIT: the walk prunes well at moderate
     eps, but the number of set partitions (the Bell number) still bounds
     its worst case.
     """
-    y = frame.to_frame(x)
+    y = _as_entries(x)
     if y.shape[0] > EXHAUSTIVE_DIM_LIMIT:
         raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
     if not 0 < eps < 1:
@@ -688,9 +693,10 @@ def _search_sign_split(obj, eps, budget, seed):
     return assignment
 
 
-def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
-                frame: MasaFrame | None = None) -> tuple[Partition, PavingReport]:
-    """Search for a small partition paving x at ratio <= eps.
+def pave_search(x, eps: float, strategy: str, budget: int,
+                seed: int) -> tuple[Partition, PavingReport]:
+    """Search for a small partition paving x, in frame coordinates, at
+    ratio <= eps; the partition carries the identity frame.
 
     Deterministic given (strategy, budget, seed).  Except for sign_split
     (which doubles blocks and returns its last level even when the target
@@ -705,11 +711,10 @@ def pave_search(x, eps: float, strategy: str, budget: int, seed: int,
         raise ValueError("budget must be positive")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    if frame is None:
-        frame = MasaFrame.identity(_as_entries(x).shape[0])
     t0 = time.perf_counter()
-    obj = _Objective(frame.to_frame(x))
+    obj = _Objective(x)
     dim = obj.dim
+    frame = MasaFrame.identity(dim)
 
     def finish(part: Partition) -> tuple[Partition, PavingReport]:
         # obj.off and obj.base come from the code paving_defect runs on x

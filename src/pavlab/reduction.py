@@ -20,10 +20,9 @@ between 0 and s+m, so g - t' 1 has exactly the eigenvalues -t' and 1 - t'.
 The paver needs no base: it receives the corner's absolute budget.
 
 Frame convention: in M_dim every MASA is U Diag U*, so paving x over it is
-paving U* x U over the diagonal MASA.  ``reduce_and_pave`` alone takes a
-frame; it writes x in frame coordinates once, and every step after it
-reads frame coordinates, where E_A keeps the diagonal.  Only the returned
-partition carries the caller's frame.
+paving U* x U over the diagonal MASA.  ``reduce_and_pave`` reads x in frame
+coordinates, where E_A keeps the diagonal, as does every step after it;
+its partition carries the identity frame.  No function here takes a frame.
 
 The pipeline holds a dense dim x dim matrix only while a later step reads
 it.  The paver receives the (s+m) x (s+m) corner of the dilated
@@ -144,7 +143,6 @@ def band_slices(a, eps: float) -> list[Band]:
 @dataclass(frozen=True)
 class FlattenResult:
     y: np.ndarray
-    scaling: np.ndarray     # the diagonal of b
     drift: float            # ||y0 - y||
     transfer: float         # ||(y0 - y) - E_A(y0 - y)||, the paving-relevant part
 
@@ -181,7 +179,7 @@ def flatten(y0, bands: list[Band], eps: float) -> FlattenResult:
         dev = np.abs(np.real(np.diagonal(y))[band.slots] - band.anchor).max()
         if dev > 1e-9:
             raise AssertionError(f"flattened expectation deviates {dev:.3e} on band {band.index}")
-    return FlattenResult(y, b, float(drift), float(transfer))
+    return FlattenResult(y, float(drift), float(transfer))
 
 
 # ---------------------------------------------------------------------------
@@ -353,39 +351,35 @@ def _pave_component(z: np.ndarray, eps: float, projection_paver,
     return assignment
 
 
-def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = None,
+def reduce_and_pave(x, eps: float, projection_paver,
                     seed: int = 0) -> tuple[Partition, ReductionTrace, PavingReport]:
-    """Full reduction pipeline; returns the partition, trace, and report.
+    """Full reduction pipeline on x in frame coordinates; returns the
+    partition (in the identity frame), trace, and report.
 
     The projection_paver callback receives (corner, target, seed), target the
     absolute bound on ||sum_i p_i (c - E_A(c)) p_i|| for the corner c, and
     must return a Partition of the corner's dim (else ValueError).
 
-    x is taken into frame coordinates once, as its off-diagonal part
-    off = U* x U - E_A(U* x U), and every later step reads off; so the
-    result is that of ``reduce_and_pave(frame.to_frame(x))``, bit for bit,
-    apart from the frame of the returned partition.  The norm of off is
-    taken once.  It decides the short circuit, and it is the base of the
-    returned report, which ``paving_defect`` would take again.  A component
-    that is exactly zero (the imaginary part of a self-adjoint input) is
-    skipped, as its zero norm would skip it.  When the real component has
-    the bits of off (an input whose frame coordinates are exactly
-    self-adjoint), its norm is the base.  So the pipeline takes no SVD
-    whose result it already has; the masked SVD of a singleton paving is
-    skipped by ``paving._defect_report``, and each component report from
-    ``paving_defect`` takes its base only for a nonzero defect.
+    x is read once, as its off-diagonal part off = x - E_A(x), and every
+    later step reads off.  The norm of off is taken once.  It decides the
+    short circuit, and it is the base of the returned report, which
+    ``paving_defect`` would take again.  A component that is exactly zero
+    (the imaginary part of a self-adjoint input) is skipped, as its zero
+    norm would skip it.  When the real component has the bits of off (an
+    exactly self-adjoint input), its norm is the base.  So the pipeline
+    takes no SVD whose result it already has; the masked SVD of a singleton
+    paving is skipped by ``paving._defect_report``, and each component
+    report from ``paving_defect`` takes its base only for a nonzero defect.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     a = _as_entries(x)
     dim = a.shape[0]
-    diagonal = MasaFrame.identity(dim)  # the frame of every step after the conversion
-    if frame is None:
-        frame = diagonal
+    frame = MasaFrame.identity(dim)
     trace = ReductionTrace(eps=eps)
     t0 = time.perf_counter()
 
-    off = _off_diagonal(frame.to_frame(a))
+    off = _off_diagonal(a)
     base = op_norm(off)
     if base < DEGENERATE_NORM or dim <= 2:
         part = Partition.one_block(frame) if base < DEGENERATE_NORM else Partition.singletons(frame)
@@ -405,16 +399,16 @@ def reduce_and_pave(x, eps: float, projection_paver, frame: MasaFrame | None = N
         z = comp / nrm
         del comp  # the pipeline reads the scaled component only
         part = Partition.from_labels(_pave_component(z, eps, projection_paver, seed, trace),
-                                     diagonal)
+                                     frame)
         rep = paving_defect(z, part, eps=eps, strategy=f"reduction/{label}", seed=seed)
         trace.add(f"component_ratio_{label}", rep.ratio, eps)
         parts.append(part)
 
     # both components can fall below DEGENERATE_NORM while off does not; the
     # one block then stands, and its ratio of 1 fails the combined stage
-    combined = parts[0] if parts else Partition.one_block(diagonal)
+    combined = parts[0] if parts else Partition.one_block(frame)
     for other in parts[1:]:
         combined = refine(combined, other)
     report = _defect_report(off, base, combined, eps, "reduction", seed, t0)
     trace.add("combined_ratio", report.ratio, 2 * eps if len(parts) == 2 else eps)
-    return Partition(combined.assignment, combined.n_blocks, frame), trace, report
+    return combined, trace, report

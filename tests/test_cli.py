@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,20 @@ def test_csv_on_stdout_keeps_its_manifest_on_stderr(capsys, argv):
     assert list(manifest) == ["config", "versions", "seeds"]
     assert manifest["config"]["subcommand"] == argv[0]
     assert manifest["config"]["format"] == "csv"
+
+
+@pytest.mark.parametrize("op", [("conj", "--n", "1"), ("growth",)])
+def test_free_refuses_dim_one_without_a_warning(op):
+    # a dim-1 zero-diagonal model is the zero matrix: dividing it by its norm
+    # warned on stderr and failed as "SVD did not converge"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "pavlab.cli", "free", "--dim", "1", "--op", *op],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert json.loads(out.stdout) == {"error": "dim must be >= 2", "code": 2}
+    assert out.stderr == ""
 
 
 def test_free_kesten_json(capsys):

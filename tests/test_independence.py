@@ -125,26 +125,12 @@ def test_residual_deterministic():
     assert r1.residual_per_level == r2.residual_per_level
 
 
-def letter_diags(blocks, frame):
-    """The letters of a partition, or the centered frame diagonals of raw blocks."""
-    if isinstance(blocks, Partition):
-        return _block_letters(blocks)
-    diags = []
-    for b in blocks:
-        d = np.diagonal(frame.to_frame(b)).copy()
-        diags.append(d - d.mean())
-    return diags
-
-
-def reference_k_independence_residual(blocks, X, k=2, sampling_budget=100_000, seed=0,
-                                      frame=None):
+def reference_k_independence_residual(part, X, k=2, sampling_budget=100_000, seed=0):
     """The per-word loop that k_independence_residual ran before its words
     were screened by _word_traces: the reference its reports must equal."""
-    if isinstance(blocks, Partition):
-        frame = blocks.frame
-    diags = letter_diags(blocks, frame)
-    xs = _center_and_normalize([frame.to_frame(x) for x in X])
-    dim = frame.dim
+    diags = _block_letters(part)
+    xs = _center_and_normalize([part.frame.to_frame(x) for x in X])
+    dim = part.dim
     norms = [float(np.linalg.norm(d) / np.sqrt(dim)) for d in diags]
 
     def word_trace(a_diags, xis):
@@ -253,15 +239,8 @@ def test_level_one_trace_equals_the_chain_property(data):
 def test_k_independence_report_equals_reference_property(data):
     dim = data.draw(st.integers(2, 10))
     frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-    if data.draw(st.booleans()):
-        labels, n = draw_labels(data, dim)
-        blocks = Partition(labels, n, frame)
-    else:
-        # raw MASA elements; a scalar one gives a zero letter and a tiny one
-        # makes the denominators of words repeating it fall below 1e-30
-        scales = data.draw(st.lists(st.sampled_from([1.0, 0.0, 1e-20]), min_size=1, max_size=3))
-        blocks = [frame.diagonal_element(c * rng.standard_normal(dim) + 1.0) for c in scales]
+    labels, n = draw_labels(data, dim)
+    part = Partition(labels, n, frame)
     x = haar_model(dim, data.draw(st.integers(0, 2 ** 16)))
     X = [x, x] if data.draw(st.booleans()) else [x]  # a duplicate gives exact ties
     if data.draw(st.booleans()):
@@ -269,9 +248,8 @@ def test_k_independence_report_equals_reference_property(data):
     k = data.draw(st.integers(1, 4))
     budget = data.draw(st.sampled_from([10, 50, 2_000]))
     seed = data.draw(st.integers(0, 100))
-    got = k_independence_residual(blocks, X, k=k, sampling_budget=budget, seed=seed, frame=frame)
-    want = reference_k_independence_residual(blocks, X, k=k, sampling_budget=budget, seed=seed,
-                                             frame=frame)
+    got = k_independence_residual(part, X, k=k, sampling_budget=budget, seed=seed)
+    want = reference_k_independence_residual(part, X, k=k, sampling_budget=budget, seed=seed)
     assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -289,17 +267,29 @@ def test_cyclic_twin_words_keep_the_first_worst_word():
 def test_cancelling_words_report_the_chain_values():
     # for a symmetric zero-diagonal sign matrix x and letters w, w^2 of an
     # order-8 w, every level-2 trace is a sum of +-1 terms that cancels
-    # exactly: both evaluations return rounding noise, rounded differently
+    # exactly: both evaluations return rounding noise, rounded differently,
+    # and the near-max step reports the chain's values.  The partition into
+    # the 8 eigenspaces of w has w and w^2 among its letters
     dim = 32
-    frame = MasaFrame.identity(dim)
     w = np.exp(2j * np.pi * (np.arange(dim) % 8) / 8)
-    blocks = [np.diag(w), np.diag(w ** 2)]
+    letters = np.array([w, w ** 2])
+    part = Partition(np.arange(dim) % 8, 8, MasaFrame.identity(dim))
     for seed in range(5):
         x = np.triu(np.sign(np.random.default_rng(seed).standard_normal((dim, dim))), 1)
         x = x + x.T
-        got = k_independence_residual(blocks, [x], k=3, frame=frame)
-        want = reference_k_independence_residual(blocks, [x], k=3, frame=frame)
-        assert got.residual_per_level[2] < 1e-15
+        xs = _center_and_normalize([x])
+        for j in (2, 3):
+            a_idx = np.stack(np.unravel_index(np.arange(2 ** j), (2,) * j), axis=1)
+            x_idx = np.zeros_like(a_idx)
+            chain = [np.trace(_word_product(letters[a], xs * j)) for a in a_idx]
+            screened = _word_traces(letters, xs, a_idx, x_idx)
+            assert np.abs(screened - np.array(chain) / dim).max() <= 1e-12
+            rows, traces = _near_max_traces(letters, xs, a_idx, x_idx, np.ones(len(a_idx)))
+            assert np.array(traces).tobytes() == np.array([chain[r] for r in rows]).tobytes()
+            if j == 2:
+                assert np.abs(chain).max() / dim < 1e-15
+        got = k_independence_residual(part, [x], k=3)
+        want = reference_k_independence_residual(part, [x], k=3)
         assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -316,18 +306,15 @@ def _count_grouped(monkeypatch):
     return levels
 
 
-def _check_kernel_and_report(monkeypatch, blocks, X, frame, j, grouped):
-    """The kernel against the chain on 2000 level-j words, the indep
-    benchmark's budget (every 8th row, at 1e-12), and the report of levels
-    1..j against the reference loop (budget 500, to keep the reference
-    short).  The kernel takes the grouped order on the 2000 words, and at
-    some level of the report, iff ``grouped``."""
-    dim = frame.dim
+def _check_kernel(monkeypatch, letters, xs, j, grouped):
+    """The kernel against the chain on 2000 level-j words over the letters
+    and the test elements xs in frame coordinates, the indep benchmark's
+    budget (every 8th row, at 1e-12).  The kernel takes the grouped order
+    iff ``grouped``.  Returns the list in which later grouped calls are
+    recorded."""
+    dim = letters.shape[1]
     budget = 2000
-    diags = letter_diags(blocks, frame)
-    letters = np.array(diags)
-    xs = _center_and_normalize([frame.to_frame(x) for x in X])
-    combos = np.random.default_rng(j).integers(0, len(diags) * len(xs), size=(budget, j))
+    combos = np.random.default_rng(j).integers(0, len(letters) * len(xs), size=(budget, j))
     a_idx, x_idx = np.divmod(combos, len(xs))
     levels = _count_grouped(monkeypatch)
     got = _word_traces(letters, xs, a_idx, x_idx)
@@ -336,10 +323,14 @@ def _check_kernel_and_report(monkeypatch, blocks, X, frame, j, grouped):
         m = _word_product(letters[a_idx[w]], [xs[x] for x in x_idx[w]])
         assert abs(got[w] - np.trace(m) / dim) <= 1e-12
     levels.clear()
-    rep = k_independence_residual(blocks, X, k=j, sampling_budget=500, seed=j, frame=frame)
-    assert bool(levels) == grouped
-    want = reference_k_independence_residual(blocks, X, k=j, sampling_budget=500, seed=j,
-                                             frame=frame)
+    return levels
+
+
+def _check_report(part, X, j):
+    """The report of levels 1..j against the reference loop (budget 500, to
+    keep the reference short)."""
+    rep = k_independence_residual(part, X, k=j, sampling_budget=500, seed=j)
+    want = reference_k_independence_residual(part, X, k=j, sampling_budget=500, seed=j)
     assert rep.to_json_dict() == want.to_json_dict()
 
 
@@ -353,18 +344,24 @@ def test_grouped_order_equals_the_chain_at_benchmark_scale(monkeypatch, dim, j, 
     labels = np.random.default_rng(dim).permutation(np.arange(dim) % 16)
     part = Partition(labels, 16, frame)
     X = [haar_model(dim, 10 * dim + s) for s in range(n_x)]
-    _check_kernel_and_report(monkeypatch, part, X, frame, j, grouped=True)
+    xs = _center_and_normalize([frame.to_frame(x) for x in X])
+    levels = _check_kernel(monkeypatch, np.array(_block_letters(part)), xs, j, grouped=True)
+    _check_report(part, X, j)
+    assert levels  # the report takes the grouped order at some level
 
 
 @pytest.mark.parametrize("dim", [64, 128])
 @pytest.mark.parametrize("j", [3, 4])
 def test_per_tail_order_keeps_letters_with_distinct_columns(monkeypatch, dim, j):
-    # raw MASA letters with all columns distinct: no groups to share
-    frame = MasaFrame.identity(dim)
+    # centered random diagonal letters with all columns distinct: no groups
+    # to share; the report runs on the singletons, whose letter columns are
+    # distinct too
     rng = np.random.default_rng(dim + j)
-    blocks = [frame.diagonal_element(rng.standard_normal(dim)) for _ in range(3)]
-    _check_kernel_and_report(monkeypatch, blocks, [haar_model(dim, dim)], frame, j,
-                             grouped=False)
+    letters = np.array([d - d.mean() for d in (rng.standard_normal(dim) for _ in range(3))],
+                       dtype=np.complex128)
+    x = haar_model(dim, dim)
+    _check_kernel(monkeypatch, letters, _center_and_normalize([x]), j, grouped=False)
+    _check_report(Partition.singletons(MasaFrame.identity(dim)), [x], j)
 
 
 def test_many_grouped_leaves_take_the_per_tail_order(monkeypatch):
@@ -426,23 +423,6 @@ def test_k_independence_rejects_a_nonpositive_sampling_budget(budget):
     part = Partition(np.arange(8) % 2, 2, MasaFrame.identity(8))
     with pytest.raises(ValueError, match="sampling_budget must be positive"):
         k_independence_residual(part, [haar_model(8, 0)], k=2, sampling_budget=budget)
-
-
-def test_k_independence_refuses_a_frame_other_than_the_partitions():
-    # a partition's letters live in its own frame: another frame is refused,
-    # not silently replaced
-    dim = 8
-    part = Partition(np.arange(dim) % 2, 2, MasaFrame.identity(dim))
-    x = haar_model(dim, 0)
-    for other in (perpendicular_frame(dim), MasaFrame.identity(2 * dim)):
-        with pytest.raises(ValueError, match="frame differs from the partition's frame"):
-            k_independence_residual(part, [x], k=2, frame=other)
-    # an identity frame built apart, like a Fourier basis built twice, is the same frame
-    for p, again in ((part, MasaFrame.identity(dim)),
-                     (Partition(np.arange(dim) % 2, 2, perpendicular_frame(dim)),
-                      perpendicular_frame(dim))):
-        got = k_independence_residual(p, [x], k=2, frame=again)
-        assert got.to_json_dict() == k_independence_residual(p, [x], k=2).to_json_dict()
 
 
 def test_builder_certificate_consistency():
@@ -728,8 +708,7 @@ def test_public_entries_convert_once_and_equal_the_frame_coordinate_call(monkeyp
     rng = np.random.default_rng(5)
     X = [haar_model(dim, 900), haar_model(dim, 901)]
     Y = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))]
-    raw = [frame.diagonal_element(rng.standard_normal(dim)) for _ in range(3)]
-    fX, fY, fraw = ([frame.to_frame(a) for a in group] for group in (X, Y, raw))
+    fX, fY = ([frame.to_frame(a) for a in group] for group in (X, Y))
     labels = rng.permutation(np.arange(dim) % 4)
     part, part_d = Partition(labels, 4, frame), Partition(labels, 4, diagonal)
     counts = spy_conversions(monkeypatch)
@@ -746,8 +725,6 @@ def test_public_entries_convert_once_and_equal_the_frame_coordinate_call(monkeyp
     same_json(converting_once(lambda: k_independence_residual(part, X, k=3, sampling_budget=300,
                                                               seed=1), 2),
               k_independence_residual(part_d, fX, k=3, sampling_budget=300, seed=1))
-    same_json(converting_once(lambda: k_independence_residual(raw, X, k=2, frame=frame), 5),
-              k_independence_residual(fraw, fX, k=2, frame=diagonal))
     same_json(converting_once(lambda: check_cor37(part, X, Y), 3), check_cor37(part_d, fX, fY))
 
     got_part, got_rep = converting_once(
@@ -761,13 +738,22 @@ def test_public_entries_convert_once_and_equal_the_frame_coordinate_call(monkeyp
 # -- incremental_patch_haar -----------------------------------------------------
 
 def test_patch_empty_targets_scrambled_cycle():
-    v, rep = incremental_patch_haar([], 4, 0.1, order_L=8 * 32, budget=100, seed=13)
+    # a diagonal test element centers to zero: nothing to patch against
+    x = np.diag(np.arange(32.0))
+    v, rep = incremental_patch_haar([x], 4, 0.1, order_L=8 * 32, budget=100, seed=13)
     d = np.diagonal(v.entries)
     dim = d.size
+    assert dim == 32
+    assert np.array_equal(d, np.exp(2j * np.pi * rng_for(13, 0x9A7).permutation(32) / 32))
     assert np.allclose(np.abs(d), 1.0)
     for k in range(1, dim):
         assert abs(np.sum(d ** k)) / dim <= 1e-12
     assert rep.power_residual <= 1e-12
+
+
+def test_patch_refuses_no_test_elements():
+    with pytest.raises(ValueError, match="need at least one test element"):
+        incremental_patch_haar([], 4, 0.1, order_L=8 * 32, budget=100, seed=13)
 
 
 def test_patch_order_guard():

@@ -481,19 +481,16 @@ def all_set_partitions(items):
 
 
 def test_paving_number_flip():
-    frame = MasaFrame.identity(2)
-    assert paving_number_exact(FLIP, 0.1, frame) == 2
+    assert paving_number_exact(FLIP, 0.1) == 2
 
 
 def test_paving_number_diagonal():
-    frame = MasaFrame.identity(3)
-    assert paving_number_exact(np.diag([1.0, 2.0, 3.0]), 0.05, frame) == 1
+    assert paving_number_exact(np.diag([1.0, 2.0, 3.0]), 0.05) == 1
 
 
 def test_paving_number_matches_independent_enumeration():
     x = np.ones((4, 4), dtype=complex) - np.eye(4)
-    frame = MasaFrame.identity(4)
-    got = paving_number_exact(x, 0.5, frame)
+    got = paving_number_exact(x, 0.5)
     # independent oracle over all 15 set partitions of {0,1,2,3}
     base = np.linalg.norm(x, 2)
     best = None
@@ -514,25 +511,24 @@ def test_paving_number_matches_independent_enumeration():
 
 def test_paving_number_monotone_in_eps():
     rng = np.random.default_rng(31)
-    frame = MasaFrame.identity(5)
     for seed in range(6):
         x = random_matrix(5, 900 + seed)
-        values = [paving_number_exact(x, e, frame) for e in (0.2, 0.3, 0.5, 0.7, 0.9)]
+        values = [paving_number_exact(x, e) for e in (0.2, 0.3, 0.5, 0.7, 0.9)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_paving_number_dim_guard():
     with pytest.raises(ValueError):
-        paving_number_exact(np.eye(13), 0.5, MasaFrame.identity(13))
+        paving_number_exact(np.eye(13), 0.5)
 
 
 def test_a_frame_of_another_dimension_is_refused():
     x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", 8, 0))
     frame = MasaFrame.identity(10)
     with pytest.raises(ValueError, match="dimension mismatch: matrix 8, frame 10"):
-        paving_number_exact(x, 0.6, frame)
+        dixmier_average(x, [np.eye(10)], frame)
     with pytest.raises(ValueError, match="dimension mismatch: matrix 8, frame 10"):
-        pave_search(x, 0.6, "roots_of_unity", 100, 0, frame=frame)
+        sign_split(np.eye(8), frame)
     with pytest.raises(ValueError, match="dimension mismatch: matrix 8, frame 10"):
         compress(x, Partition.one_block(frame))
 
@@ -759,10 +755,9 @@ def test_objective_keeps_no_bound_above_the_svd_limit(monkeypatch):
 # -- pave_search ---------------------------------------------------------
 
 def test_search_diagonal_any_strategy():
-    frame = MasaFrame.identity(6)
     x = np.diag(np.arange(6.0))
     for strategy in ("exhaustive", "sign_split", "arc", "anneal", "roots_of_unity"):
-        part, rep = pave_search(x, 0.5, strategy, budget=100, seed=1, frame=frame)
+        part, rep = pave_search(x, 0.5, strategy, budget=100, seed=1)
         assert rep.ratio == 0 and part.effective_blocks == 1
 
 
@@ -793,12 +788,11 @@ def test_search_deterministic_given_seed():
 
 def test_search_anneal_matches_exact_small():
     rng = np.random.default_rng(47)
-    frame = MasaFrame.identity(5)
     for seed in range(8):
         x = random_matrix(5, 1200 + seed)
         for eps in (0.4, 0.6):
-            n_star = paving_number_exact(x, eps, frame)
-            part, rep = pave_search(x, eps, "anneal", budget=3000, seed=seed, frame=frame)
+            n_star = paving_number_exact(x, eps)
+            part, rep = pave_search(x, eps, "anneal", budget=3000, seed=seed)
             assert rep.ratio <= eps
             assert part.effective_blocks == n_star
 
@@ -820,12 +814,11 @@ def test_search_beats_random_baseline():
 def test_composition_refinement_small():
     # double paving: refine(P, Q) achieves ratio <= r1 * r2 on x
     rng = np.random.default_rng(53)
-    frame = MasaFrame.identity(12)
     for seed in range(5):
         x = random_matrix(12, 1500 + seed)
-        p, rep1 = pave_search(x, 0.6, "anneal", budget=800, seed=seed, frame=frame)
+        p, rep1 = pave_search(x, 0.6, "anneal", budget=800, seed=seed)
         y = compress(x, p)
-        q, rep2 = pave_search(y.entries, 0.6, "anneal", budget=800, seed=seed + 1, frame=frame)
+        q, rep2 = pave_search(y.entries, 0.6, "anneal", budget=800, seed=seed + 1)
         combined = paving_defect(x, refine(p, q))
         assert combined.ratio <= rep1.ratio * rep2.ratio + 1e-9
 

@@ -372,40 +372,6 @@ def test_reduce_refuses_a_paver_result_of_the_wrong_size(paver, message):
         reduce_and_pave(haar_model_selfadjoint(24, 5), 0.6, paver, seed=2)
 
 
-def _result_bits(part, trace, report):
-    rep = report.to_json_dict()
-    del rep["elapsed_ms"]
-    return part.assignment.tolist(), json.dumps(rep), json.dumps(trace.to_json_dict())
-
-
-@pytest.mark.parametrize("kind", ["fourier", "haar_unitary"])
-def test_reduce_in_a_frame_is_reduce_of_the_frame_coordinates(kind, monkeypatch):
-    dim = 16
-    frame = (perpendicular_frame(dim) if kind == "fourier"
-             else MasaFrame(free_model.sample(free_model.EnsembleSpec(kind, dim, 5)).entries))
-    x = haar_model_selfadjoint(dim, 7)
-    expected = _result_bits(*reduce_and_pave(frame.to_frame(x), 0.6, make_block_paver(), seed=1))
-
-    calls = {"to_frame": 0, "from_frame": 0}
-    to_frame, from_frame = MasaFrame.to_frame, MasaFrame.from_frame
-
-    def counted_to(self, a):
-        calls["to_frame"] += not self.is_identity
-        return to_frame(self, a)
-
-    def counted_from(self, a):
-        calls["from_frame"] += 1
-        return from_frame(self, a)
-
-    monkeypatch.setattr(MasaFrame, "to_frame", counted_to)
-    monkeypatch.setattr(MasaFrame, "from_frame", counted_from)
-    part, trace, report = reduce_and_pave(x, 0.6, make_block_paver(), frame=frame, seed=1)
-    assert calls == {"to_frame": 1, "from_frame": 0}
-    assert part.frame is frame
-    assert _result_bits(part, trace, report) == expected
-    assert trace.all_ok and report.ratio <= 0.6
-
-
 def test_reduce_rejects_bad_eps():
     with pytest.raises(ValueError):
         reduce_and_pave(FLIP, 1.5, make_block_paver())
@@ -490,8 +456,8 @@ def test_reduce_benchmark_digest_matches():
 # -- pinned reduce results ---------------------------------------------------------
 
 # (input kind, dim, input seed, eps, paver seed): cases the benchmark digest
-# does not cover.  "complex" takes both components and refine, "fourier" runs
-# in the perpendicular frame, "diagonal" and "flip" take the short circuit to
+# does not cover.  "complex" takes both components and refine, "fourier" feeds
+# a Haar-model input in the coordinates of the perpendicular frame, "diagonal" and "flip" take the short circuit to
 # one block and to singletons, "haar" are Hermitian Haar-model inputs
 REDUCE_CASES = [
     ("complex", 16, 11, 0.6, 3),
@@ -545,9 +511,10 @@ def _reduce_input(kind, dim, seed):
 def _reduce_pins():
     out = []
     for kind, dim, input_seed, eps, seed in REDUCE_CASES:
-        frame = perpendicular_frame(dim) if kind == "fourier" else None
-        part, trace, report = reduce_and_pave(_reduce_input(kind, dim, input_seed), eps,
-                                              make_block_paver(), frame=frame, seed=seed)
+        x = _reduce_input(kind, dim, input_seed)
+        if kind == "fourier":
+            x = perpendicular_frame(dim).to_frame(x)
+        part, trace, report = reduce_and_pave(x, eps, make_block_paver(), seed=seed)
         rep = report.to_json_dict()
         del rep["elapsed_ms"]
         out.append([hashlib.sha256(part.assignment.astype("<i8").tobytes()).hexdigest(),

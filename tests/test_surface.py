@@ -1,10 +1,11 @@
-"""Every public name of pavlab has a caller, or a named reason to stay.
+"""Every public name and option of pavlab has a caller, or a named reason to stay.
 
 A caller is a use of the name in ``src/pavlab`` outside its own top-level
 definition and ``__init__.py``, or a use in the benchmark under
 ``perfbench/`` (its tests left out).  Tests do not count.  The names
 checked are pavlab's exports and every public module-level function and
-class of its modules.
+class of its modules; the options checked are the parameters with a
+default of each public module-level function, which some call must pass.
 """
 
 import ast
@@ -102,12 +103,73 @@ def test_each_public_module_name_has_a_caller_or_a_reason(qualname):
     assert callers, f"{qualname} has no caller in src or perfbench and no named reason"
 
 
-# the public entries that take a frame; each converts its inputs to frame
-# coordinates once, and every step after it reads frame coordinates, where
-# E_A keeps the diagonal
+# options that no call passes and that stay: "module.function.parameter" -> why
+UNPASSED_OPTION_REASONS = {
+    "independence.check_cor37.Y": "Cor 3.7's trace targets, which "
+                                  "build_independent_partition also takes",
+}
+
+
+def passed_options(path: Path) -> dict:
+    """function name -> (the most positional arguments of a call, the keywords
+    passed), over the calls in the module at path; a ``*args`` counts as
+    every position and a ``**kwargs`` as every keyword."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        n_pos, keywords = out.get(name, (0, set()))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        n_pos = max(n_pos, float("inf") if starred else len(node.args))
+        out[name] = (n_pos, keywords | {kw.arg or "**" for kw in node.keywords})
+    return out
+
+
+def module_options() -> list[str]:
+    """'module.function.parameter' for each parameter with a default of a
+    public function that a pavlab module defines."""
+    out = []
+    for qualname in module_public_names():
+        module, name = qualname.split(".")
+        obj = getattr(importlib.import_module(f"pavlab.{module}"), name)
+        if inspect.isfunction(obj):
+            out += [f"{qualname}.{p.name}" for p in inspect.signature(obj).parameters.values()
+                    if p.default is not inspect.Parameter.empty]
+    return out
+
+
+CALLS = [passed_options(p) for p in CALLER_FILES]
+
+
+@pytest.mark.parametrize("option", module_options())
+def test_each_option_is_passed_by_a_caller_or_has_a_reason(option):
+    if option in UNPASSED_OPTION_REASONS:
+        return
+    module, name, param = option.split(".")
+    params = list(inspect.signature(getattr(importlib.import_module(f"pavlab.{module}"),
+                                            name)).parameters.values())
+    p = next(p for p in params if p.name == param)
+    position = (params.index(p) if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                else float("inf"))
+    calls = [c[name] for c in CALLS if name in c]
+    assert any(n_pos > position or param in keywords or "**" in keywords
+               for n_pos, keywords in calls), f"no call in src or perfbench passes {option}"
+
+
+def test_unpassed_option_reasons_name_options():
+    assert set(UNPASSED_OPTION_REASONS) <= set(module_options())
+
+
+# the public entries that take a frame: they build or read MASA elements, and
+# the benchmark passes a frame to Partition and build_independent_partition.
+# Each converts its inputs to frame coordinates once, and every step after it
+# reads frame coordinates, where E_A keeps the diagonal
 FRAME_ENTRIES = ["Partition", "arc_partition", "build_independent_partition", "dixmier_average",
-                 "k_independence_residual", "pave_search", "paving_number_exact",
-                 "reduce_and_pave", "sign_split"]
+                 "sign_split"]
 
 
 def test_only_public_entries_take_a_frame():
