@@ -57,10 +57,6 @@ class TracedMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "TracedMatrix":
-        return cls(np.eye(dim))
-
 
 class MasaFrame:
     """Unitary change of basis defining a MASA A = U . Diag . U*.

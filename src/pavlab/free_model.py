@@ -9,6 +9,11 @@ Haar unitaries.  Every bound check carries an explicit additive tolerance
 because freeness only holds in the large-dimension limit; tolerances are
 pinned by the calibration run (see calibrate) rather than invented.
 
+Each model comes from its own stream ``rng_for(seed, tag, dim)``:
+``sample`` draws the zero-diagonal Haar model (tag 1) and the random
+projection of the projection experiment (tag 2), and the conjugation
+experiment shuffles its roots-of-unity block labels itself (tag 3).
+
 Equal shuffled blocks, off-diagonal parts and block-diagonal norms come
 from ``paving`` (``_equal_blocks``, ``_off_diagonal``,
 ``_block_diagonal_norm``), the same code the paving searches use; reports
@@ -32,22 +37,29 @@ from .paving import (
 )
 from .seeds import rng_for
 
-ENSEMBLE_KINDS = ("haar_unitary", "zero_diag_haar", "random_projection", "roots_of_unity_diag")
-_KIND_TAGS = {kind: i for i, kind in enumerate(ENSEMBLE_KINDS)}
+# The stream tags of the three model draws.  Every workload input and every
+# benchmark digest depends on them, so they never change.
+_ZERO_DIAG_HAAR_TAG = 1
+_PROJECTION_TAG = 2
+_ROOTS_TAG = 3
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Reproducible ensemble description: identical spec, identical sample."""
+    """Reproducible ensemble description: identical spec, identical sample.
+
+    ``"zero_diag_haar"`` is the model of the CLI and of the benchmark
+    inputs; ``"random_projection"``, of trace ``trace``, is the projection
+    experiment's.
+    """
 
     kind: str
     dim: int
     seed: int
     trace: float | None = None   # random_projection only
-    order: int | None = None     # roots_of_unity_diag only
 
     def __post_init__(self):
-        if self.kind not in ENSEMBLE_KINDS:
+        if self.kind not in ("zero_diag_haar", "random_projection"):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
@@ -56,11 +68,6 @@ class EnsembleSpec:
                 raise ValueError("random_projection needs trace in (0, 1)")
             if round(self.trace * self.dim) < 1:
                 raise ValueError("projection rank rounds to zero")
-        if self.kind == "roots_of_unity_diag":
-            if self.order is None or self.order < 1:
-                raise ValueError("roots_of_unity_diag needs a positive order")
-            if self.dim % self.order != 0:
-                raise ValueError(f"order {self.order} must divide dim {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -99,32 +106,11 @@ def _zero_diag_haar(dim: int, rng) -> np.ndarray:
     return u / op_norm(u)
 
 
-def _rng(spec: EnsembleSpec) -> np.random.Generator:
-    """The stream that a spec's sample draws from."""
-    return rng_for(spec.seed, _KIND_TAGS[spec.kind], spec.dim)
-
-
-def _roots_of_unity_values(spec: EnsembleSpec) -> np.ndarray:
-    """The diagonal of a roots_of_unity_diag sample: each order-th root with
-    multiplicity dim/order, slots in seeded-shuffled order."""
-    reps = spec.dim // spec.order
-    vals = np.repeat(np.exp(2j * np.pi * np.arange(spec.order) / spec.order), reps)
-    _rng(spec).shuffle(vals)
-    return vals
-
-
 def sample(spec: EnsembleSpec) -> TracedMatrix:
-    if spec.kind == "roots_of_unity_diag":
-        return TracedMatrix(np.diag(_roots_of_unity_values(spec)))
-    rng = _rng(spec)
-    if spec.kind == "haar_unitary":
-        return TracedMatrix(_haar(spec.dim, rng))
+    dim, seed = spec.dim, spec.seed
     if spec.kind == "zero_diag_haar":
-        return TracedMatrix(_zero_diag_haar(spec.dim, rng))
-    # random_projection
-    k = round(spec.trace * spec.dim)
-    v = _haar(spec.dim, rng)
-    cols = v[:, :k]
+        return TracedMatrix(_zero_diag_haar(dim, rng_for(seed, _ZERO_DIAG_HAAR_TAG, dim)))
+    cols = _haar(dim, rng_for(seed, _PROJECTION_TAG, dim))[:, :round(spec.trace * dim)]
     return TracedMatrix(cols @ cols.conj().T)
 
 
@@ -141,6 +127,8 @@ def kesten_norm_oracle(m: int, dim: int, seed: int) -> float:
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     acc = np.zeros((dim, dim), dtype=np.complex128)
     for j in range(m):
         acc += _haar(dim, rng_for(seed, 0xE57, j))
@@ -169,15 +157,15 @@ def conjugation_paving_experiment(n: int, dim: int, seed: int) -> NormExperiment
         measured = op_norm(u)
         return NormExperimentReport(measured, 1.0, measured - 1.0, n, dim, seed)
 
-    # the eigenvalues of the roots_of_unity_diag sample, without its dim x dim matrix
-    d = _roots_of_unity_values(EnsembleSpec("roots_of_unity_diag", dim, seed, order=n))
+    # v = diag(d) has each n-th root on dim/n seeded-shuffled slots
+    labels = np.repeat(np.arange(n), dim // n)
+    rng_for(seed, _ROOTS_TAG, dim).shuffle(labels)
+    d = np.exp(2j * np.pi * np.arange(n) / n)[labels]
     avg = np.zeros_like(u)
     for j in range(n):
         phase = d ** j
         avg += u * np.outer(phase, phase.conj())
     avg /= n
-    ang = np.mod(np.angle(d) * n / (2 * np.pi), n)
-    labels = np.round(ang).astype(np.int64) % n
     dev = np.abs(avg - u * _block_mask(labels)).max()
     if dev > 1e-12:
         raise AssertionError(f"averaging identity violated: deviation {dev:.3e}")
@@ -236,7 +224,7 @@ def power_conjugation_growth(dim: int, N: int, seed: int) -> GrowthReport:
         raise ValueError("need N >= 2")
     u = _haar(dim, rng_for(seed, 0x960, 0))
     z = _haar(dim, rng_for(seed, 0x960, 1))
-    z = z - np.diag(np.diagonal(z))
+    z = _off_diagonal(z)
     x = (z + z.conj().T) / 2
     x /= op_norm(x)
     acc = np.zeros_like(x)

@@ -618,6 +618,8 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
         raise ValueError("budget must be positive")
     if dim % (2 ** n) != 0:
         raise ValueError(f"dim {dim} not divisible by 2^{n}")
+    if not 0 < alpha_target < 1:
+        raise ValueError("alpha must lie in (0, 1)")
     part = Partition.one_block(frame)
     xs = _center_and_normalize([frame.to_frame(x) for x in X])
     etas = [frame.to_frame(y) for y in Y] + [x @ x.conj().T for x in xs]

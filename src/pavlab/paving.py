@@ -204,8 +204,7 @@ def _off_diagonal(y) -> np.ndarray:
     return y - np.diag(np.diagonal(y))
 
 
-def paving_defect(x, part: Partition, eps: float | None = None,
-                  strategy: str = "direct", seed: int = 0) -> PavingReport:
+def paving_defect(x, part: Partition, eps: float | None = None) -> PavingReport:
     """Defect ||compress(x) - E_A(x)|| and its ratio to ||x - E_A(x)||.
 
     When the baseline norm vanishes the ratio is defined as 0.  If eps is
@@ -218,7 +217,7 @@ def paving_defect(x, part: Partition, eps: float | None = None,
     """
     t0 = time.perf_counter()
     off = _off_diagonal(part.frame.to_frame(x))
-    return _defect_report(off, None, part, eps, strategy, seed, t0)
+    return _defect_report(off, None, part, eps, "direct", 0, t0)
 
 
 def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: float | None,

@@ -400,8 +400,7 @@ def reduce_and_pave(x, eps: float, projection_paver,
         del comp  # the pipeline reads the scaled component only
         part = Partition.from_labels(_pave_component(z, eps, projection_paver, seed, trace),
                                      frame)
-        rep = paving_defect(z, part, eps=eps, strategy=f"reduction/{label}", seed=seed)
-        trace.add(f"component_ratio_{label}", rep.ratio, eps)
+        trace.add(f"component_ratio_{label}", paving_defect(z, part, eps=eps).ratio, eps)
         parts.append(part)
 
     # both components can fall below DEGENERATE_NORM while off does not; the

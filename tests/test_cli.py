@@ -475,6 +475,40 @@ def test_indep_zero_levels_is_one_block(capsys):
     assert payload["certificate"]["measured_alpha"] == 0.0
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "-1", "1"])
+def test_indep_alpha_outside_the_unit_interval_exit_code(capsys, alpha):
+    # a NaN or infinite alpha ran and wrote a manifest that is not JSON
+    code, out = run(capsys, "indep", "--dim", "16", "--levels", "2", f"--alpha={alpha}")
+    assert code == 2
+    assert strict_json(out) == {"error": "alpha must lie in (0, 1)", "code": 2}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--op", "kesten", "--dim", "0"], "dim must be >= 1"),
+    (["--op", "kesten", "--dim", "-3"], "dim must be >= 1"),
+    (["--op", "proj", "--dim", "0", "--n", "2"], "dim must be >= 2"),
+    (["--op", "proj", "--dim", "1", "--n", "2"], "n=2 must divide dim=1"),
+], ids=["kesten-dim0", "kesten-dim-3", "proj-dim0", "proj-dim1"])
+def test_free_bad_dim_messages(capsys, argv, error):
+    code, out = run(capsys, "free", *argv)
+    assert code == 2
+    assert strict_json(out) == {"error": error, "code": 2}
+
+
+def test_free_kesten_dim_one_is_valid(capsys):
+    code, out = run(capsys, "free", "--op", "kesten", "--m", "2", "--dim", "1")
+    assert code == 0
+    # two unit phases sum to at most 2
+    assert 0.0 <= strict_json(out)["lines"][0]["measured"] <= 2.0 + 1e-12
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_indep_nonpositive_budget_exit_code(capsys, budget):
     code, out = run(capsys, "indep", "--dim", "16", "--levels", "2", "--budget", budget)

@@ -1,7 +1,13 @@
 """Ensembles, asymptotic freeness, and the norm experiments."""
 
 import functools
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,34 +28,36 @@ from pavlab.free_model import (
 )
 from pavlab.seeds import rng_for
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 # -- EnsembleSpec / sample ---------------------------------------------------
 
+def haar_unitary(dim, seed):
+    """A Haar unitary from the stream of tag 0."""
+    return free_model._haar(dim, rng_for(seed, 0, dim))
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown ensemble kind 'nope'"):
         EnsembleSpec("nope", 8, 0)
-    with pytest.raises(ValueError):
-        EnsembleSpec("haar_unitary", 1, 0)
+    with pytest.raises(ValueError, match="unknown ensemble kind 'haar_unitary'"):
+        EnsembleSpec("haar_unitary", 8, 0)
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        EnsembleSpec("zero_diag_haar", 1, 0)
     with pytest.raises(ValueError):
         EnsembleSpec("random_projection", 8, 0)
     with pytest.raises(ValueError):
         EnsembleSpec("random_projection", 8, 0, trace=0.01)
-    with pytest.raises(ValueError):
-        EnsembleSpec("roots_of_unity_diag", 8, 0, order=3)
 
 
 def test_haar_sample_is_unitary():
-    u = sample(EnsembleSpec("haar_unitary", 64, 5)).entries
+    u = haar_unitary(64, 5)
     assert np.abs(u.conj().T @ u - np.eye(64)).max() < 1e-10
 
 
 def test_bit_reproducibility():
-    for kind, kw in [
-        ("haar_unitary", {}),
-        ("zero_diag_haar", {}),
-        ("random_projection", {"trace": 0.25}),
-        ("roots_of_unity_diag", {"order": 4}),
-    ]:
+    for kind, kw in [("zero_diag_haar", {}), ("random_projection", {"trace": 0.25})]:
         a = sample(EnsembleSpec(kind, 16, 9, **kw)).entries
         b = sample(EnsembleSpec(kind, 16, 9, **kw)).entries
         assert a.tobytes() == b.tobytes()
@@ -93,6 +101,14 @@ def test_haar_sampling_equals_the_expression_forms_property(data):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def roots_of_unity_diag(dim, n, seed):
+    """The diagonal unitary of the conjugation experiment: each n-th root of
+    unity on dim/n slots, the labels shuffled by the stream of tag 3."""
+    labels = np.repeat(np.arange(n), dim // n)
+    rng_for(seed, 3, dim).shuffle(labels)
+    return np.diag(np.exp(2j * np.pi * np.arange(n) / n)[labels])
+
+
 def test_random_projection_trace_and_idempotence():
     e = sample(EnsembleSpec("random_projection", 4, 2, trace=0.5)).entries
     assert normalized_trace(e).real == pytest.approx(0.5, abs=1e-12)
@@ -101,8 +117,7 @@ def test_random_projection_trace_and_idempotence():
 
 
 def test_roots_of_unity_diag_moments():
-    v = sample(EnsembleSpec("roots_of_unity_diag", 24, 3, order=6)).entries
-    d = np.diagonal(v)
+    d = np.diagonal(roots_of_unity_diag(24, 6, 3))
     for k in range(1, 6):
         assert abs(np.sum(d ** k)) / 24 < 1e-12
     assert np.abs(d ** 6 - 1.0).max() < 1e-12
@@ -111,7 +126,7 @@ def test_roots_of_unity_diag_moments():
 def test_haar_trace_concentration():
     hits = 0
     for s in range(20):
-        u = sample(EnsembleSpec("haar_unitary", 256, 100 + s)).entries
+        u = haar_unitary(256, 100 + s)
         if abs(normalized_trace(u)) <= 3 / np.sqrt(256):
             hits += 1
     assert hits >= 19
@@ -134,8 +149,8 @@ def freeness_residual(mats, k):
 
 
 def test_freeness_haar_pair_decays():
-    u1 = sample(EnsembleSpec("haar_unitary", 256, 0)).entries
-    u2 = sample(EnsembleSpec("haar_unitary", 256, 1)).entries
+    u1 = haar_unitary(256, 0)
+    u2 = haar_unitary(256, 1)
     assert freeness_residual([u1, u2], k=3) <= 0.08
 
 
@@ -147,8 +162,8 @@ def test_freeness_control_commuting_does_not_vanish():
     a = np.diag(np.exp(2j * np.pi * rng.random(256)))
     b = np.diag(np.exp(2j * np.pi * rng.random(256)))
     residual = freeness_residual([a, b], k=4)
-    u1 = sample(EnsembleSpec("haar_unitary", 256, 0)).entries
-    u2 = sample(EnsembleSpec("haar_unitary", 256, 1)).entries
+    u1 = haar_unitary(256, 0)
+    u2 = haar_unitary(256, 1)
     assert residual > 0.02
     assert residual > 3 * freeness_residual([u1, u2], k=4)
 
@@ -201,11 +216,8 @@ def test_conjugation_matches_direct_computation():
     # independent dense evaluation of both sides of the averaging identity
     n, dim, seed = 2, 32, 11
     rep = conjugation_paving_experiment(n, dim, seed)
-    from pavlab.free_model import _zero_diag_haar
-    from pavlab.seeds import rng_for
-
-    u = _zero_diag_haar(dim, rng_for(seed, 0xC07, 0))
-    v = sample(EnsembleSpec("roots_of_unity_diag", dim, seed, order=n)).entries
+    u = free_model._zero_diag_haar(dim, rng_for(seed, 0xC07, 0))
+    v = roots_of_unity_diag(dim, n, seed)
     avg = sum(np.linalg.matrix_power(v, j) @ u @ np.linalg.matrix_power(v, j).conj().T
               for j in range(n)) / n
     assert op_norm(avg) == pytest.approx(rep.measured_norm, abs=1e-10)
@@ -391,3 +403,71 @@ def test_block_paver_refuses_negative_or_nan_target(target):
     a = rng.standard_normal((8, 8))
     with pytest.raises(ValueError):
         make_block_paver()((a + a.T) / 2, target, 1)
+
+
+# -- pinned oracle outputs ---------------------------------------------------------
+
+# every workload input is a zero_diag_haar sample and the oracle workload runs these
+# experiments, so their bits must not move
+ORACLE_CASES = [(dim, seed) for dim in (64, 128, 256) for seed in (0, 1)]
+
+ORACLE_PINS = [
+    ["cecc9d64058bd157fa3affb862c3443324b3d6cbd6ecdd3e8a322dd4f9aaad2a",
+     "1.9997766585893",
+     "0f45c0931f0c622ec4d034ef931605a9edd3a5a6a42c4fe0cae4f87d153d847a",
+     "e2e7b02ffc7ec2465165a9d7fea4e822f92996cf42e36054fa0f50d6b5c288fd",
+     "ccde1dc3e70da4426277fec9779498bf7651644d5285d50781dc81e44c562f8e"],
+    ["90c162c698c79e0d0b6df1e56d3afcfd268760548fcaa9f5abfcaa32c06ed09f",
+     "1.999493052740828",
+     "664d1acea3c03d06ea60e0d86453de22b17ee09c38ad6bb2475b58fc6a4a716c",
+     "e80c3e201e990002b8ccf28c2facb96663f045177eac1fecb03beb6638ad9cff",
+     "64bc259642c441e39fcd3bb73f25aa22be83fec51f5ca78233803ab10c781959"],
+    ["4a274b33b9b1607df22e9bd8561f148a347614ef24c950b9c0454a419e8db5d4",
+     "1.9999855972657825",
+     "a195678f70f3e81b265813347ec239628da9d486f521c2078cedc1f67c9b7f13",
+     "effe4742004be159bf9c30471751ec1dfaa9724d1079cb3244ef4a8638010e83",
+     "5cfffb5c30f1a9799a27d9e79e7f7190b6cab831ece509c1767b25f22021dfe9"],
+    ["8e1905be1e22664d8e240a7cd1df85aef054fe19046ec88ed647471193671c44",
+     "1.9999990698859953",
+     "15a0cb945339ec705142e99938f15fa9e7e6434b6e84000a5bc7077d76ee9e19",
+     "ba0398dd5b449487c1e5d7173bdac567d06763c82bda8b2da2a68930dd336854",
+     "4196b4deb8d75a54eba1a6810a5a1f2e6e706bfa8cd35b9571eaf24dcd6cf301"],
+    ["1863c1d5e85753409f6146dda561166044c81682d3bbaf4340d128ae83ff9bde",
+     "1.9999966382801002",
+     "e1cc84493d226e7a14ebc3b16c5536f114e853005413896e0ec75c0ba861e0c4",
+     "fb8841983e48300849b209f633155586cd93f0b0d4735a3290cde8341c8611f7",
+     "661486a15e140d2b57dd51f80cea9a5fe55bee3dc9c670b0bbebf49c6e6b211b"],
+    ["e98ce806f440efdb1a19e3072ef83296fed00f4dbd0d0f044784b63334a9621b",
+     "1.9999999705612947",
+     "f7b69b2e88fa3e250b66850f2b0c6757ea7e0800b6abe4d649b316cbe2c6a90a",
+     "8d35e31d478115aff32afd46cdf0105020278aa38929a64dd8bb046d3ad6369b",
+     "dd664a8c2e13613a5e232ce355e029c1c756681e07d9c11d817a752fefa21d3e"],
+]
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _oracle_hashes(case):
+    """sha256 of the sample, the Kesten value and each experiment's report JSON."""
+    dim, seed = case
+    x = sample(EnsembleSpec("zero_diag_haar", dim, seed)).entries
+    return [hashlib.sha256(x.tobytes()).hexdigest(),
+            repr(kesten_norm_oracle(2, dim, seed)),
+            _sha([conjugation_paving_experiment(n, dim, seed).to_json_dict() for n in (1, 4, 8)]),
+            _sha([[r.to_json_dict() for r in projection_paving_experiment(t, 16, dim, seed)]
+                  for t in (0.5, 0.1)]),
+            _sha(power_conjugation_growth(dim, 4, seed).to_json_dict())]
+
+
+def test_oracle_outputs_pinned():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    code = ("import json, test_free_model as t\n"
+            "print(json.dumps([t._oracle_hashes(c) for c in t.ORACLE_CASES]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == ORACLE_PINS

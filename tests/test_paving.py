@@ -191,7 +191,7 @@ def test_report_invariants_random():
         assert 0.0 <= rep.spectral_tail <= 1.0
 
 
-def reference_defect_json(x, part, eps, strategy, seed):
+def reference_defect_json(x, part, eps):
     """The report JSON, without elapsed_ms, of a paving_defect that always
     takes the base norm ||x - E_A(x)|| before the masked SVD."""
     y = part.frame.to_frame(np.asarray(x, dtype=complex))
@@ -205,7 +205,7 @@ def reference_defect_json(x, part, eps, strategy, seed):
     return {"n_blocks": part.n_blocks, "effective_blocks": part.effective_blocks,
             "defect": defect, "ratio": float(ratio),
             "spectral_tail": float(np.count_nonzero(sv > threshold + 1e-15) / sv.size),
-            "strategy": strategy, "seed": seed}
+            "strategy": "direct", "seed": 0}
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,10 +232,9 @@ def test_defect_report_skips_only_a_base_that_cannot_matter(data):
                                                      max_size=dim))), n, frame)
     # a negative eps puts the tail threshold below the zero singular values
     eps = data.draw(st.sampled_from([None, 0.0, 0.3, 0.9, -0.5]))
-    seed = data.draw(st.integers(0, 9))
-    got = paving_defect(x, part, eps=eps, strategy="prop", seed=seed).to_json_dict()
+    got = paving_defect(x, part, eps=eps).to_json_dict()
     del got["elapsed_ms"]
-    assert json.dumps(got) == json.dumps(reference_defect_json(x, part, eps, "prop", seed))
+    assert json.dumps(got) == json.dumps(reference_defect_json(x, part, eps))
 
 
 def test_zero_defect_report_takes_no_norm(monkeypatch):
