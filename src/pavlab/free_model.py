@@ -9,6 +9,10 @@ Haar unitaries.  Every bound check carries an explicit additive tolerance
 because freeness only holds in the large-dimension limit; tolerances are
 pinned by the calibration run (see calibrate) rather than invented.
 
+Haar unitaries come from ``_haar``: the QR of a complex Ginibre matrix,
+with LAPACK's zgeqrf and zungqr run in place on the Ginibre buffer, so a
+draw holds two dim x dim arrays, the factored buffer and Q.
+
 Each model comes from its own stream ``rng_for(seed, tag, dim)``:
 ``sample`` draws the zero-diagonal Haar model (tag 1) and the random
 projection of the projection experiment (tag 2), and the conjugation
@@ -24,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .finite_vn import MasaFrame, TracedMatrix, op_norm
 from .matrix_io import JsonReport
@@ -81,18 +86,28 @@ class NormExperimentReport(JsonReport):
 
 
 def _haar(dim: int, rng) -> np.ndarray:
-    """QR of a complex Ginibre matrix, column phases fixed by diag(R).
+    """QR of a complex Ginibre matrix, column phases fixed by diag(R)
+    (Mezzadri, Notices AMS 54 (2007)).
 
-    The Ginibre matrix is drawn into one complex buffer and the phases are
-    divided out of q in place: the bits of (g1 + i g2) / sqrt(2) and of
-    q / phases, without their dim x dim temporaries.
+    The Ginibre matrix is drawn into one complex buffer z, and the two
+    LAPACK steps of ``np.linalg.qr`` run on it in place: ``qr_r_raw``
+    (zgeqrf) overwrites z with R and the Householder reflectors, and
+    ``qr_reduced`` (zungqr) forms Q from them.  A draw holds two dim x dim
+    arrays, z and Q; ``np.linalg.qr`` would add a copy of z and a dense
+    triu(R).  z is dropped before the phases are divided out of Q, so the
+    division's ufunc buffer does not sit on top of both.  The bits are
+    those of (g1 + i g2) / sqrt(2), of ``np.linalg.qr`` and of q / phases.
+    The gufuncs' work copies and LAPACK's workspace are malloc'd in C,
+    outside tracemalloc.
     """
     z = np.empty((dim, dim), dtype=np.complex128)
     z.real = rng.standard_normal((dim, dim))
     z.imag = rng.standard_normal((dim, dim))
     z /= np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    tau = _umath_linalg.qr_r_raw(z, signature="D->D")
+    q = _umath_linalg.qr_reduced(z, tau, signature="DD->D")
+    d = np.diagonal(z).copy()
+    del z
     q /= d / np.abs(d)
     return q
 
@@ -230,8 +245,9 @@ def power_conjugation_growth(dim: int, N: int, seed: int) -> GrowthReport:
     acc = np.zeros_like(x)
     cur = x
     values = []
+    u_inv = u.conj().T
     for _ in range(N):
-        cur = u @ cur @ u.conj().T
+        cur = u @ cur @ u_inv
         acc += cur
         values.append(op_norm(acc))
     logs_n = np.log(np.arange(1, N + 1))
