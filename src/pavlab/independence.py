@@ -622,7 +622,8 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
         raise ValueError("alpha must lie in (0, 1)")
     part = Partition.one_block(frame)
     xs = _center_and_normalize([frame.to_frame(x) for x in X])
-    etas = [frame.to_frame(y) for y in Y] + [x @ x.conj().T for x in xs]
+    y_etas = [frame.to_frame(y) for y in Y]
+    etas = y_etas + [x @ x.conj().T for x in xs]
     # every level searches the same objective; its blocks are even because
     # 2^n divides dim
     obj = _SignObjective(xs, etas, dim)
@@ -639,7 +640,8 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
     if n == 0:
         report = IndependenceReport(2, {1: 0.0, 2: 0.0}, 0, 0.0, {1: 1.0, 2: 1.0}, "")
         return part, report
-    alpha_a, alpha_b = _measured_alpha(part, *_alpha_inputs(xs, etas))
+    # _alpha_inputs adds each x x* among the letter products
+    alpha_a, alpha_b = _measured_alpha(part, *_alpha_inputs(xs, y_etas))
     report = IndependenceReport(
         max_k=2,
         residual_per_level={1: float(alpha_b), 2: float(alpha_a)},

@@ -9,12 +9,14 @@ sub-blocks.  Alongside it this module provides heuristic searches:
 simulated annealing, recursive sign splitting, spectral arcs of a random
 unitary, and equal shuffled blocks (the free-paving model).  The block
 helpers here (equal blocks, block-diagonal norms, the block objective) are
-the only copies; free_model and reduction call them.  Every block norm has
-the bits of the block's own ``op_norm``: ``_block_norms`` gives blocks of
-one size one batched SVD, which gives each block those bits, and the search
+the only copies; free_model and reduction call them.  Every block norm is
+the top value of a values-only SVD of the block gathered in ascending index
+order, exact at every size: ``_block_norms`` gives blocks of one size one
+batched SVD, which gives each block the bits of its own SVD, and the search
 objective takes the blocks of a move one at a time.  The same contractivity
 lets that objective keep a block that only lost indices at its old norm as
 an upper bound, taking its SVD only when the bound could decide the defect.
+``op_norm`` serves whole matrices only: the base norm ||x - E_A(x)||.
 The halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
 the move of the mixing sign search in independence.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_vn import SVD_DIM_LIMIT, UNITARY_TOL, MasaFrame, TracedMatrix, _as_entries, op_norm
+from .finite_vn import UNITARY_TOL, MasaFrame, TracedMatrix, _as_entries, op_norm
 from .matrix_io import JsonReport
 from .seeds import rng_for
 
@@ -143,11 +145,11 @@ def _equal_blocks(order: np.ndarray, n: int) -> np.ndarray:
 def _block_norms(a: np.ndarray, idx_list, shift: float = 0.0) -> list[float]:
     """||a[idx, idx] - shift * 1|| for each ascending index array in idx_list.
 
-    Blocks of one size are gathered into a stack and take one batched SVD,
-    which gives each matrix the bits its own SVD gives; a size that only
-    one block has, or one above SVD_DIM_LIMIT, goes through ``op_norm``.
-    One index order for every caller: a permuted order has the same
-    singular values in exact arithmetic but not always in the last bits.
+    Blocks of one size, at every size, are gathered into a stack (a lone
+    block into a stack of one) and take one values-only SVD, which gives
+    each matrix the bits its own SVD gives.  One index order for every
+    caller: a permuted order has the same singular values in exact
+    arithmetic but not always in the last bits.
     """
     a = np.asarray(a, dtype=np.complex128)
     by_size = {}
@@ -155,12 +157,6 @@ def _block_norms(a: np.ndarray, idx_list, shift: float = 0.0) -> list[float]:
         by_size.setdefault(idx.size, []).append(pos)
     out = [0.0] * len(idx_list)
     for k, group in by_size.items():
-        if len(group) == 1 or k > SVD_DIM_LIMIT:
-            for pos in group:
-                idx = idx_list[pos]
-                sub = a[idx[:, None], idx]
-                out[pos] = op_norm(sub - shift * np.eye(k) if shift else sub)
-            continue
         rows = np.stack([idx_list[pos] for pos in group])
         stack = a[rows[:, :, None], rows[:, None, :]]
         if shift:
@@ -356,32 +352,30 @@ class _Objective:
     block is a principal sub-block of its committed one, and compression is
     contractive, so the committed norm times (1 + BOUND_SLACK) bounds the
     new norm.  The slack is the one of ``_first_paving``'s cut, far above
-    the rounding of an SVD, so the bound holds for the computed norms too;
-    above SVD_DIM_LIMIT, where ``op_norm`` is a lower estimate that need not
-    shrink with the block, no bound is kept.  The label keeps its bound, not
-    multiplied again, while it goes on shrinking, and drops it when it gains
-    an index.  A bound is resolved to the exact norm only where it could
-    decide the answer: when it exceeds the largest exact norm (largest bound
-    first, so the returned max is always an exact norm), or when it reaches
-    the refusal level.  A bound at or below the largest exact norm cannot
-    change the max, so ``propose`` returns the bits ``defect`` returns.  A
-    resolved label whose block is the committed one keeps its exact norm in
-    the committed state.  A label that empties is dropped, as ``reset``
-    would not list it.
+    the rounding of an SVD, so the bound holds for the computed norms too,
+    at every block size.  The label keeps its bound, not multiplied again,
+    while it goes on shrinking, and drops it when it gains an index.  A
+    bound is resolved to the exact norm only where it could decide the
+    answer: when it exceeds the largest exact norm (largest bound first, so
+    the returned max is always an exact norm), or when it reaches the
+    refusal level.  A bound at or below the largest exact norm cannot change
+    the max, so ``propose`` returns the bits ``defect`` returns.  A resolved
+    label whose block is the committed one keeps its exact norm in the
+    committed state.  A label that empties is dropped, as ``reset`` would
+    not list it.
 
     ``reset`` and ``defect`` send the blocks through ``_block_norms``,
     which takes one batched SVD per stack of equal-size blocks and gives
-    each block the bits of its own ``op_norm``; ``propose`` takes each
-    block through ``op_norm`` alone.  Both gather the block in ascending
-    index order, so every path gives a block the same bits: a last-bit
-    difference could flip an accept decision.
+    each block the bits of its own SVD; ``propose`` takes the SVD of each
+    block alone.  Both gather the block in ascending index order, so every
+    path gives a block the same bits: a last-bit difference could flip an
+    accept decision.
     """
 
     def __init__(self, y):
         self.off = _off_diagonal(y)
         self.base = op_norm(self.off)
         self.dim = self.off.shape[0]
-        self._bounds_hold = self.dim <= SVD_DIM_LIMIT
         self._committed = None
         self._exact = {}  # label -> its committed block norm
         self._bound = {}  # label -> an upper bound on its committed block norm
@@ -399,7 +393,9 @@ class _Objective:
     def _norm(self, assignment: np.ndarray, label: int) -> float:
         """The block norm of one label, with the bits ``_block_norms`` gives it."""
         idx = (assignment == label).nonzero()[0]
-        return op_norm(self.off.take(idx, 0).take(idx, 1)) if idx.size > 1 else 0.0
+        if idx.size < 2:
+            return 0.0
+        return float(np.linalg.svd(self.off.take(idx, 0).take(idx, 1), compute_uv=False)[0])
 
     def defect(self, assignment: np.ndarray) -> float:
         return max(self._label_norms(assignment).values(), default=0.0)
@@ -441,7 +437,7 @@ class _Objective:
                 exact.pop(k, None)
                 bound.pop(k, None)
                 continue
-            if k in gained or not self._bounds_hold:
+            if k in gained:
                 bound.pop(k, None)
                 exact[k] = self._norm(trial, k)
             elif k in exact:  # only shrank: its committed norm bounds its new one

@@ -18,6 +18,7 @@ from pavlab import (
     Partition,
     TracedMatrix,
     compress,
+    free_model,
     independence,
     l2_norm,
     normalized_trace,
@@ -433,6 +434,17 @@ def test_builder_certificate_consistency():
     part, rep = build_independent_partition([x], [], 3, 0.01, frame, budget=4000, seed=2)
     indep = k_independence_residual(part, [x], k=2, sampling_budget=100_000)
     assert indep.residual_per_level[2] <= rep.achieved_alpha + 1e-9
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+def test_builder_alpha_is_the_certificates_alpha(dim):
+    # the indep benchmark's build and certificate: the builder scores the
+    # same etas as check_cor37, so the two alphas agree bit for bit
+    for seed in range(3):
+        x = free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed))
+        part, rep = build_independent_partition([x], [], 4, 0.01, MasaFrame.identity(dim),
+                                                10_000, seed)
+        assert rep.achieved_alpha == check_cor37(part, [x]).measured_alpha, seed
 
 
 # -- the mixing sign search ---------------------------------------------------

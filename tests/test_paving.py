@@ -32,7 +32,7 @@ from pavlab import (
     roots_of_unity_tuple,
     sign_split,
 )
-from pavlab import finite_vn, free_model, paving
+from pavlab import free_model, paving
 from pavlab.paving import (
     _block_diagonal_norm,
     _block_mask,
@@ -667,7 +667,8 @@ def test_same_frame_compares_identity_frames_without_their_bases(monkeypatch):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_block_norms_equal_each_blocks_own_norm(data):
-    # stacked SVDs must give every block the bits of its own op_norm
+    # stacked SVDs, a lone size a stack of one, must give every block the
+    # bits of its own SVD
     dim = data.draw(st.integers(1, 12))
     a = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
     if data.draw(st.booleans()):
@@ -688,23 +689,25 @@ def test_block_norms_equal_each_blocks_own_norm(data):
     blocks = [np.flatnonzero(labels == label) for label in np.unique(labels)]
     blocks = [blocks[i] for i in data.draw(st.permutations(range(len(blocks))))]
     shift = data.draw(st.sampled_from([0.0, 0.5, -1.25, 1 / 3]))
-    want = [op_norm(a[np.ix_(idx, idx)] - shift * np.eye(idx.size)) for idx in blocks]
+    entries = a.astype(np.complex128)
+    want = [float(np.linalg.svd(entries[np.ix_(idx, idx)] - shift * np.eye(idx.size),
+                                compute_uv=False)[0]) for idx in blocks]
     assert _block_norms(a, blocks, shift) == want
 
 
-def test_block_norms_send_lone_and_oversize_blocks_through_op_norm(monkeypatch):
+def test_block_norms_take_one_stacked_svd_per_block_size(monkeypatch):
     a = random_matrix(19, 8)
     sizes = [2, 2, 3, 4, 4, 4]
     cuts = np.cumsum([0] + sizes)
     blocks = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    want = [op_norm(a[np.ix_(idx, idx)]) for idx in blocks]
-    calls = []
-    monkeypatch.setattr(paving, "op_norm", lambda m: calls.append(m.shape[0]) or op_norm(m))
-    monkeypatch.setattr(paving, "SVD_DIM_LIMIT", 3)
+    want = [float(np.linalg.svd(a[np.ix_(idx, idx)], compute_uv=False)[0]) for idx in blocks]
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(m.shape) or svd(m, **kw))
     assert _block_norms(a, blocks) == want
-    # the two 2x2 blocks share one stacked SVD; the lone 3x3 block and the
-    # 4x4 blocks above the limit each take op_norm
-    assert sorted(calls) == [3, 4, 4, 4]
+    # the two 2x2 blocks share one stacked SVD and the three 4x4 blocks
+    # another; the lone 3x3 block is a stack of one
+    assert sorted(shapes) == [(1, 3, 3), (2, 2, 2), (3, 4, 4)]
 
 
 def test_objective_unchanged_trial_makes_no_norm_call(monkeypatch):
@@ -716,39 +719,60 @@ def test_objective_unchanged_trial_makes_no_norm_call(monkeypatch):
     shrink_max = cur.copy()
     shrink_max[1] = 0
     want = [obj.defect(relabel), obj.defect(shrink_max)]
-    calls = []
-    monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a) or op_norm(a))
+    count = count_svds(monkeypatch)
     same_block_swap = cur.copy()
     same_block_swap[[0, 3]] = same_block_swap[[3, 0]]
     assert obj.propose(same_block_swap) == d
-    assert calls == []
+    assert count == [0]
     # label 0 only lost index 0: its block {3, 6} keeps the committed norm
-    # as a bound, below the exact norm of label 1's new block {0, 1, 2, 7}
+    # as a bound, below the exact norm of label 1's new block {0, 1, 2, 7},
+    # the one SVD
     assert obj.propose(relabel) == want[0]
-    assert [a.shape[0] for a in calls] == [4]
+    assert count == [1]
     # label 1 holds the defect; when it loses index 1, its bound exceeds the
-    # norm of label 0's new block {0, 1, 3, 6}, so its block {2, 7} is resolved
-    calls.clear()
+    # norm of label 0's new block {0, 1, 3, 6}, so its block {2, 7} is
+    # resolved: two SVDs
+    count[0] = 0
     assert obj.propose(shrink_max) == want[1]
-    assert [a.shape[0] for a in calls] == [4, 2]
+    assert count == [2]
 
 
-def test_objective_keeps_no_bound_above_the_svd_limit(monkeypatch):
-    # above SVD_DIM_LIMIT op_norm is a power-iteration lower estimate, which
-    # need not shrink with the block: a block that only lost an index takes
-    # its norm
-    monkeypatch.setattr(paving, "SVD_DIM_LIMIT", 4)
-    monkeypatch.setattr(finite_vn, "SVD_DIM_LIMIT", 4)
-    obj = _Objective(random_matrix(8, 5))
-    cur = np.array([0, 1, 1, 0, 2, 2, 0, 1])
-    obj.reset(cur)
-    relabel = cur.copy()
-    relabel[0] = 1
-    want = obj.defect(relabel)
-    calls = []
-    monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a) or op_norm(a))
-    assert obj.propose(relabel) == want
-    assert sorted(a.shape[0] for a in calls) == [2, 4]
+def test_objective_keeps_a_bound_above_1024(monkeypatch):
+    # a block of more than 1024 indices takes the bits of its own SVD in
+    # _block_norms, reset (the path of defect) and propose, and keeps its
+    # norm as a bound when it only loses an index, as at every other size.
+    # Indices 0 and 1 couple strongly, so a block holding both decides the
+    # defect over the large block
+    dim = 1030
+    x = random_matrix(dim, 11)
+    x[:2, :2] *= 1e3
+    obj = _Objective(x)
+
+    def own_svd(idx):
+        return float(np.linalg.svd(obj.off[np.ix_(idx, idx)], compute_uv=False)[0])
+
+    big, rest, three = (own_svd(np.arange(lo, hi)) for lo, hi in ((2, dim), (1, dim), (0, 3)))
+    assert _block_norms(obj.off, [np.arange(2, dim)]) == [big]
+    cur = np.zeros(dim, dtype=np.int64)
+    cur[:2] = [1, 2]
+    assert obj.reset(cur) == big
+    count = count_svds(monkeypatch)
+    pair = cur.copy()
+    pair[1] = 1
+    assert obj.propose(pair) > big and count == [1]
+    obj.commit()
+    # label 0 loses index 2 to label 1: its bound stays below the exact norm
+    # of label 1's new block {0, 1, 2}, the one SVD
+    shrink = pair.copy()
+    shrink[2] = 1
+    assert obj.propose(shrink) == three
+    assert count == [2] and 0 in obj._pending[3]
+    # label 0 gains index 1 back from the pair: its block of 1029 indices
+    # takes the one SVD, and label 1 is left with index 0 alone
+    grown = pair.copy()
+    grown[1] = 0
+    assert obj.propose(grown) == rest
+    assert count == [3]
 
 
 # -- pave_search ---------------------------------------------------------
@@ -1053,8 +1077,10 @@ def test_anneal_takes_fewer_block_svds(monkeypatch):
     count = count_svds(monkeypatch)
     part, _ = pave_search(x, 0.6, "anneal", 1000, 0)
     lean, count[0] = count[0], 0
-    # every dim above SVD_DIM_LIMIT: no bound is kept, each changed block takes its SVD
-    monkeypatch.setattr(paving, "SVD_DIM_LIMIT", 0)
+    # an infinite slack makes every bound exceed every exact norm and the
+    # refusal level: each bound is resolved, so each changed block takes
+    # its SVD (4,494 against 5,374 with one BLAS thread)
+    monkeypatch.setattr(paving, "BOUND_SLACK", np.inf)
     want_part, _ = pave_search(x, 0.6, "anneal", 1000, 0)
     assert np.array_equal(part.assignment, want_part.assignment)
     assert 10 * lean <= 9 * count[0]
@@ -1114,13 +1140,13 @@ def test_objective_refusal_resolves_a_bound_the_move_leaves(monkeypatch):
     swap[[0, 5]] = swap[[5, 0]]
     want = fresh.defect(swap)
     assert want == fresh._norm(swap, 1)
-    calls = []
-    monkeypatch.setattr(paving, "op_norm", lambda a: calls.append(a.shape[0]) or op_norm(a))
+    count = count_svds(monkeypatch)
     assert obj.propose(swap, refuse_at=want) is None
-    assert calls == [2] and obj._exact[1] == want and 1 not in obj._bound
-    calls.clear()
+    assert count == [1] and obj._exact[1] == want and 1 not in obj._bound
+    # with the level above it, both changed blocks take their SVDs
+    count[0] = 0
     assert obj.propose(swap, refuse_at=np.nextafter(want, np.inf)) == want
-    assert calls == [3, 3]
+    assert count == [2]
 
 
 def test_search_benchmark_digest_matches():
