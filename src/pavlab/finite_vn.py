@@ -6,11 +6,18 @@ norm and the L2 norm of the trace, maximal abelian subalgebra (MASA) frames
 given by a unitary change of basis, the trace-preserving conditional
 expectation onto a frame, and the discrete-Fourier frame that is
 perpendicular to the diagonal one.
+
+``_singular_values`` is the one values-only SVD kernel of the package:
+``op_norm`` up to dim 1024, every block norm and report in ``paving`` and the
+norms and trace norms in ``independence`` call it, and nothing calls
+``np.linalg.svd``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 UNITARY_TOL = 1e-10
 
@@ -128,25 +135,47 @@ def normalized_trace(x) -> complex:
     return complex(np.trace(a) / a.shape[0])
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of a complex matrix or a stack of them, descending.
+
+    The LAPACK gufunc (zgesdd, values only) that
+    ``np.linalg.svd(a, compute_uv=False)`` runs on complex128 input, so the
+    same bits, without that wrapper's per-call type resolution and
+    error-state context.  Every caller passes complex128 entries; real input
+    would be cast to complex.  A NaN in the result (a non-finite entry, or no
+    convergence) raises ``LinAlgError``; a NaN entry also trips numpy's
+    invalid-value warning first.  The gufunc is looked up at each call, so
+    patching ``_umath_linalg.svd`` sees every SVD the package takes.
+    """
+    s = _umath_linalg.svd(a, signature="D->d")
+    if math.isnan(s.sum()):  # singular values are >= 0, so only a NaN sums to NaN
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return s
+
+
 def op_norm(x) -> float:
     """Largest singular value.
 
-    Full SVD up to dim 1024; above that, power iteration on x*x with a
+    Values-only SVD up to dim 1024, where a non-finite entry raises
+    ``LinAlgError``; above that, power iteration on x*x with a
     deterministic start vector (stops after 200 iterations or when the
     estimate moves by less than 1e-10 relatively).
     """
     a = _as_entries(x)
     dim = a.shape[0]
     if dim <= SVD_DIM_LIMIT:
-        # Same LAPACK call as np.linalg.norm(a, 2), without its axis handling.
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+        return float(_singular_values(a)[0])
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
-    ah = a.conj().T
     est = 0.0
     for _ in range(_POWER_ITERATIONS):
-        w = ah @ (a @ v)
+        # a* (a v) as conj(conj(a v) a): the same gemv bits, with no
+        # conjugate copy of a
+        u = a @ v
+        np.conjugate(u, out=u)
+        w = u @ a
+        np.conjugate(w, out=w)
         s = np.linalg.norm(w)
         if s == 0.0:
             return 0.0

@@ -41,6 +41,7 @@ from .paving import (
     _block_diagonal_norm,
     _block_mask,
     _equal_blocks,
+    _largest_block_column,
     _off_diagonal,
 )
 from .seeds import rng_for
@@ -297,7 +298,7 @@ def make_block_paver():
         n = 2
         while n < dim:
             labels = _equal_blocks(order, n)
-            if (np.sqrt((abs_sq * _block_mask(labels)).sum(axis=0).max()) <= cut
+            if (_largest_block_column(abs_sq, labels) <= cut
                     and _block_diagonal_norm(off, labels) <= target):
                 return Partition(labels, n, frame)
             n *= 2

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finite_vn import MasaFrame, TracedMatrix, _as_entries, l2_norm
+from .finite_vn import MasaFrame, TracedMatrix, _as_entries, _singular_values, l2_norm
 from .matrix_io import JsonReport
 from .paving import Partition, _balanced_halves, _block_order, _members, _off_diagonal, _pick_swap
 from .seeds import rng_for
@@ -382,7 +382,7 @@ class _SignObjective:
                 self.pair_mats.append(x1h * x2.T)  # M[j,k] = (x1*)[j,k] x2[k,j]
         self.eta_diags = []
         for eta in etas:
-            nrm1 = float(np.linalg.svd(eta, compute_uv=False).sum() / self.dim)  # ||eta||_1
+            nrm1 = float(_singular_values(eta).sum() / self.dim)  # ||eta||_1
             if nrm1 > 1e-14:
                 self.eta_diags.append(np.diagonal(eta) / nrm1)
 
@@ -521,7 +521,7 @@ def _measured_alpha(part: Partition, xs: list[np.ndarray], etas: list[np.ndarray
         for x2 in xs:
             m = x1 * x2.T
             b = vand @ m @ vand.T / dim
-            alpha_a = max(alpha_a, float(np.linalg.svd(b, compute_uv=False)[0]))
+            alpha_a = max(alpha_a, float(_singular_values(b)[0]))
     alpha_b = 0.0
     t = 1.0 / n
     perm, spans = _block_order(part.assignment, part.n_blocks)
@@ -576,7 +576,7 @@ def check_cor37(part: Partition, X, Y=()) -> Cor37Report:
         worst_c2b = max(worst_c2b, comp_sq)
         # equal traces make the diagonal blocks one size, so they take one
         # stacked SVD, which gives each block the bits of its own SVD
-        for sv in np.linalg.svd(np.stack([xp[si, si] for si in spans]), compute_uv=False):
+        for sv in _singular_values(np.stack([xp[si, si] for si in spans])):
             worst_d2 = max(worst_d2, float(sv.sum() / dim))
     worst_b2 = 0.0
     for eta in etas:

@@ -11,11 +11,13 @@ unitary, and equal shuffled blocks (the free-paving model).  The block
 helpers here (equal blocks, block-diagonal norms, the block objective) are
 the only copies; free_model and reduction call them.  Every block norm is
 the top value of a values-only SVD of the block gathered in ascending index
-order, exact at every size: ``_block_norms`` gives blocks of one size one
-batched SVD, which gives each block the bits of its own SVD, and the search
-objective takes the blocks of a move one at a time.  The same contractivity
-lets that objective keep a block that only lost indices at its old norm as
-an upper bound, taking its SVD only when the bound could decide the defect.
+order, exact at every size; every SVD here, the reports' included, goes
+through ``finite_vn._singular_values``, the package's one SVD kernel.
+``_block_norms`` gives blocks of one size one batched SVD, which gives each
+block the bits of its own SVD, and the search objective takes the blocks of
+a move one at a time.  The same contractivity lets that objective keep a
+block that only lost indices at its old norm as an upper bound, taking its
+SVD only when the bound could decide the defect.
 ``op_norm`` serves whole matrices only: the base norm ||x - E_A(x)||.
 The halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
 the move of the mixing sign search in independence.
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_vn import UNITARY_TOL, MasaFrame, TracedMatrix, _as_entries, op_norm
+from .finite_vn import (UNITARY_TOL, MasaFrame, TracedMatrix, _as_entries,
+                        _singular_values, op_norm)
 from .matrix_io import JsonReport
 from .seeds import rng_for
 
@@ -131,6 +134,13 @@ def _block_mask(assignment: np.ndarray) -> np.ndarray:
     return assignment[:, None] == assignment[None, :]
 
 
+def _largest_block_column(abs_sq: np.ndarray, assignment: np.ndarray) -> float:
+    """The largest column norm of the block-diagonal part with these labels,
+    from the squared moduli of the entries; the largest block norm is at
+    least this."""
+    return float(np.sqrt((abs_sq * _block_mask(assignment)).sum(axis=0).max()))
+
+
 def _equal_blocks(order: np.ndarray, n: int) -> np.ndarray:
     """Labels of ``np.array_split(order, n)``: index order[j] lies in the
     block of the chunk holding position j."""
@@ -161,7 +171,7 @@ def _block_norms(a: np.ndarray, idx_list, shift: float = 0.0) -> list[float]:
         stack = a[rows[:, :, None], rows[:, None, :]]
         if shift:
             stack = stack - shift * np.eye(k)
-        for pos, s in zip(group, np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()):
+        for pos, s in zip(group, _singular_values(stack)[:, 0].tolist()):
             out[pos] = s
     return out
 
@@ -232,8 +242,7 @@ def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: fl
     nonzero = masked.any()
     if base is None:
         base = op_norm(off) if nonzero or (eps is not None and eps < 0) else 0.0
-    sv = (np.linalg.svd(masked, compute_uv=False) if nonzero
-          else np.zeros(masked.shape[0]))
+    sv = _singular_values(masked) if nonzero else np.zeros(masked.shape[0])
     defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
     threshold = defect if eps is None else eps * base
@@ -395,7 +404,7 @@ class _Objective:
         idx = (assignment == label).nonzero()[0]
         if idx.size < 2:
             return 0.0
-        return float(np.linalg.svd(self.off.take(idx, 0).take(idx, 1), compute_uv=False)[0])
+        return float(_singular_values(self.off.take(idx, 0).take(idx, 1))[0])
 
     def defect(self, assignment: np.ndarray) -> float:
         return max(self._label_norms(assignment).values(), default=0.0)
@@ -561,7 +570,9 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
     while spent < budget and best_d > target:
         spent += 1
         if n >= 2 and rng.random() < 0.5:
-            i, j = rng.integers(0, dim, size=2).tolist()
+            # two scalar draws read the stream of one size-2 draw
+            i = int(rng.integers(0, dim))
+            j = int(rng.integers(0, dim))
             moved = labels[i] != labels[j]
             if moved:
                 trial = cur.copy()
@@ -608,11 +619,24 @@ _DRAWS = {
 }
 
 
-def _search_draws(obj, budget, seed, n, tag, draw):
-    """The best of DRAWS independent labelings, each from its own stream."""
+def _search_draws(obj, target, budget, seed, n, tag, draw):
+    """The best of DRAWS independent labelings, each from its own stream,
+    among those that can meet the target.
+
+    A block's norm is at least each of its column norms, so a draw whose
+    largest masked column norm exceeds target * (1 + BOUND_SLACK) misses
+    the target and takes no SVD.  A draw that meets it is never skipped and
+    has a smaller defect than every skipped one, so a count that meets the
+    target gets the labeling it gets without the screen; otherwise the
+    caller moves to the next count either way.
+    """
+    abs_sq = obj.off.real ** 2 + obj.off.imag ** 2
+    cut = target * (1 + BOUND_SLACK)
     best_d, best_a = np.inf, None
     for w in range(min(DRAWS, budget)):
         a = draw(rng_for(seed, tag, n, w), obj.dim, n)
+        if _largest_block_column(abs_sq, a) > cut:
+            continue
         d = obj.defect(a)
         if d < best_d:
             best_d, best_a = d, a
@@ -730,7 +754,7 @@ def pave_search(x, eps: float, strategy: str, budget: int,
         if strategy == "anneal":
             d, cand = _search_anneal(obj, eps, budget, seed, n)
         else:
-            d, cand = _search_draws(obj, budget, seed, n, *_DRAWS[strategy])
+            d, cand = _search_draws(obj, eps * obj.base, budget, seed, n, *_DRAWS[strategy])
         if d <= eps * obj.base:
             return finish(Partition(np.asarray(cand, dtype=np.int64), n, frame))
     return finish(Partition.singletons(frame))

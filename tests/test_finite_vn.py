@@ -14,7 +14,8 @@ from pavlab import (
     op_norm,
     perpendicular_frame,
 )
-from pavlab.finite_vn import _dft_matrix
+from pavlab import finite_vn
+from pavlab.finite_vn import _dft_matrix, _singular_values
 from pavlab.paving import _off_diagonal
 
 
@@ -94,6 +95,55 @@ def test_op_norm_power_iteration_path_matches_svd():
     finally:
         fv.SVD_DIM_LIMIT = old
     assert abs(approx - np.linalg.norm(a, 2)) < 1e-6 * np.linalg.norm(a, 2)
+
+
+def reference_power_norm(a: np.ndarray) -> float:
+    """The power iteration of op_norm as it read with a conjugate copy of a:
+    w = a* (a v)."""
+    dim = a.shape[0]
+    rng = np.random.default_rng(finite_vn._POWER_SEED)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    ah = a.conj().T
+    est = 0.0
+    for _ in range(finite_vn._POWER_ITERATIONS):
+        w = ah @ (a @ v)
+        s = np.linalg.norm(w)
+        if s == 0.0:
+            return 0.0
+        v = w / s
+        new = float(np.sqrt(s))
+        if abs(new - est) <= finite_vn._POWER_TOL * max(new, 1e-30):
+            return new
+        est = new
+    return est
+
+
+def test_op_norm_power_path_keeps_the_bits_of_the_conjugate_copy():
+    # conj(conj(a v) a) is a* (a v) exactly: conjugation is exact, and both
+    # products run the same gemv
+    a = random_matrix(1040, 12)
+    assert repr(op_norm(a)) == repr(reference_power_norm(a))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (11, 11), (3, 5, 5), (4, 9)])
+def test_singular_values_give_the_bits_of_numpy_svd(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, want = _singular_values(a), np.linalg.svd(a, compute_uv=False)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_nonfinite_entry_raises_in_the_norm(bad):
+    # np.linalg.svd returns NaNs for an inf entry; the kernel refuses them
+    a = random_matrix(8, 3)
+    a[2, 5] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        _singular_values(a)
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(a)
 
 
 def test_l2_l1_identity():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from pavlab import (
     MasaFrame,
@@ -245,6 +246,20 @@ def test_zero_defect_report_takes_no_norm(monkeypatch):
     assert (rep.defect, rep.ratio, rep.spectral_tail, calls) == (0.0, 0.0, 0.0, [])
     paving_defect(x, Partition.one_block(MasaFrame.identity(9)), eps=0.5)
     assert calls == [9]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("entry", [(1, 6), (4, 4)])
+def test_a_nonfinite_entry_raises_instead_of_a_nan_report(bad, entry):
+    # a raw matrix is not checked for finiteness; its SVDs refuse it, so no
+    # report carries a NaN that JSON cannot hold
+    x = random_matrix(8, 9)
+    x[entry] = bad
+    frame = MasaFrame.identity(8)
+    for part in (Partition.one_block(frame), Partition(np.arange(8) % 2, 2, frame)):
+        with pytest.raises(np.linalg.LinAlgError):
+            paving_defect(x, part)
 
 
 # -- spectral tail -----------------------------------------------------------
@@ -702,8 +717,9 @@ def test_block_norms_take_one_stacked_svd_per_block_size(monkeypatch):
     blocks = [np.arange(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
     want = [float(np.linalg.svd(a[np.ix_(idx, idx)], compute_uv=False)[0]) for idx in blocks]
     shapes = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(m.shape) or svd(m, **kw))
+    svd = _umath_linalg.svd
+    monkeypatch.setattr(_umath_linalg, "svd",
+                        lambda m, **kw: shapes.append(m.shape) or svd(m, **kw))
     assert _block_norms(a, blocks) == want
     # the two 2x2 blocks share one stacked SVD and the three 4x4 blocks
     # another; the lone 3x3 block is a stack of one
@@ -1001,16 +1017,17 @@ def test_sign_split_refusal_level_keeps_every_decision(monkeypatch):
 
 
 def count_svds(monkeypatch) -> list:
-    """A one-item list counting the matrices passed to np.linalg.svd, a
-    stack counted per matrix."""
+    """A one-item list counting the matrices the SVD kernel
+    (``finite_vn._singular_values``) passes to LAPACK, a stack counted per
+    matrix."""
     count = [0]
-    svd = np.linalg.svd
+    svd = _umath_linalg.svd
 
     def counted(a, *args, **kwargs):
         count[0] += int(np.prod(a.shape[:-2]))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(_umath_linalg, "svd", counted)
     return count
 
 
@@ -1054,6 +1071,26 @@ def reference_anneal_once(obj, n, eps, budget, rng):
                 best, best_d = trial.copy(), d
         temp *= 0.995
     return best_d, best
+
+
+@pytest.mark.parametrize("dim", [32, 61, 64])
+def test_two_scalar_index_draws_read_the_stream_of_one_pair(dim):
+    # _anneal_once draws a swap's indices as two scalar integers, the
+    # reference loop as one pair: PCG64 keeps its buffered 32-bit half-word
+    # in the bit generator, so both read one stream, between the float and
+    # label draws of the other moves too
+    def draws(pair: bool) -> list:
+        rng, out = rng_for(3, 0x5EA, 5, 1), []
+        for _ in range(5000):
+            if rng.random() < 0.5:
+                out += (rng.integers(0, dim, size=2).tolist() if pair
+                        else [int(rng.integers(0, dim)), int(rng.integers(0, dim))])
+            else:
+                out += [int(rng.integers(0, 5)), int(rng.integers(0, dim))]
+            out.append(rng.random())
+        return out
+
+    assert draws(True) == draws(False)
 
 
 def test_anneal_keeps_every_decision(monkeypatch):
@@ -1149,6 +1186,30 @@ def test_objective_refusal_resolves_a_bound_the_move_leaves(monkeypatch):
     assert count == [2]
 
 
+def reference_search_draws(obj, target, budget, seed, n, tag, draw):
+    """``_search_draws`` without its column-norm screen: every draw is scored."""
+    best_d, best_a = np.inf, None
+    for w in range(min(paving.DRAWS, budget)):
+        a = draw(rng_for(seed, tag, n, w), obj.dim, n)
+        d = obj.defect(a)
+        if d < best_d:
+            best_d, best_a = d, a
+    return best_d, best_a
+
+
+@pytest.mark.parametrize("strategy", ["roots_of_unity", "arc"])
+def test_draw_screen_keeps_every_partition(monkeypatch, strategy):
+    cases = [(dim, seed, eps) for dim in (16, 48) for seed in range(3) for eps in (0.3, 0.6)]
+    inputs = {(dim, seed): free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed))
+              for dim, seed, _ in cases}
+    got = [pave_search(inputs[dim, seed], eps, strategy, 1000, seed) for dim, seed, eps in cases]
+    monkeypatch.setattr(paving, "_search_draws", reference_search_draws)
+    for (dim, seed, eps), (part, rep) in zip(cases, got):
+        want_part, want_rep = pave_search(inputs[dim, seed], eps, strategy, 1000, seed)
+        assert np.array_equal(part.assignment, want_part.assignment), (dim, seed, eps)
+        assert repr(rep.ratio) == repr(want_rep.ratio), (dim, seed, eps)
+
+
 def test_search_benchmark_digest_matches():
     out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--check-digest",
                           "--workload", "search"], cwd=ROOT, capture_output=True, text=True,
@@ -1186,10 +1247,12 @@ def _search_pins():
     return out
 
 
-# np.linalg.svd calls, a stack counted per matrix, of each strategy over the
+# SVDs the kernel takes, a stack counted per matrix, of each strategy over the
 # zero_diag_haar inputs at dims 32 and 64 and input seeds 0-3, each also the
-# search seed, at eps 0.6 and budget 1000 with one BLAS thread
-SVD_COUNT_PINS = {"sign_split": 3775, "anneal": 30794, "roots_of_unity": 1168, "arc": 1492}
+# search seed, at eps 0.6 and budget 1000 with one BLAS thread.  The column-norm
+# screen of _search_draws skips 75 of 296 roots_of_unity draws and 107 of 344
+# arc draws without an SVD (1168 and 1492 SVDs without it)
+SVD_COUNT_PINS = {"sign_split": 3775, "anneal": 30794, "roots_of_unity": 1007, "arc": 1230}
 
 
 def _svd_counts():

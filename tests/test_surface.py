@@ -190,3 +190,13 @@ def test_only_public_entries_take_a_frame():
                 (private if name.startswith("_") else public).append(name)
     assert private == []
     assert sorted(public) == FRAME_ENTRIES
+
+
+def test_no_module_calls_numpy_svd():
+    # every values-only SVD goes through finite_vn._singular_values, the one kernel
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "svd" and isinstance(node.func.value, ast.Attribute)
+             and node.func.value.attr == "linalg"]
+    assert calls == []
