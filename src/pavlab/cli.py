@@ -8,7 +8,8 @@ artifacts except for elapsed_ms fields, which the compare mode ignores.
 Each subcommand takes only the flags that it reads, so a flag it would
 ignore is a usage error.  One table, ``FLAGS``, gives every flag its spec
 and default; the manifest's config records the subcommand and each of its
-flags, with its value or default.
+flags, with its value or default.  ``--dim`` sizes a generated input, so it
+is refused beside ``--input``, and the config records the dim that ran.
 
 Exit codes: 0 success, 1 compared artifacts differ, 2 usage or
 precondition failure (bad flag, bad value, unreadable input), 3
@@ -38,7 +39,7 @@ from .free_model import (
     sample,
 )
 from .independence import build_independent_partition, check_cor37
-from .matrix_io import load_matrix
+from .matrix_io import load_matrix, read_json
 from .paving import (
     EXHAUSTIVE_DIM_LIMIT,
     STRATEGIES,
@@ -87,8 +88,8 @@ def _csv_text(header, rows) -> str:
 def _emit(args, payload: dict, seeds, csv=None) -> None:
     """Write the artifact to --out with its manifest beside it, or to stdout
     with the manifest inside a JSON payload; CSV on stdout keeps its
-    manifest on stderr.  Only curve and free take --format, and both pass
-    csv."""
+    manifest on stderr.  Only curve and the free-* commands take --format,
+    and each passes csv."""
     manifest = _manifest(args, seeds)
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     as_csv = csv and args.format == "csv"
@@ -107,10 +108,22 @@ def _emit(args, payload: dict, seeds, csv=None) -> None:
             sys.stderr.write(manifest_text)
 
 
-def _input_matrix(args):
-    if args.input:
-        return load_matrix(args.input).entries
-    return sample(EnsembleSpec("zero_diag_haar", args.dim, args.seed)).entries
+DEFAULT_DIM = 64
+
+
+def _input_matrix(args, dim: int = DEFAULT_DIM):
+    """The matrix of --input, or the zero_diag_haar sample of --dim (``dim``
+    when --dim is not given).  A file sets its own dim, so --dim beside
+    --input is a ValueError; args.dim becomes the dim that runs."""
+    if args.input is None:
+        x = sample(EnsembleSpec("zero_diag_haar", dim if args.dim is None else args.dim,
+                                args.seed)).entries
+    elif args.dim is not None:
+        raise ValueError("--dim sizes a generated input; an --input file sets its own dim")
+    else:
+        x = load_matrix(args.input).entries
+    args.dim = int(x.shape[0])
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +142,7 @@ def cmd_pave(args) -> int:
 
 
 def cmd_pave_exact(args) -> int:
-    x = _input_matrix(args)
+    x = _input_matrix(args, EXHAUSTIVE_DIM_LIMIT)
     n = paving_number_exact(x, args.eps)
     payload = {"eps": args.eps, "paving_number": n, "dim": int(x.shape[0])}
     _emit(args, payload, [args.seed])
@@ -182,45 +195,55 @@ def cmd_indep(args) -> int:
     return 0 if cert.all_hold else 3
 
 
-def cmd_free(args) -> int:
-    seeds = _seeds(args)
-    op = args.op
-    rows = []
-    lines = []
-    if op == "conj":
-        reports = [conjugation_paving_experiment(args.n, args.dim, s) for s in seeds]
-        for rep in reports:
-            lines.append(rep.to_json_dict())
-            rows.append(("conj", rep.n, rep.dim, rep.seed, rep.measured_norm,
-                         rep.paper_bound, rep.slack))
-    elif op == "proj":
-        reports = [projection_paving_experiment(args.t, args.n, args.dim, s) for s in seeds]
-        for block, half in reports:
-            lines.append({"blocks": block.to_json_dict(), "half_split": half.to_json_dict()})
-            rows.append(("proj_blocks", block.n, block.dim, block.seed,
-                         block.measured_norm, block.paper_bound, block.slack))
-            rows.append(("proj_half", half.n, half.dim, half.seed,
-                         half.measured_norm, half.paper_bound, half.slack))
-    elif op == "kesten":
-        m = args.m
-        vals = [kesten_norm_oracle(m, args.dim, s) for s in seeds]
-        paper, free = kesten_values(m)
-        for s, v in zip(seeds, vals):
-            lines.append({"m": m, "dim": args.dim, "seed": s, "measured": v,
-                          "paper_value": paper, "free_value": free})
-            rows.append(("kesten", m, args.dim, s, v, paper, v - paper))
-            rows.append(("kesten_free", m, args.dim, s, v, free, v - free))
-    elif op == "growth":
-        reports = [power_conjugation_growth(args.dim, args.n_max, s) for s in seeds]
-        for rep in reports:
-            lines.append(rep.to_json_dict())
-            for i, g in enumerate(rep.values, start=1):
-                ref = float(np.sqrt(i))
-                rows.append(("growth", i, rep.dim, rep.seed, g, ref, g - ref))
-    payload = {"op": op, "lines": lines}
-    header = ("param", "n", "dim", "seed", "measured", "bound", "slack")
-    _emit(args, payload, seeds, csv=(header, rows))
+FREE_HEADER = ("param", "n", "dim", "seed", "measured", "bound", "slack")
+
+
+def _emit_free(args, seeds, lines, rows) -> int:
+    """A free-* artifact: one JSON line per seed, CSV rows in FREE_HEADER."""
+    _emit(args, {"lines": lines}, seeds, csv=(FREE_HEADER, rows))
     return 0
+
+
+def _norm_row(param: str, rep) -> tuple:
+    return (param, rep.n, rep.dim, rep.seed, rep.measured_norm, rep.paper_bound, rep.slack)
+
+
+def cmd_free_conj(args) -> int:
+    seeds = _seeds(args)
+    reports = [conjugation_paving_experiment(args.n, args.dim, s) for s in seeds]
+    return _emit_free(args, seeds, [rep.to_json_dict() for rep in reports],
+                      [_norm_row("conj", rep) for rep in reports])
+
+
+def cmd_free_proj(args) -> int:
+    seeds = _seeds(args)
+    reports = [projection_paving_experiment(args.t, args.n, args.dim, s) for s in seeds]
+    lines = [{"blocks": block.to_json_dict(), "half_split": half.to_json_dict()}
+             for block, half in reports]
+    rows = [row for block, half in reports
+            for row in (_norm_row("proj_blocks", block), _norm_row("proj_half", half))]
+    return _emit_free(args, seeds, lines, rows)
+
+
+def cmd_free_kesten(args) -> int:
+    seeds = _seeds(args)
+    m, dim = args.m, args.dim
+    vals = [kesten_norm_oracle(m, dim, s) for s in seeds]
+    paper, free = kesten_values(m)
+    lines = [{"m": m, "dim": dim, "seed": s, "measured": v, "paper_value": paper,
+              "free_value": free} for s, v in zip(seeds, vals)]
+    rows = [row for s, v in zip(seeds, vals)
+            for row in (("kesten", m, dim, s, v, paper, v - paper),
+                        ("kesten_free", m, dim, s, v, free, v - free))]
+    return _emit_free(args, seeds, lines, rows)
+
+
+def cmd_free_growth(args) -> int:
+    seeds = _seeds(args)
+    reports = [power_conjugation_growth(args.dim, args.n_max, s) for s in seeds]
+    rows = [("growth", i, rep.dim, rep.seed, g, float(np.sqrt(i)), g - float(np.sqrt(i)))
+            for rep in reports for i, g in enumerate(rep.values, start=1)]
+    return _emit_free(args, seeds, [rep.to_json_dict() for rep in reports], rows)
 
 
 def cmd_reduce(args) -> int:
@@ -260,9 +283,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_compare(args) -> int:
     """Byte comparison of two JSON artifacts modulo timing fields."""
-    da = strip_timing(json.loads(Path(args.a).read_text()))
-    db = strip_timing(json.loads(Path(args.b).read_text()))
-    same = json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+    try:
+        da, db = (json.dumps(strip_timing(read_json(p)), sort_keys=True) for p in (args.a, args.b))
+    except RecursionError as exc:  # parsed, but too deep to walk
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
+    same = da == db
     sys.stdout.write(json.dumps({"match": same}) + "\n")
     return 0 if same else 1
 
@@ -272,7 +297,7 @@ def cmd_compare(args) -> int:
 # Every flag once, with its argparse spec and default; a subcommand's
 # manifest config records its flags in this order.
 FLAGS = {
-    "dim": dict(type=int, default=64),
+    "dim": dict(type=int, default=DEFAULT_DIM),
     "eps": dict(type=float, default=0.5),
     "n": dict(type=int, default=4),
     "seed": dict(type=int, default=0),
@@ -286,7 +311,6 @@ FLAGS = {
     "eps-grid": dict(type=float, nargs="+", default=(0.6, 0.5, 0.4, 0.3)),
     "levels": dict(type=int, default=4),
     "alpha": dict(type=float, default=0.01),
-    "op": dict(choices=("conj", "proj", "kesten", "growth"), default="conj"),
     "t": dict(type=float, default=0.5),
     "m": dict(type=int, default=2),
     "n-max": dict(type=int, default=16),
@@ -295,21 +319,26 @@ FLAGS = {
     "dim-kesten": dict(type=int, default=2048),
 }
 
-# subcommand: (help, the flags its cmd_* reads in FLAGS order, its own defaults)
+# subcommand: (help, the flags its cmd_* reads in FLAGS order)
 SUBCOMMANDS = {
-    "pave": ("search for a paving partition", "dim eps seed strategy budget input out", {}),
+    "pave": ("search for a paving partition", "dim eps seed strategy budget input out"),
     "pave-exact": (f"exhaustive paving number (dim <= {EXHAUSTIVE_DIM_LIMIT})",
-                   "dim eps seed input out", {"dim": EXHAUSTIVE_DIM_LIMIT}),
+                   "dim eps seed input out"),
     "curve": ("empirical paving-size curve over an eps grid",
-              "dim seed budget input out format eps-grid", {}),
+              "dim seed budget input out format eps-grid"),
     "indep": ("build an independent partition and certify it",
-              "dim seed budget input out levels alpha", {}),
-    "free": ("random-matrix freeness experiments",
-             "dim n seed seeds out format op t m n-max", {}),
-    "reduce": ("reduction pipeline on a self-adjoint element", "dim eps seed input out", {}),
-    "dixmier": ("W-tuple averaging identity", "dim n seed input out", {}),
+              "dim seed budget input out levels alpha"),
+    "free-conj": ("compression of a Haar model by roots-of-unity eigenblocks",
+                  "dim n seed seeds out format"),
+    "free-proj": ("compression of a random projection by shuffled equal blocks",
+                  "dim n seed seeds out format t"),
+    "free-kesten": ("norm of a sum of m Haar unitaries", "dim seed seeds out format m"),
+    "free-growth": ("norms of sums of Haar conjugates of a model",
+                    "dim seed seeds out format n-max"),
+    "reduce": ("reduction pipeline on a self-adjoint element", "dim eps seed input out"),
+    "dixmier": ("W-tuple averaging identity", "dim n seed input out"),
     "calibrate": ("calibration run for the free-model tolerances",
-                  "seed seeds out dim-conj dim-proj dim-kesten", {}),
+                  "seed seeds out dim-conj dim-proj dim-kesten"),
 }
 
 
@@ -317,12 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pavlab",
                                      description="matrix paving experiments")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (text, flags, defaults) in SUBCOMMANDS.items():
+    for name, (text, flags) in SUBCOMMANDS.items():
         # no abbreviations: "curve --eps" must not be read as "--eps-grid"
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **FLAGS[flag])
-        p.set_defaults(**defaults)
+        if "input" in flags.split():
+            # _input_matrix sizes a generated input, and refuses a --dim given
+            # beside --input, even one equal to the default
+            p.set_defaults(dim=None)
     comp = sub.add_parser("compare", help="compare artifacts ignoring timing")
     comp.add_argument("a")
     comp.add_argument("b")

@@ -156,10 +156,12 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 def op_norm(x) -> float:
     """Largest singular value.
 
-    Values-only SVD up to dim 1024, where a non-finite entry raises
-    ``LinAlgError``; above that, power iteration on x*x with a
-    deterministic start vector (stops after 200 iterations or when the
-    estimate moves by less than 1e-10 relatively).
+    Values-only SVD up to dim 1024; above that, power iteration on x*x
+    with a deterministic start vector (stops after 200 iterations or when
+    the estimate moves by less than 1e-10 relatively).  At every dim a
+    non-finite entry raises ``LinAlgError``: the power path refuses a
+    non-finite iterate norm, which its first step meets.  It meets one too
+    when a product overflows, for entries of modulus above about 1e150.
     """
     a = _as_entries(x)
     dim = a.shape[0]
@@ -177,6 +179,8 @@ def op_norm(x) -> float:
         w = u @ a
         np.conjugate(w, out=w)
         s = np.linalg.norm(w)
+        if not math.isfinite(s):
+            raise np.linalg.LinAlgError("power iteration met a non-finite value")
         if s == 0.0:
             return 0.0
         v = w / s

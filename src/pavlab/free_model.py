@@ -21,10 +21,11 @@ Each model comes from its own stream ``rng_for(seed, tag, dim)``:
 projection of the projection experiment (tag 2), and the conjugation
 experiment shuffles its roots-of-unity block labels itself (tag 3).
 
-Equal shuffled blocks, off-diagonal parts and block-diagonal norms come
-from ``paving`` (``_equal_blocks``, ``_off_diagonal``,
-``_block_diagonal_norm``), the same code the paving searches use; reports
-serialize through ``matrix_io.JsonReport``.
+Equal shuffled blocks, off-diagonal parts, the column screen and
+block-diagonal norms come from ``paving`` (``_equal_blocks``,
+``_off_diagonal``, ``_columns_fit``, ``_block_diagonal_norm``), the same
+code the paving searches use; reports serialize through
+``matrix_io.JsonReport``.
 """
 
 import math
@@ -36,12 +37,11 @@ from numpy.linalg import _umath_linalg
 from .finite_vn import MasaFrame, TracedMatrix, op_norm
 from .matrix_io import JsonReport
 from .paving import (
-    DEGENERATE_NORM,
     Partition,
     _block_diagonal_norm,
     _block_mask,
+    _columns_fit,
     _equal_blocks,
-    _largest_block_column,
     _off_diagonal,
 )
 from .seeds import rng_for
@@ -271,16 +271,14 @@ def make_block_paver():
     corner in the identity frame, target being the absolute bound on
     ||sum_i p_i (c - E(c)) p_i|| for the corner c.
 
-    Levels cut one seeded permutation into n = 2, 4, ... equal blocks, and
-    the doubling returns the singletons (defect 0) unevaluated at n = dim.
-    A norm is at least each column norm of its matrix, so a level whose
-    largest masked column norm exceeds the target is refused before its
-    block norms are taken, and ||c - E(c)||, which decides one block (it
-    meets the target or lies below DEGENERATE_NORM), is taken only when the
-    largest column fits; the relative slack of 1e-9 on both screens is far
-    above the rounding of either side, so they refuse nothing the norms
-    would accept.  A negative or NaN target is refused with ValueError: no
-    level meets it, singletons included."""
+    Levels cut one seeded permutation into n = 1, 2, 4, ... < dim equal
+    blocks, n = 1 being the one block, and the doubling returns the
+    singletons (defect 0) unevaluated at n = dim.  The first level that
+    passes ``paving._columns_fit`` and whose exact block-diagonal norm is at
+    most the target is returned, so every returned partition meets the
+    target under ``_block_diagonal_norm``; a level the screen refuses takes
+    no SVD.  A negative or NaN target is refused with ValueError: no level
+    meets it, singletons included."""
 
     def paver(corner: np.ndarray, target: float, seed: int) -> Partition:
         if not target >= 0:
@@ -289,17 +287,11 @@ def make_block_paver():
         frame = MasaFrame.identity(dim)
         off = _off_diagonal(corner)
         abs_sq = off.real ** 2 + off.imag ** 2
-        cut = target * (1 + 1e-9)
-        if np.sqrt(abs_sq.sum(axis=0).max()) <= max(cut, DEGENERATE_NORM * (1 + 1e-9)):
-            base = op_norm(off)
-            if base < DEGENERATE_NORM or base <= target:
-                return Partition.one_block(frame)
         order = _free_order(dim, seed)
-        n = 2
+        n = 1
         while n < dim:
             labels = _equal_blocks(order, n)
-            if (_largest_block_column(abs_sq, labels) <= cut
-                    and _block_diagonal_norm(off, labels) <= target):
+            if _columns_fit(abs_sq, labels, target) and _block_diagonal_norm(off, labels) <= target:
                 return Partition(labels, n, frame)
             n *= 2
         return Partition.singletons(frame)

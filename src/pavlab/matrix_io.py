@@ -56,7 +56,9 @@ def to_json_obj(x: TracedMatrix) -> dict:
 def from_json_obj(obj: dict) -> TracedMatrix:
     """Parse the JSON layout; any malformed input raises ValueError."""
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
+        if type(dim) is not int:  # not 2.7 read as 2, nor true as 1
+            raise ValueError(f"matrix JSON dim must be an integer, got {dim!r}")
         rows = obj["entries"]
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValueError("entries shape does not match dim")
@@ -72,8 +74,17 @@ def save_json(x: TracedMatrix, path) -> None:
     Path(path).write_text(json.dumps(to_json_obj(x)))
 
 
+def read_json(path):
+    """json.loads of a file's text; nesting too deep for the parser raises
+    ValueError, as any other malformed JSON does."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
+
+
 def load_json(path) -> TracedMatrix:
-    return from_json_obj(json.loads(Path(path).read_text()))
+    return from_json_obj(read_json(path))
 
 
 def save_binary(x: TracedMatrix, path) -> None:

@@ -8,11 +8,12 @@ compression: a block's norm bounds the norm of each of its principal
 sub-blocks.  Alongside it this module provides heuristic searches:
 simulated annealing, recursive sign splitting, spectral arcs of a random
 unitary, and equal shuffled blocks (the free-paving model).  The block
-helpers here (equal blocks, block-diagonal norms, the block objective) are
-the only copies; free_model and reduction call them.  Every block norm is
-the top value of a values-only SVD of the block gathered in ascending index
-order, exact at every size; every SVD here, the reports' included, goes
-through ``finite_vn._singular_values``, the package's one SVD kernel.
+helpers here (equal blocks, block-diagonal norms, the column screen, the
+block objective) are the only copies; free_model and reduction call them.
+Every block norm is the top value of a values-only SVD of the block
+gathered in ascending index order, exact at every size; every SVD here, the
+reports' included, goes through ``finite_vn._singular_values``, the
+package's one SVD kernel.
 ``_block_norms`` gives blocks of one size one batched SVD, which gives each
 block the bits of its own SVD, and the search objective takes the blocks of
 a move one at a time.  The same contractivity lets that objective keep a
@@ -41,8 +42,9 @@ from .seeds import rng_for
 
 EXHAUSTIVE_DIM_LIMIT = 12
 DEGENERATE_NORM = 1e-12
-# Relative slack on a block norm used to bound its principal sub-blocks,
-# far above the rounding of an SVD of any size it takes
+# Relative slack on a norm used as a bound (a block's on its principal
+# sub-blocks, a column's below its block's), far above the rounding of an
+# SVD of any size it takes
 BOUND_SLACK = 1e-12
 
 STRATEGIES = ("exhaustive", "sign_split", "arc", "anneal", "roots_of_unity")
@@ -66,7 +68,10 @@ class Partition:
     frame: MasaFrame
 
     def __post_init__(self):
-        a = np.array(self.assignment, dtype=np.int64, copy=True)
+        raw = np.asarray(self.assignment)
+        a = np.array(raw, dtype=np.int64, copy=True)
+        if not np.array_equal(a, raw):  # a cast would truncate 0.7 to 0
+            raise ValueError("assignment labels must be integers")
         if a.ndim != 1 or a.shape[0] != self.frame.dim:
             raise ValueError("assignment length must equal frame dim")
         if self.n_blocks < 1:
@@ -134,11 +139,17 @@ def _block_mask(assignment: np.ndarray) -> np.ndarray:
     return assignment[:, None] == assignment[None, :]
 
 
-def _largest_block_column(abs_sq: np.ndarray, assignment: np.ndarray) -> float:
-    """The largest column norm of the block-diagonal part with these labels,
-    from the squared moduli of the entries; the largest block norm is at
-    least this."""
-    return float(np.sqrt((abs_sq * _block_mask(assignment)).sum(axis=0).max()))
+def _columns_fit(abs_sq: np.ndarray, labels: np.ndarray, target: float) -> bool:
+    """The screen of a labeling against an absolute target: whether every
+    column of the block-diagonal part with these labels, from the squared
+    moduli of the entries, has norm at most target * (1 + BOUND_SLACK).
+
+    A block's norm is at least each of its column norms, so a labeling that
+    fails cannot meet the target; the slack is far above the rounding of
+    either side, so the screen refuses nothing whose block norms would meet
+    it."""
+    return bool(np.sqrt((abs_sq * _block_mask(labels)).sum(axis=0).max())
+                <= target * (1 + BOUND_SLACK))
 
 
 def _equal_blocks(order: np.ndarray, n: int) -> np.ndarray:
@@ -210,43 +221,43 @@ def _off_diagonal(y) -> np.ndarray:
     return y - np.diag(np.diagonal(y))
 
 
-def paving_defect(x, part: Partition, eps: float | None = None) -> PavingReport:
-    """Defect ||compress(x) - E_A(x)|| and its ratio to ||x - E_A(x)||.
+def paving_defect(x, part: Partition, eps: float) -> PavingReport:
+    """Defect ||compress(x) - E_A(x)||, its ratio to ||x - E_A(x)||, and the
+    spectral tail of the defect matrix above eps * ||x - E_A(x)||, for eps
+    in (0, 1) (else ValueError).
 
-    When the baseline norm vanishes the ratio is defined as 0.  If eps is
-    given, the spectral tail of the defect matrix is measured above
-    eps * ||x - E_A(x)||; otherwise above the achieved defect (tail 0).
-    The defect and the tail come from one SVD of the defect matrix, so the
-    defect is exact at every dimension.  The baseline norm is taken only
-    for a nonzero defect matrix: a zero one (singletons, or an input that
-    is already diagonal) reports 0 whatever the baseline is.
+    When the baseline norm vanishes the ratio is defined as 0.  The defect
+    and the tail come from one SVD of the defect matrix, so the defect is
+    exact at every dimension.  The baseline norm is taken only for a
+    nonzero defect matrix: a zero one (singletons, or an input that is
+    already diagonal) reports 0 whatever the baseline is.
     """
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
     t0 = time.perf_counter()
     off = _off_diagonal(part.frame.to_frame(x))
     return _defect_report(off, None, part, eps, "direct", 0, t0)
 
 
-def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: float | None,
+def _defect_report(off: np.ndarray, base: float | None, part: Partition, eps: float,
                    strategy: str, seed: int, t0: float) -> PavingReport:
     """The report of ``paving_defect`` from the off-diagonal part in frame
     coordinates and its norm, timed from t0.
 
     An exactly zero masked matrix (singletons, or an input that is already
     diagonal) takes no SVD: its singular values are +0.0, as LAPACK
-    returns them.  Its defect, ratio and tail are then 0.0 for every base,
-    so ``base=None`` takes ``op_norm(off)`` only for a nonzero masked
-    matrix, or for a negative eps, whose threshold lies below those zeros;
-    otherwise a base of 0.0 gives the same report.
+    returns them, and its defect, ratio and tail are 0.0 for every base and
+    every eps >= 0.  So ``base=None`` takes ``op_norm(off)`` only for a
+    nonzero masked matrix.
     """
     masked = off * _block_mask(part.assignment)
     nonzero = masked.any()
     if base is None:
-        base = op_norm(off) if nonzero or (eps is not None and eps < 0) else 0.0
+        base = op_norm(off) if nonzero else 0.0
     sv = _singular_values(masked) if nonzero else np.zeros(masked.shape[0])
     defect = float(sv[0])
     ratio = 0.0 if base < DEGENERATE_NORM else defect / base
-    threshold = defect if eps is None else eps * base
-    tail = float(np.count_nonzero(sv > threshold + 1e-15) / sv.size)
+    tail = float(np.count_nonzero(sv > eps * base + 1e-15) / sv.size)
     return PavingReport(
         n_blocks=part.n_blocks,
         effective_blocks=part.effective_blocks,
@@ -409,11 +420,6 @@ class _Objective:
     def defect(self, assignment: np.ndarray) -> float:
         return max(self._label_norms(assignment).values(), default=0.0)
 
-    def ratio(self, assignment: np.ndarray) -> float:
-        if self.base < DEGENERATE_NORM:
-            return 0.0
-        return self.defect(assignment) / self.base
-
     def reset(self, assignment: np.ndarray) -> float:
         self._committed = np.array(assignment, dtype=np.int64)
         self._exact = self._label_norms(self._committed)
@@ -486,14 +492,17 @@ def _first_paving(obj: _Objective, eps: float) -> tuple[np.ndarray, int]:
     Compression is contractive, so a block's norm bounds the norm of every
     principal sub-block, and no leaf below such a block can pass.  The cut
     carries a relative slack of BOUND_SLACK, so rounding never cuts a leaf that
-    passes, and each leaf takes the full ``obj.ratio`` test: the walk
-    returns what scoring every RGS returns.  The walks for successive n and
-    sibling subtrees meet the same partial blocks again, so each block is
-    tested once per call.  (Set-partition enumeration by RGS: Knuth, TAOCP
-    Vol. 4A, 7.2.1.5.)
+    passes, and each leaf takes the full ratio test, defect / base <= eps:
+    the walk returns what scoring every RGS returns.  The walks for
+    successive n and sibling subtrees meet the same partial blocks again, so
+    each block is tested once per call.  (Set-partition enumeration by RGS:
+    Knuth, TAOCP Vol. 4A, 7.2.1.5.)  A base below DEGENERATE_NORM gives
+    every ratio 0, so the one block.
     """
     dim = obj.dim
-    cut = eps * obj.base * (1 + BOUND_SLACK) if obj.base >= DEGENERATE_NORM else np.inf
+    if obj.base < DEGENERATE_NORM:
+        return np.zeros(dim, dtype=np.int64), 1
+    cut = eps * obj.base * (1 + BOUND_SLACK)
     a = np.zeros(dim, dtype=np.int64)
     blocks = []  # ascending members of each label placed so far
     fits = {}  # partial block -> its norm is within the cut
@@ -502,7 +511,7 @@ def _first_paving(obj: _Objective, eps: float) -> tuple[np.ndarray, int]:
         if dim - i < n - len(blocks):
             return False
         if i == dim:
-            return obj.ratio(a) <= eps
+            return obj.defect(a) / obj.base <= eps
         for v in range(min(len(blocks) + 1, n)):
             if v == len(blocks):
                 blocks.append([])
@@ -539,10 +548,7 @@ def paving_number_exact(x, eps: float) -> int:
         raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    obj = _Objective(y)
-    if obj.base < DEGENERATE_NORM:
-        return 1
-    return _first_paving(obj, eps)[1]
+    return _first_paving(_Objective(y), eps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -623,19 +629,17 @@ def _search_draws(obj, target, budget, seed, n, tag, draw):
     """The best of DRAWS independent labelings, each from its own stream,
     among those that can meet the target.
 
-    A block's norm is at least each of its column norms, so a draw whose
-    largest masked column norm exceeds target * (1 + BOUND_SLACK) misses
-    the target and takes no SVD.  A draw that meets it is never skipped and
-    has a smaller defect than every skipped one, so a count that meets the
-    target gets the labeling it gets without the screen; otherwise the
-    caller moves to the next count either way.
+    A draw that fails ``_columns_fit`` misses the target and takes no SVD.
+    A draw that meets the target is never skipped and has a smaller defect
+    than every skipped one, so a count that meets the target gets the
+    labeling it gets without the screen; otherwise the caller moves to the
+    next count either way.
     """
     abs_sq = obj.off.real ** 2 + obj.off.imag ** 2
-    cut = target * (1 + BOUND_SLACK)
     best_d, best_a = np.inf, None
     for w in range(min(DRAWS, budget)):
         a = draw(rng_for(seed, tag, n, w), obj.dim, n)
-        if _largest_block_column(abs_sq, a) > cut:
+        if not _columns_fit(abs_sq, a, target):
             continue
         d = obj.defect(a)
         if d < best_d:

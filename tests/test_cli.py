@@ -58,6 +58,9 @@ def test_unknown_strategy_exit_code(capsys):
 @pytest.mark.parametrize("obj", [
     {"entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
     {"dim": 2, "entries": [[[0.0, 0.0], ["one", 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+    # a dim that is not an int was read as int(2.7) == 2 and int(True) == 1
+    {"dim": 2.7, "entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+    {"dim": True, "entries": [[[0.0, 0.0]]]},
 ])
 def test_malformed_input_exit_code(tmp_path, capsys, obj):
     p = tmp_path / "bad.json"
@@ -69,10 +72,10 @@ def test_malformed_input_exit_code(tmp_path, capsys, obj):
 
 
 @pytest.mark.parametrize("argv", [
-    ["free", "--op", "proj", "--t", "0"],
-    ["free", "--op", "conj", "--dim", "0"],
-    ["free", "--op", "kesten", "--dim", "0"],
-    ["free", "--op", "growth", "--dim", "0"],
+    ["free-proj", "--t", "0"],
+    ["free-conj", "--dim", "0"],
+    ["free-kesten", "--dim", "0"],
+    ["free-growth", "--dim", "0"],
     ["calibrate", "--dim-conj", "8", "--dim-proj", "64", "--dim-kesten", "0"],
 ], ids=lambda argv: "-".join(argv[:3]))
 def test_bad_parameter_exit_code(capsys, argv):
@@ -138,7 +141,7 @@ def test_curve_csv(tmp_path, capsys):
 
 def test_free_conj_csv(tmp_path, capsys):
     out_path = tmp_path / "free.csv"
-    code, _ = run(capsys, "free", "--op", "conj", "--n", "4", "--dim", "32",
+    code, _ = run(capsys, "free-conj", "--n", "4", "--dim", "32",
                   "--seeds", "3", "--format", "csv", "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().strip().splitlines()
@@ -153,7 +156,7 @@ def test_free_conj_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("free", "--op", "kesten", "--dim", "8"),
+    ("free-kesten", "--dim", "8"),
     ("curve", "--dim", "16", "--budget", "20", "--eps-grid", "0.6"),
 ])
 def test_csv_on_stdout_keeps_its_manifest_on_stderr(capsys, argv):
@@ -174,15 +177,15 @@ def test_free_refuses_dim_one_without_a_warning(op):
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
                                                        os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-m", "pavlab.cli", "free", "--dim", "1", "--op", *op],
-                         env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-m", "pavlab.cli", f"free-{op[0]}", "--dim", "1",
+                          *op[1:]], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert json.loads(out.stdout) == {"error": "dim must be >= 2", "code": 2}
     assert out.stderr == ""
 
 
 def test_free_kesten_json(capsys):
-    code, out = run(capsys, "free", "--op", "kesten", "--m", "2", "--dim", "64", "--seeds", "2")
+    code, out = run(capsys, "free-kesten", "--m", "2", "--dim", "64", "--seeds", "2")
     assert code == 0
     payload = json.loads(out)
     assert len(payload["lines"]) == 2
@@ -273,10 +276,10 @@ def assert_plain(value):
     ["pave-exact", "--dim", "6", "--eps", "0.6"],
     ["curve", "--dim", "16", "--budget", "50", "--eps-grid", "0.6", "0.5"],
     ["indep", "--dim", "32", "--levels", "2", "--budget", "400", "--seed", "1"],
-    ["free", "--op", "conj", "--dim", "16", "--n", "4"],
-    ["free", "--op", "proj", "--dim", "15", "--n", "5", "--t", "0.2"],
-    ["free", "--op", "kesten", "--dim", "16"],
-    ["free", "--op", "growth", "--dim", "16", "--n-max", "4"],
+    ["free-conj", "--dim", "16", "--n", "4"],
+    ["free-proj", "--dim", "15", "--n", "5", "--t", "0.2"],
+    ["free-kesten", "--dim", "16"],
+    ["free-growth", "--dim", "16", "--n-max", "4"],
     ["reduce", "--dim", "16", "--eps", "0.6"],
     ["dixmier", "--dim", "12", "--n", "3"],
     ["calibrate", "--seeds", "2", "--dim-conj", "16", "--dim-proj", "64", "--dim-kesten", "16"],
@@ -351,7 +354,10 @@ READ_FLAGS = {
     "pave-exact": "dim eps seed input out",
     "curve": "dim seed budget input out format",
     "indep": "dim seed budget input out",
-    "free": "dim n seed seeds out format",
+    "free-conj": "dim n seed seeds out format",
+    "free-proj": "dim n seed seeds out format",
+    "free-kesten": "dim seed seeds out format",
+    "free-growth": "dim seed seeds out format",
     "reduce": "dim eps seed input out",
     "dixmier": "dim n seed input out",
     "calibrate": "seed seeds out",
@@ -366,9 +372,9 @@ UNREAD_PAIRS = [(sub, f) for sub in READ_FLAGS for f in FLAG_VALUES
 
 
 def test_flag_slot_counts():
-    # with the 10 flags of a subcommand's own (--eps-grid, --levels, ...),
-    # 52 flag slots remain
-    assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (42, 31)
+    # with the 9 flags of a subcommand's own (--eps-grid, --levels, ...),
+    # 67 flag slots remain
+    assert (len(READ_PAIRS), len(UNREAD_PAIRS)) == (58, 42)
 
 
 def test_every_read_flag_parses():
@@ -402,9 +408,14 @@ CONFIG_CASES = [
     (["indep", "--dim", "8", "--levels", "1", "--alpha", "0.5", "--budget", "20"],
      {"dim": 8, "seed": 0, "budget": 20, "input": None, "output": OUT, "levels": 1,
       "alpha": 0.5}),
-    (["free", "--op", "kesten", "--dim", "8", "--n", "3", "--seeds", "2"],
-     {"dim": 8, "n": 3, "seed": 0, "seed_count": 2, "output": OUT, "format": "json",
-      "op": "kesten", "t": 0.5, "m": 2, "n_max": 16}),
+    (["free-conj", "--dim", "8", "--n", "2"],
+     {"dim": 8, "n": 2, "seed": 0, "seed_count": 1, "output": OUT, "format": "json"}),
+    (["free-proj", "--dim", "8", "--n", "4"],
+     {"dim": 8, "n": 4, "seed": 0, "seed_count": 1, "output": OUT, "format": "json", "t": 0.5}),
+    (["free-kesten", "--dim", "8", "--seeds", "2"],
+     {"dim": 8, "seed": 0, "seed_count": 2, "output": OUT, "format": "json", "m": 2}),
+    (["free-growth", "--dim", "8", "--n-max", "3"],
+     {"dim": 8, "seed": 0, "seed_count": 1, "output": OUT, "format": "json", "n_max": 3}),
     (["reduce", "--dim", "8", "--eps", "0.6"],
      {"dim": 8, "eps": 0.6, "seed": 0, "input": None, "output": OUT}),
     (["dixmier", "--dim", "8", "--n", "2"],
@@ -425,6 +436,43 @@ def test_manifest_config_keeps_every_key_with_defaults(tmp_path, capsys, argv, w
     assert list(config.items()) == [("subcommand", argv[0]), *want.items()]
 
 
+@pytest.mark.parametrize("sub", [sub for sub, (_, flags) in cli.SUBCOMMANDS.items()
+                                 if "input" in flags.split()])
+def test_dim_beside_input_is_a_usage_error(tmp_path, capsys, sub):
+    # the file's dim ran while the manifest recorded the ignored --dim
+    path = tmp_path / "x.json"
+    save_json(sample(EnsembleSpec("zero_diag_haar", 6, 1)), path)
+    for dim in ("6", "64"):
+        code, out = run(capsys, sub, "--input", str(path), "--dim", dim)
+        assert code == 2
+        assert "--dim" in json.loads(out)["error"]
+
+
+def test_manifest_records_the_dim_of_the_input_file(tmp_path, capsys):
+    path = tmp_path / "flip.json"
+    save_json(FLIP, path)
+    out_path = tmp_path / "pave.json"
+    code, _ = run(capsys, "pave", "--input", str(path), "--budget", "10", "--out", str(out_path))
+    assert code == 0
+    manifest = json.loads((tmp_path / "pave.json.manifest.json").read_text())
+    assert manifest["config"]["dim"] == 2 and manifest["config"]["input"] == str(path)
+    assert len(json.loads(out_path.read_text())["assignment"]) == 2
+
+
+@pytest.mark.parametrize("sub", ["free-conj", "free-proj", "free-kesten", "free-growth"])
+def test_free_commands_refuse_the_flags_of_the_other_ops(capsys, sub):
+    # one free command with --op ran "--op kesten --t 0.3 --n-max 5 --n 7"
+    # and recorded t, n_max and n as if they had applied
+    own = cli.SUBCOMMANDS[sub][1].split()
+    for flag, value in (("op", "kesten"), ("n", "7"), ("t", "0.3"), ("m", "3"), ("n-max", "5")):
+        if flag in own:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main([sub, f"--{flag}", value])
+        assert exc.value.code == 2
+        assert f"--{flag}" in capsys.readouterr().err
+
+
 def test_pave_exact_runs_at_its_default_dim(capsys):
     code, out = run(capsys, "pave-exact")
     assert code == 0
@@ -438,21 +486,35 @@ def test_dixmier_zero_blocks_is_a_usage_error(capsys):
     assert json.loads(out) == {"error": "number of blocks must be >= 1, got n=0", "code": 2}
 
 
-@pytest.mark.parametrize("sub", ["free", "calibrate"])
-def test_zero_seeds_is_a_usage_error(capsys, sub):
-    code, out = run(capsys, sub, "--seeds", "0")
-    assert code == 2
-    assert json.loads(out) == {"error": "seed_count must be >= 1", "code": 2}
+@pytest.mark.parametrize("family", ["free", "calibrate"])
+def test_zero_seeds_is_a_usage_error(capsys, family):
+    # the free family is the four free-* subcommands
+    subs = [sub for sub in cli.SUBCOMMANDS if sub.split("-")[0] == family]
+    assert len(subs) == {"free": 4, "calibrate": 1}[family]
+    for sub in subs:
+        code, out = run(capsys, sub, "--seeds", "0")
+        assert code == 2
+        assert json.loads(out) == {"error": "seed_count must be >= 1", "code": 2}
 
 
 @pytest.mark.parametrize("case", ["compare-missing", "compare-not-json", "compare-directory",
-                                  "pave-input-directory", "pave-input-missing"])
+                                  "pave-input-directory", "pave-input-missing", "pave-input-deep",
+                                  "compare-deep", "compare-deep-closed"])
 def test_file_errors_exit_code(tmp_path, capsys, case):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"x": 1}))
     bad = tmp_path / "bad.json"
     bad.write_text("not json {")
+    # too deep for the parser, which raised RecursionError; and parsed, but
+    # too deep for the walk that strips timing fields
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    closed = tmp_path / "closed.json"
+    closed.write_text("[" * 600 + "]" * 600)
     argv = {
+        "pave-input-deep": ["pave", "--input", str(deep)],
+        "compare-deep": ["compare", str(deep), str(good)],
+        "compare-deep-closed": ["compare", str(closed), str(closed)],
         "compare-missing": ["compare", str(tmp_path / "missing.json"), str(good)],
         "compare-not-json": ["compare", str(good), str(bad)],
         "compare-directory": ["compare", str(tmp_path), str(good)],
@@ -491,19 +553,19 @@ def test_indep_alpha_outside_the_unit_interval_exit_code(capsys, alpha):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["--op", "kesten", "--dim", "0"], "dim must be >= 1"),
-    (["--op", "kesten", "--dim", "-3"], "dim must be >= 1"),
-    (["--op", "proj", "--dim", "0", "--n", "2"], "dim must be >= 2"),
-    (["--op", "proj", "--dim", "1", "--n", "2"], "n=2 must divide dim=1"),
+    (["free-kesten", "--dim", "0"], "dim must be >= 1"),
+    (["free-kesten", "--dim", "-3"], "dim must be >= 1"),
+    (["free-proj", "--dim", "0", "--n", "2"], "dim must be >= 2"),
+    (["free-proj", "--dim", "1", "--n", "2"], "n=2 must divide dim=1"),
 ], ids=["kesten-dim0", "kesten-dim-3", "proj-dim0", "proj-dim1"])
 def test_free_bad_dim_messages(capsys, argv, error):
-    code, out = run(capsys, "free", *argv)
+    code, out = run(capsys, *argv)
     assert code == 2
     assert strict_json(out) == {"error": error, "code": 2}
 
 
 def test_free_kesten_dim_one_is_valid(capsys):
-    code, out = run(capsys, "free", "--op", "kesten", "--m", "2", "--dim", "1")
+    code, out = run(capsys, "free-kesten", "--m", "2", "--dim", "1")
     assert code == 0
     # two unit phases sum to at most 2
     assert 0.0 <= strict_json(out)["lines"][0]["measured"] <= 2.0 + 1e-12

@@ -97,6 +97,20 @@ def test_op_norm_power_iteration_path_matches_svd():
     assert abs(approx - np.linalg.norm(a, 2)) < 1e-6 * np.linalg.norm(a, 2)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("limit", [1024, 32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)])
+def test_op_norm_refuses_a_nonfinite_entry_on_both_paths(monkeypatch, limit, bad):
+    # above the SVD limit the power iteration returned NaN for such an entry
+    import pavlab.finite_vn as fv
+
+    monkeypatch.setattr(fv, "SVD_DIM_LIMIT", limit)
+    a = random_matrix(64, 11)
+    a[5, 40] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(a)
+
+
 def reference_power_norm(a: np.ndarray) -> float:
     """The power iteration of op_norm as it read with a conjugate copy of a:
     w = a* (a v)."""

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from pavlab import MasaFrame, Partition, compress, free_model, normalized_trace, op_norm, paving
 from pavlab.free_model import (
@@ -335,30 +336,31 @@ def test_block_paver_diagonal_input():
     assert part.effective_blocks == 1
 
 
-def _recording_norms(monkeypatch):
-    """Record the shape of every op_norm the paver takes; its block norms
-    are SVDs and take none."""
+def _recording_svds(monkeypatch):
+    """Record the shape of every matrix the SVD kernel
+    (``finite_vn._singular_values``) passes to LAPACK, each matrix of a
+    stack on its own."""
     shapes = []
+    svd = _umath_linalg.svd
 
-    def recording_norm(a):
-        shapes.append(a.shape)
-        return op_norm(a)
+    def recording_svd(a, *args, **kwargs):
+        shapes.extend([a.shape[-2:]] * int(np.prod(a.shape[:-2])))
+        return svd(a, *args, **kwargs)
 
-    for mod in (free_model, paving):
-        monkeypatch.setattr(mod, "op_norm", recording_norm)
+    monkeypatch.setattr(_umath_linalg, "svd", recording_svd)
     return shapes
 
 
 def test_block_paver_takes_a_corner_norm_only_when_its_largest_column_fits(monkeypatch):
     # ||off|| is at least every column norm of off, so one block can meet
     # the target only when the largest column does
-    shapes = _recording_norms(monkeypatch)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     corner = (a + a.conj().T) / 2
     off = corner - np.diag(np.diagonal(corner))
     base = op_norm(off)
     column = np.sqrt((np.abs(off) ** 2).sum(axis=0).max())
+    shapes = _recording_svds(monkeypatch)
     paver = make_block_paver()
     part = paver(corner, 0.5 * base, seed=2)
     assert 0.5 * base < column
@@ -375,11 +377,11 @@ def test_block_paver_takes_a_corner_norm_only_when_its_largest_column_fits(monke
 
 
 def _reference_block_paver(corner, target, seed):
-    """The doubling loop of the block paver before its column-norm screens."""
+    """The doubling loop of the block paver without its column-norm screen."""
     dim = corner.shape[0]
     frame = MasaFrame.identity(dim)
     obj = paving._Objective(corner)
-    if obj.base < paving.DEGENERATE_NORM or obj.base <= target:
+    if obj.base <= target:
         return Partition.one_block(frame)
     n = 2
     while True:
@@ -420,16 +422,40 @@ def test_block_paver_screen_rules_out_every_level_without_block_norms(monkeypatc
         block_norm_calls.append(args)
         return block_norms(*args, **kwargs)
 
-    shapes = _recording_norms(monkeypatch)
-    monkeypatch.setattr(paving, "_block_norms", recording_block_norms)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     corner = (a + a.conj().T) / 2
-    part = make_block_paver()(corner, 0.01 * op_norm(corner - np.diag(np.diagonal(corner))),
-                              seed=2)
+    target = 0.01 * op_norm(corner - np.diag(np.diagonal(corner)))
+    shapes = _recording_svds(monkeypatch)
+    monkeypatch.setattr(paving, "_block_norms", recording_block_norms)
+    part = make_block_paver()(corner, target, seed=2)
     assert block_norm_calls == []
     assert shapes == []
     assert part.n_blocks == 32 and np.array_equal(part.assignment, np.arange(32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_block_paver_result_meets_its_target(data):
+    dim = data.draw(st.integers(1, 48), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="input seed"))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a *= rng.random((dim, dim)) < data.draw(st.sampled_from([1.0, 0.3, 0.05]), label="density")
+    off = paving._off_diagonal(a)
+    scale = data.draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.1]), label="target / base")
+    target = scale * op_norm(off)
+    part = make_block_paver()(a, target, data.draw(st.integers(0, 2**16), label="seed"))
+    assert part.dim == dim
+    assert paving._block_diagonal_norm(off, part.assignment) <= target
+
+
+def test_block_paver_one_block_meets_its_target_above_the_svd_limit():
+    # op_norm of a dim-1040 corner is a power-iteration lower estimate, which
+    # read 1.0 for this unit-scaled one: one block, of exact norm 1.0027
+    corner = sample(EnsembleSpec("zero_diag_haar", 1040, 0)).entries
+    part = make_block_paver()(corner, 1.0, 0)
+    assert part.effective_blocks == 2
+    assert paving._block_diagonal_norm(corner, part.assignment) <= 1.0
 
 
 @pytest.mark.parametrize("target", [-0.1, float("nan")])

@@ -72,12 +72,25 @@ def test_dispatch_on_content(tmp_path):
     {"dim": 1, "entries": [[[None, 0.0]]]},
     {"dim": 1},
     [1, 2],
+    # a dim that is not an int: int() read 2.7 as 2, true as 1 and "1" as 1
+    {"dim": 2.7, "entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+    {"dim": 1.0, "entries": [[[1.0, 0.0]]]},
+    {"dim": True, "entries": [[[1.0, 0.0]]]},
+    {"dim": "1", "entries": [[[1.0, 0.0]]]},
 ])
 def test_malformed_json_raises_value_error(tmp_path, obj):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
         load_json(p)
+
+
+def test_json_nested_too_deeply_raises_value_error(tmp_path):
+    # the parser raised RecursionError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_matrix(p)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)  # includes -0.0 and subnormals

@@ -92,6 +92,20 @@ def test_partition_validation():
         Partition(np.array([0, 1]), 2, frame)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("labels", [[0.7, 1.9, 0.2], [0, 1, 0.5], [0, 1, float("nan")]])
+def test_partition_refuses_non_integer_labels(labels):
+    # a cast to int64 read [0.7, 1.9, 0.2] as [0, 1, 0]
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Partition(np.array(labels), 2, MasaFrame.identity(3))
+
+
+def test_partition_takes_integral_labels_of_any_dtype():
+    frame = MasaFrame.identity(3)
+    for labels in ([0, 1, 0], np.array([0.0, 1.0, 0.0]), np.array([False, True, False])):
+        assert Partition(labels, 2, frame).assignment.tolist() == [0, 1, 0]
+
+
 # -- compress ----------------------------------------------------------------
 
 def test_compress_singletons_is_conditional_expectation():
@@ -155,12 +169,12 @@ def test_compress_contracts_and_fixes_masa_property(data):
 def test_defect_zero_for_diagonal():
     frame = MasaFrame.identity(4)
     part = Partition(np.array([0, 0, 1, 1]), 2, frame)
-    rep = paving_defect(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), part)
+    rep = paving_defect(np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex), part, 0.5)
     assert rep.defect == 0 and rep.ratio == 0
 
 
 def test_defect_flip_singletons():
-    rep = paving_defect(FLIP, Partition.singletons(MasaFrame.identity(2)))
+    rep = paving_defect(FLIP, Partition.singletons(MasaFrame.identity(2)), 0.5)
     assert rep.defect == 0 and rep.ratio == 0
 
 
@@ -170,7 +184,7 @@ def test_defect_allones_two_blocks_dense_oracle():
     x = np.ones((4, 4), dtype=complex) - np.eye(4)
     frame = MasaFrame.identity(4)
     part = Partition(np.array([0, 0, 1, 1]), 2, frame)
-    rep = paving_defect(x, part)
+    rep = paving_defect(x, part, 0.5)
     acc = np.zeros_like(x)
     for p in part.projections():
         acc += p.entries @ x @ p.entries
@@ -202,7 +216,7 @@ def reference_defect_json(x, part, eps):
     sv = np.linalg.svd(masked, compute_uv=False) if masked.any() else np.zeros(part.dim)
     defect = float(sv[0])
     ratio = 0.0 if base < paving.DEGENERATE_NORM else defect / base
-    threshold = defect if eps is None else eps * base
+    threshold = eps * base
     return {"n_blocks": part.n_blocks, "effective_blocks": part.effective_blocks,
             "defect": defect, "ratio": float(ratio),
             "spectral_tail": float(np.count_nonzero(sv > threshold + 1e-15) / sv.size),
@@ -231,11 +245,17 @@ def test_defect_report_skips_only_a_base_that_cannot_matter(data):
         n = data.draw(st.integers(1, dim))
         part = Partition(np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=dim,
                                                      max_size=dim))), n, frame)
-    # a negative eps puts the tail threshold below the zero singular values
-    eps = data.draw(st.sampled_from([None, 0.0, 0.3, 0.9, -0.5]))
+    eps = data.draw(st.sampled_from([1e-9, 0.3, 0.9]))
     got = paving_defect(x, part, eps=eps).to_json_dict()
     del got["elapsed_ms"]
     assert json.dumps(got) == json.dumps(reference_defect_json(x, part, eps))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_defect_refuses_eps_outside_the_unit_interval(eps):
+    # the one mode of the report: a tail above eps * base for eps in (0, 1)
+    with pytest.raises(ValueError, match="eps must lie in"):
+        paving_defect(random_matrix(4, 0), Partition.one_block(MasaFrame.identity(4)), eps)
 
 
 def test_zero_defect_report_takes_no_norm(monkeypatch):
@@ -259,7 +279,7 @@ def test_a_nonfinite_entry_raises_instead_of_a_nan_report(bad, entry):
     frame = MasaFrame.identity(8)
     for part in (Partition.one_block(frame), Partition(np.arange(8) % 2, 2, frame)):
         with pytest.raises(np.linalg.LinAlgError):
-            paving_defect(x, part)
+            paving_defect(x, part, 0.5)
 
 
 # -- spectral tail -----------------------------------------------------------
@@ -451,7 +471,7 @@ def test_refine_never_increases_defect():
         x = random_matrix(12, 700 + seed)
         p = Partition(rng.integers(0, 3, size=12), 3, frame)
         q = Partition(rng.integers(0, 3, size=12), 3, frame)
-        assert paving_defect(x, refine(p, q)).defect <= paving_defect(x, p).defect + 1e-9
+        assert paving_defect(x, refine(p, q), 0.5).defect <= paving_defect(x, p, 0.5).defect + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -465,9 +485,9 @@ def test_refine_never_increases_defect_property(data):
         n = data.draw(st.integers(1, dim))
         labels = data.draw(st.lists(st.integers(0, n - 1), min_size=dim, max_size=dim))
         parts.append(Partition(np.array(labels), n, frame))
-    fine = paving_defect(x, refine(*parts)).defect
+    fine = paving_defect(x, refine(*parts), 0.5).defect
     for coarse in parts:
-        d = paving_defect(x, coarse).defect
+        d = paving_defect(x, coarse, 0.5).defect
         assert fine <= d + 1e-12 * max(d, 1.0)
 
 
@@ -847,7 +867,7 @@ def test_search_beats_random_baseline():
     x /= np.linalg.norm(x, 2)
     part, rep = pave_search(x, 0.6, "anneal", budget=10_000, seed=3)
     baseline = Partition(np.random.default_rng(3).integers(0, 4, size=64), 4, part.frame)
-    assert rep.ratio <= paving_defect(x, baseline).ratio + 1e-12
+    assert rep.ratio <= paving_defect(x, baseline, 0.5).ratio + 1e-12
 
 
 def test_composition_refinement_small():
@@ -858,7 +878,7 @@ def test_composition_refinement_small():
         p, rep1 = pave_search(x, 0.6, "anneal", budget=800, seed=seed)
         y = compress(x, p)
         q, rep2 = pave_search(y.entries, 0.6, "anneal", budget=800, seed=seed + 1)
-        combined = paving_defect(x, refine(p, q))
+        combined = paving_defect(x, refine(p, q), 0.5)
         assert combined.ratio <= rep1.ratio * rep2.ratio + 1e-9
 
 
@@ -889,7 +909,8 @@ def reference_first_paving(obj, eps):
     for n in range(1, obj.dim + 1):
         for rgs in reference_rgs_with_blocks(obj.dim, n):
             cand = np.array(rgs, dtype=np.int64)
-            if obj.ratio(cand) <= eps:
+            ratio = 0.0 if obj.base < paving.DEGENERATE_NORM else obj.defect(cand) / obj.base
+            if ratio <= eps:
                 return cand, n
 
 

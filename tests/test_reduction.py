@@ -386,9 +386,9 @@ def test_translation_scale_invariance_exact():
         x = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         part = Partition(rng.integers(0, 3, size=12), 3, frame)
         alpha = complex(rng.standard_normal(), rng.standard_normal())
-        d0 = paving_defect(x, part).defect
-        d_shift = paving_defect(x + alpha * np.eye(12), part).defect
-        d_scale = paving_defect(alpha * x, part).defect
+        d0 = paving_defect(x, part, 0.5).defect
+        d_shift = paving_defect(x + alpha * np.eye(12), part, 0.5).defect
+        d_scale = paving_defect(alpha * x, part, 0.5).defect
         assert abs(d_shift - d0) < 1e-12 * max(1, d0)
         assert abs(d_scale - abs(alpha) * d0) < 1e-9 * max(1, d0)
 
@@ -407,10 +407,10 @@ def test_perturbation_stability():
         base = op_norm(x)
         y = x + eta / np.linalg.norm(eta, 2) * (delta * base / 4)
         part = Partition(rng.integers(0, 4, size=16), 4, frame)
-        ratio_y = paving_defect(y, part).ratio
+        ratio_y = paving_defect(y, part, 0.5).ratio
         if ratio_y > 1.0:
             continue  # hypothesis of (2) needs eps <= 1 for our eta budget
-        ratio_x = paving_defect(x, part).ratio
+        ratio_x = paving_defect(x, part, 0.5).ratio
         assert ratio_x <= ratio_y + delta + 1e-9
 
 
@@ -427,10 +427,10 @@ def test_real_imag_recombination_bound():
         y1, y2 = split_real_imag(x)
         p = Partition(rng.integers(0, 3, size=16), 3, frame)
         q = Partition(rng.integers(0, 3, size=16), 3, frame)
-        r1 = paving_defect(y1, p)
-        r2 = paving_defect(y2, q)
+        r1 = paving_defect(y1, p, 0.5)
+        r2 = paving_defect(y2, q, 0.5)
         combined = refine(p, q)
-        defect_x = paving_defect(x, combined).defect
+        defect_x = paving_defect(x, combined, 0.5).defect
         assert defect_x <= r1.defect + r2.defect + 1e-9
 
 
