@@ -637,9 +637,6 @@ def build_independent_partition(X, Y, n: int, alpha_target: float, frame: MasaFr
         evaluations += spent
         assignment = part.assignment * 2 + (signs < 0).astype(np.int64)
         part = Partition(assignment, 2 ** (level + 1), frame)
-    if n == 0:
-        report = IndependenceReport(2, {1: 0.0, 2: 0.0}, 0, 0.0, {1: 1.0, 2: 1.0}, "")
-        return part, report
     # _alpha_inputs adds each x x* among the letter products
     alpha_a, alpha_b = _measured_alpha(part, *_alpha_inputs(xs, y_etas))
     report = IndependenceReport(

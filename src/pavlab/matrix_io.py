@@ -62,12 +62,20 @@ def from_json_obj(obj: dict) -> TracedMatrix:
         rows = obj["entries"]
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValueError("entries shape does not match dim")
-        a = np.array([[complex(re, im) for re, im in row] for row in rows])
+        a = np.array([[_entry(re, im) for re, im in row] for row in rows])
     except KeyError as exc:
         raise ValueError(f"matrix JSON lacks the key {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # an int too large for a float
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     return TracedMatrix(a)
+
+
+def _entry(re, im) -> complex:
+    """An entry from its JSON parts, each a JSON int or float: a bool is
+    refused, not read as 1 or 0."""
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise ValueError(f"matrix JSON entry parts must be numbers, got {[re, im]!r}")
+    return complex(re, im)
 
 
 def save_json(x: TracedMatrix, path) -> None:

@@ -16,9 +16,10 @@ reports' included, goes through ``finite_vn._singular_values``, the
 package's one SVD kernel.
 ``_block_norms`` gives blocks of one size one batched SVD, which gives each
 block the bits of its own SVD, and the search objective takes the blocks of
-a move one at a time.  The same contractivity lets that objective keep a
-block that only lost indices at its old norm as an upper bound, taking its
-SVD only when the bound could decide the defect.
+a move one at a time: anneal's check keeps a block that only lost indices
+at its old norm as an upper bound (the same contractivity), taking its SVD
+only when the bound could decide the defect; sign_split's refuses a swap at
+the first block that reaches its level.
 ``op_norm`` serves whole matrices only: the base norm ||x - E_A(x)||.
 The halving move of sign_split (``_balanced_halves``, ``_pick_swap``) is also
 the move of the mixing sign search in independence.
@@ -74,6 +75,9 @@ class Partition:
             raise ValueError("assignment labels must be integers")
         if a.ndim != 1 or a.shape[0] != self.frame.dim:
             raise ValueError("assignment length must equal frame dim")
+        if int(self.n_blocks) != self.n_blocks:  # int() would truncate 2.5 to 2
+            raise ValueError(f"block count must be an integer, got {self.n_blocks!r}")
+        object.__setattr__(self, "n_blocks", int(self.n_blocks))
         if self.n_blocks < 1:
             raise ValueError("need at least one block")
         if a.size and (a.min() < 0 or a.max() >= self.n_blocks):
@@ -355,38 +359,35 @@ class _Objective:
 
     ``defect`` evaluates an assignment from scratch.  Local searches also
     keep a committed assignment with one norm per label: ``reset`` evaluates
-    an assignment in full and commits it; ``propose`` recomputes only the
-    blocks whose labels occur at indices where the trial differs from the
-    committed assignment (none when nothing changed) and returns the
-    trial's defect; ``commit`` adopts the last proposal.  The state is the
+    an assignment in full and commits it; a check recomputes only the blocks
+    whose labels occur where the trial differs from the committed assignment,
+    and ``commit`` adopts the last trial a check scored.  The state is the
     committed assignment plus one float per label, whatever the budget.
 
-    ``propose(trial, refuse_at=L)`` returns None iff defect(trial) >= L, and
-    the defect otherwise.  It first checks the committed blocks the trial
-    leaves as they are, then the changed ones, the one with the larger
-    committed norm first, and stops at the first block that reaches L: a
-    trial the caller would refuse costs no further SVD, and leaves nothing
-    to commit.
+    ``propose(trial)``, anneal's check, returns the trial's defect.  A label
+    that only lost indices takes no SVD there: its new block is a principal
+    sub-block of its committed one, and compression is contractive, so the
+    committed norm times (1 + BOUND_SLACK) bounds the new norm.  The slack
+    is the one of ``_first_paving``'s cut, far above the rounding of an SVD,
+    so the bound holds for the computed norms too, at every block size.  The
+    label keeps its bound, not multiplied again, while it goes on shrinking,
+    and drops it when it gains an index.  A bound is resolved only when it
+    exceeds the largest exact norm, largest bound first, so the returned max
+    is an exact norm with the bits ``defect`` returns.  A resolved label
+    whose block is the committed one keeps its exact norm in the committed
+    state; a label that empties is dropped, as ``reset`` would not list it.
 
-    A label that only lost indices takes no SVD in ``propose``: its new
-    block is a principal sub-block of its committed one, and compression is
-    contractive, so the committed norm times (1 + BOUND_SLACK) bounds the
-    new norm.  The slack is the one of ``_first_paving``'s cut, far above
-    the rounding of an SVD, so the bound holds for the computed norms too,
-    at every block size.  The label keeps its bound, not multiplied again,
-    while it goes on shrinking, and drops it when it gains an index.  A
-    bound is resolved to the exact norm only where it could decide the
-    answer: when it exceeds the largest exact norm (largest bound first, so
-    the returned max is always an exact norm), or when it reaches the
-    refusal level.  A bound at or below the largest exact norm cannot change
-    the max, so ``propose`` returns the bits ``defect`` returns.  A resolved
-    label whose block is the committed one keeps its exact norm in the
-    committed state.  A label that empties is dropped, as ``reset`` would
-    not list it.
+    ``propose_below(trial, level)``, sign_split's check, returns None iff
+    defect(trial) >= level, else the defect.  It reads exact committed norms
+    only and makes no bound (sign_split's resets and swaps leave none; a
+    committed bound raises AssertionError).  It checks the blocks the trial
+    leaves as they are, then takes the SVD of each changed label, the larger
+    committed norm first, and stops at the first block that reaches the
+    level: a refused trial costs no further SVD and leaves nothing to commit.
 
     ``reset`` and ``defect`` send the blocks through ``_block_norms``,
     which takes one batched SVD per stack of equal-size blocks and gives
-    each block the bits of its own SVD; ``propose`` takes the SVD of each
+    each block the bits of its own SVD; the checks take the SVD of each
     block alone.  Both gather the block in ascending index order, so every
     path gives a block the same bits: a last-bit difference could flip an
     accept decision.
@@ -427,41 +428,22 @@ class _Objective:
         self._pending = None
         return max(self._exact.values(), default=0.0)
 
-    def propose(self, trial: np.ndarray, refuse_at: float | None = None) -> float | None:
+    def propose(self, trial: np.ndarray) -> float:
         self._pending = None
         changed = (trial != self._committed).nonzero()[0]
         moved = trial[changed]
         gained = set(moved.tolist())
         labels = gained.union(self._committed[changed].tolist())
-        level = np.inf if refuse_at is None else refuse_at
-        if refuse_at is not None:
-            # the blocks the trial leaves as they are: a resolved bound is the
-            # committed block's exact norm
-            if any(v >= level for k, v in self._exact.items() if k not in labels):
-                return None
-            for b, k in sorted(((b, k) for k, b in self._bound.items()
-                                if b >= level and k not in labels), reverse=True):
-                del self._bound[k]
-                v = self._exact[k] = self._norm(self._committed, k)
-                if v >= level:
-                    return None
-            labels = sorted(labels, key=lambda k: -self._exact.get(k, self._bound.get(k, 0.0)))
         exact, bound = self._exact.copy(), self._bound.copy()
         for k in labels:
-            if k not in gained and not np.count_nonzero(trial == k):  # emptied: reset drops it
-                exact.pop(k, None)
-                bound.pop(k, None)
-                continue
             if k in gained:
                 bound.pop(k, None)
                 exact[k] = self._norm(trial, k)
+            elif not np.count_nonzero(trial == k):  # emptied: reset drops it
+                exact.pop(k, None)
+                bound.pop(k, None)
             elif k in exact:  # only shrank: its committed norm bounds its new one
                 bound[k] = exact.pop(k) * (1 + BOUND_SLACK)
-            if bound.get(k, -1.0) >= level:
-                del bound[k]
-                exact[k] = self._norm(trial, k)
-            if exact.get(k, -1.0) >= level:
-                return None
         top = max(exact.values(), default=0.0)
         for b, k in sorted(((b, k) for k, b in bound.items() if b > top), reverse=True):
             if b <= top:
@@ -474,6 +456,23 @@ class _Objective:
             top = max(top, v)
         self._pending = (changed, moved, exact, bound)
         return top
+
+    def propose_below(self, trial: np.ndarray, level: float) -> float | None:
+        if self._bound:
+            raise AssertionError("propose_below needs exact committed norms")
+        self._pending = None
+        changed = (trial != self._committed).nonzero()[0]
+        moved = trial[changed]
+        labels = set(moved.tolist()).union(self._committed[changed].tolist())
+        if any(v >= level for k, v in self._exact.items() if k not in labels):
+            return None
+        exact = self._exact.copy()
+        for k in sorted(labels, key=lambda k: -self._exact.get(k, 0.0)):
+            exact[k] = self._norm(trial, k)
+            if exact[k] >= level:
+                return None
+        self._pending = (changed, moved, exact, {})
+        return max(exact.values(), default=0.0)
 
     def commit(self) -> None:
         changed, moved, self._exact, self._bound = self._pending
@@ -564,13 +563,13 @@ def _random_assignment(dim: int, n: int, rng) -> np.ndarray:
     return a
 
 
-def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple[float, np.ndarray]:
+def _anneal_once(obj: _Objective, n: int, target: float, budget: int,
+                 rng) -> tuple[float, np.ndarray]:
     dim = obj.dim
     cur = _random_assignment(dim, n, rng)
     cur_d = obj.reset(cur)
     best, best_d = cur.copy(), cur_d
     temp = max(cur_d, 1e-6)
-    target = eps * obj.base
     labels = cur.tolist()  # cur as plain ints, for the per-move reads
     spent = 0
     while spent < budget and best_d > target:
@@ -606,12 +605,12 @@ def _anneal_once(obj: _Objective, n: int, eps: float, budget: int, rng) -> tuple
     return best_d, best
 
 
-def _search_anneal(obj, eps, budget, seed, n):
+def _search_anneal(obj, target, budget, seed, n):
     results = []
     for w in range(ANNEAL_RESTARTS):
         rng = rng_for(seed, 0x5EA, n, w)
-        results.append((*_anneal_once(obj, n, eps, max(1, budget // ANNEAL_RESTARTS), rng), w))
-        if results[-1][0] <= eps * obj.base:
+        results.append((*_anneal_once(obj, n, target, max(1, budget // ANNEAL_RESTARTS), rng), w))
+        if results[-1][0] <= target:
             break
     results.sort(key=lambda t: (t[0], t[2]))
     return results[0][0], results[0][1]
@@ -671,11 +670,10 @@ def _pick_swap(members, sides, rng):
     return int(zeros[rng.integers(0, zeros.size)]), int(ones[rng.integers(0, ones.size)])
 
 
-def _search_sign_split(obj, eps, budget, seed):
+def _search_sign_split(obj, target, budget, seed):
     """Labels of recursive halving by balanced sign vectors tuned by local
     search: those of the last level it reached."""
     dim = obj.dim
-    target = eps * obj.base
     assignment = np.zeros(dim, dtype=np.int64)
     n = 1
     best_d = obj.base  # the one-block defect, with its bits
@@ -702,7 +700,7 @@ def _search_sign_split(obj, eps, budget, seed):
             cand[i], cand[j] = trial[j], trial[i]
             # refused as soon as one block, moved or not, reaches the level;
             # a refused swap is still charged to the budget
-            cd = obj.propose(cand, refuse_at=d - 1e-15)
+            cd = obj.propose_below(cand, d - 1e-15)
             if cd is None:
                 stuck += 1
                 continue
@@ -735,8 +733,11 @@ def pave_search(x, eps: float, strategy: str, budget: int,
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     t0 = time.perf_counter()
-    obj = _Objective(x)
-    dim = obj.dim
+    y = _as_entries(x)
+    dim = y.shape[0]
+    if strategy == "exhaustive" and dim > EXHAUSTIVE_DIM_LIMIT:
+        raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
+    obj = _Objective(y)
     frame = MasaFrame.identity(dim)
 
     def finish(part: Partition) -> tuple[Partition, PavingReport]:
@@ -745,20 +746,17 @@ def pave_search(x, eps: float, strategy: str, budget: int,
 
     if obj.base < DEGENERATE_NORM:
         return finish(Partition.one_block(frame))
-
     if strategy == "exhaustive":
-        if dim > EXHAUSTIVE_DIM_LIMIT:
-            raise ValueError(f"exhaustive mode capped at dim {EXHAUSTIVE_DIM_LIMIT}")
         return finish(Partition(*_first_paving(obj, eps), frame))
-
+    target = eps * obj.base
     if strategy == "sign_split":
-        return finish(Partition.from_labels(_search_sign_split(obj, eps, budget, seed), frame))
+        return finish(Partition.from_labels(_search_sign_split(obj, target, budget, seed), frame))
 
     for n in range(2, dim):
         if strategy == "anneal":
-            d, cand = _search_anneal(obj, eps, budget, seed, n)
+            d, cand = _search_anneal(obj, target, budget, seed, n)
         else:
-            d, cand = _search_draws(obj, eps * obj.base, budget, seed, n, *_DRAWS[strategy])
-        if d <= eps * obj.base:
+            d, cand = _search_draws(obj, target, budget, seed, n, *_DRAWS[strategy])
+        if d <= target:
             return finish(Partition(np.asarray(cand, dtype=np.int64), n, frame))
     return finish(Partition.singletons(frame))

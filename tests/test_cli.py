@@ -61,6 +61,10 @@ def test_unknown_strategy_exit_code(capsys):
     # a dim that is not an int was read as int(2.7) == 2 and int(True) == 1
     {"dim": 2.7, "entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
     {"dim": True, "entries": [[[0.0, 0.0]]]},
+    # an int entry too large for a float exited 1 with an OverflowError; a
+    # bool entry was read as 1 or 0
+    {"dim": 1, "entries": [[[10 ** 400, 0.0]]]},
+    {"dim": 2, "entries": [[[0.0, 0.0], [True, False]], [[1.0, 0.0], [0.0, 0.0]]]},
 ])
 def test_malformed_input_exit_code(tmp_path, capsys, obj):
     p = tmp_path / "bad.json"

@@ -498,6 +498,19 @@ def test_builder_trivial_levels():
     assert rep3.achieved_alpha <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [8, 16, 32])
+def test_builder_zero_levels_report_one_block(dim):
+    # n = 0 runs no round: the one block, whose block algebra has no
+    # traceless part, so the measured residuals are 0
+    frame = MasaFrame.identity(dim)
+    part, rep = build_independent_partition([haar_model(dim, 5)], [], 0, 0.1, frame,
+                                            budget=10, seed=0)
+    assert part.n_blocks == 1 and part.effective_blocks == 1
+    assert rep.to_json_dict() == {
+        "max_k": 2, "residual_per_level": {"1": 0.0, "2": 0.0}, "word_count": 0,
+        "achieved_alpha": 0.0, "coverage_per_level": {"1": 1.0, "2": 1.0}, "worst_word": ""}
+
+
 def test_builder_divisibility_guard():
     with pytest.raises(ValueError):
         build_independent_partition([], [], 3, 0.1, MasaFrame.identity(12), budget=10, seed=0)

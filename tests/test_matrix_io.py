@@ -77,12 +77,24 @@ def test_dispatch_on_content(tmp_path):
     {"dim": 1.0, "entries": [[[1.0, 0.0]]]},
     {"dim": True, "entries": [[[1.0, 0.0]]]},
     {"dim": "1", "entries": [[[1.0, 0.0]]]},
+    # an int too large for a float raised OverflowError; a bool entry was
+    # read as 1 or 0
+    {"dim": 1, "entries": [[[10 ** 400, 0.0]]]},
+    {"dim": 1, "entries": [[[0.0, -10 ** 400]]]},
+    {"dim": 1, "entries": [[[True, 0.0]]]},
+    {"dim": 2, "entries": [[[True, False], [1, 0]], [[1, 0], [False, True]]]},
 ])
 def test_malformed_json_raises_value_error(tmp_path, obj):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
         load_json(p)
+
+
+def test_json_takes_int_and_float_entries(tmp_path):
+    p = tmp_path / "ints.json"
+    p.write_text(json.dumps({"dim": 2, "entries": [[[1, 0], [2.5, -3]], [[0, 0.0], [-0.0, 7]]]}))
+    assert load_json(p).entries.tolist() == [[1, 2.5 - 3j], [0, 7j]]
 
 
 def test_json_nested_too_deeply_raises_value_error(tmp_path):

@@ -100,6 +100,15 @@ def test_partition_refuses_non_integer_labels(labels):
         Partition(np.array(labels), 2, MasaFrame.identity(3))
 
 
+def test_partition_refuses_a_non_integer_block_count():
+    # 2.5 was taken, and block_traces then raised TypeError
+    frame = MasaFrame.identity(3)
+    with pytest.raises(ValueError, match="block count must be an integer"):
+        Partition(np.array([0, 1, 0]), 2.5, frame)
+    part = Partition(np.array([0, 1, 0]), 2.0, frame)
+    assert type(part.n_blocks) is int and part.block_traces().tolist() == [2 / 3, 1 / 3]
+
+
 def test_partition_takes_integral_labels_of_any_dtype():
     frame = MasaFrame.identity(3)
     for labels in ([0, 1, 0], np.array([0.0, 1.0, 0.0]), np.array([False, True, False])):
@@ -826,6 +835,24 @@ def test_search_flip_anneal():
     assert part.effective_blocks == 2
 
 
+def test_exhaustive_search_refuses_a_large_zero_matrix():
+    # the cap is checked on the dim before any norm, as paving_number_exact
+    # checks it; a zero base returned the one block before
+    x = np.zeros((20, 20))
+    for f in (lambda: pave_search(x, 0.5, "exhaustive", 10, 0),
+              lambda: paving_number_exact(x, 0.5)):
+        with pytest.raises(ValueError, match="capped at dim 12"):
+            f()
+
+
+def test_exhaustive_search_refuses_dim_13_without_an_svd(monkeypatch):
+    x = random_matrix(13, 4)
+    count = count_svds(monkeypatch)
+    with pytest.raises(ValueError, match="capped at dim 12"):
+        pave_search(x, 0.5, "exhaustive", 10, 0)
+    assert count == [0]
+
+
 def test_search_unknown_strategy_and_bad_budget():
     with pytest.raises(ValueError):
         pave_search(FLIP, 0.5, "magic", budget=10, seed=0)
@@ -957,35 +984,34 @@ def test_sign_split_search_skips_only_swaps_it_would_refuse(monkeypatch):
     cases = [(dim, seed, budget) for dim in (18, 32, 40) for seed in (0, 1) for budget in (200, 1000)]
     inputs = {(dim, seed): free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed))
               for dim, seed, _ in cases}
-    propose = paving._Objective.propose
+    propose_below = paving._Objective.propose_below
     refused = []
 
-    def counted(self, trial, refuse_at=None):
-        out = propose(self, trial, refuse_at)
+    def counted(self, trial, level):
+        out = propose_below(self, trial, level)
         refused.append(out is None)
         return out
 
-    monkeypatch.setattr(paving._Objective, "propose", counted)
+    monkeypatch.setattr(paving._Objective, "propose_below", counted)
     got = [pave_search(inputs[dim, seed], 0.6, "sign_split", budget, seed)
            for dim, seed, budget in cases]
     assert any(refused) and not all(refused)
 
-    def unrefused(self, trial, refuse_at=None):
-        d = propose(self, trial)
-        return None if refuse_at is not None and d >= refuse_at else d
+    def unrefused(self, trial, level):
+        d = self.propose(trial)
+        return None if d >= level else d
 
-    monkeypatch.setattr(paving._Objective, "propose", unrefused)
+    monkeypatch.setattr(paving._Objective, "propose_below", unrefused)
     for (dim, seed, budget), (part, rep) in zip(cases, got):
         want_part, want_rep = pave_search(inputs[dim, seed], 0.6, "sign_split", budget, seed)
         assert np.array_equal(part.assignment, want_part.assignment)
         assert repr(rep.ratio) == repr(want_rep.ratio)
 
 
-def reference_search_sign_split(obj, eps, budget, seed):
+def reference_search_sign_split(obj, target, budget, seed):
     """The sign_split loop with no refusal level: every swap proposes both
     halves in full, and the caller compares the defect."""
     dim = obj.dim
-    target = eps * obj.base
     assignment = np.zeros(dim, dtype=np.int64)
     n = 1
     best_d = obj.defect(assignment)
@@ -1029,6 +1055,9 @@ def test_sign_split_refusal_level_keeps_every_decision(monkeypatch):
     cases = [(dim, budget) for dim in (8, 12, 18, 24, 32, 48, 64) for budget in (10, 200, 1000)]
     inputs = {dim: free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, dim + 1))
               for dim, _ in cases}
+    # a unit-norm sample has target eps: one input scaled by 3 tells a
+    # reference that takes the target from one that takes eps
+    inputs[24] = 3 * inputs[24].entries
     got = [pave_search(inputs[dim], 0.6, "sign_split", budget, seed=2) for dim, budget in cases]
     monkeypatch.setattr(paving, "_search_sign_split", reference_search_sign_split)
     for (dim, budget), (part, rep) in zip(cases, got):
@@ -1065,7 +1094,7 @@ def test_sign_split_refusal_level_takes_fewer_block_svds(monkeypatch):
     assert 2 * lean <= count[0]
 
 
-def reference_anneal_once(obj, n, eps, budget, rng):
+def reference_anneal_once(obj, n, target, budget, rng):
     """The anneal loop with every trial, changed or not, scored by a full
     ``defect``: no committed norms, no bounds."""
     dim = obj.dim
@@ -1073,7 +1102,6 @@ def reference_anneal_once(obj, n, eps, budget, rng):
     cur_d = obj.defect(cur)
     best, best_d = cur.copy(), cur_d
     temp = max(cur_d, 1e-6)
-    target = eps * obj.base
     spent = 0
     while spent < budget and best_d > target:
         spent += 1
@@ -1118,6 +1146,9 @@ def test_anneal_keeps_every_decision(monkeypatch):
     cases = [(dim, seed, eps) for dim in (16, 32) for seed in range(4) for eps in (0.3, 0.6)]
     inputs = {(dim, seed): free_model.sample(free_model.EnsembleSpec("zero_diag_haar", dim, seed))
               for dim, seed, _ in cases}
+    # a unit-norm sample has target eps: one input scaled by 3 tells a
+    # reference that takes the target from one that takes eps
+    inputs[16, 1] = 3 * inputs[16, 1].entries
     got = [pave_search(inputs[dim, seed], eps, "anneal", 400, seed) for dim, seed, eps in cases]
     monkeypatch.setattr(paving, "_anneal_once", reference_anneal_once)
     for (dim, seed, eps), (part, rep) in zip(cases, got):
@@ -1135,9 +1166,9 @@ def test_anneal_takes_fewer_block_svds(monkeypatch):
     count = count_svds(monkeypatch)
     part, _ = pave_search(x, 0.6, "anneal", 1000, 0)
     lean, count[0] = count[0], 0
-    # an infinite slack makes every bound exceed every exact norm and the
-    # refusal level: each bound is resolved, so each changed block takes
-    # its SVD (4,494 against 5,374 with one BLAS thread)
+    # an infinite slack makes every bound exceed every exact norm: each
+    # bound is resolved, so each changed block takes its SVD (4,494 against
+    # 5,374 with one BLAS thread)
     monkeypatch.setattr(paving, "BOUND_SLACK", np.inf)
     want_part, _ = pave_search(x, 0.6, "anneal", 1000, 0)
     assert np.array_equal(part.assignment, want_part.assignment)
@@ -1147,9 +1178,9 @@ def test_anneal_takes_fewer_block_svds(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_objective_refusal_level_refuses_exactly_the_trials_at_or_above_it(data):
-    # committed states reached by chains of moves carry stacked bounds; a
-    # level at or next to any block norm of the trial or the committed state
-    # must refuse exactly the trials whose defect reaches it
+    # chains of label swaps from a reset state, the moves sign_split makes;
+    # a level at or next to any block norm of the trial or the committed
+    # state must refuse exactly the trials whose defect reaches it
     dim = data.draw(st.integers(2, 12))
     x = random_matrix(dim, data.draw(st.integers(0, 2 ** 16)))
     frame = perpendicular_frame(dim) if data.draw(st.booleans()) else MasaFrame.identity(dim)
@@ -1159,34 +1190,30 @@ def test_objective_refusal_level_refuses_exactly_the_trials_at_or_above_it(data)
     obj, fresh = _Objective(frame.to_frame(x)), _Objective(frame.to_frame(x))
     obj.reset(cur)
     for _ in range(data.draw(st.integers(1, 30))):
-        trial = _move(data, cur, n, obj.off)
+        i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+        trial = cur.copy()
+        trial[i], trial[j] = cur[j], cur[i]
         want = fresh.defect(trial)
         norms = [v for a in (trial, cur)
                  for v in fresh._label_norms(a).values()]
         level = data.draw(st.sampled_from(sorted({w for v in norms for w in (
             v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf))})))
-        if data.draw(st.booleans()):
-            d = obj.propose(trial, refuse_at=level)
-            if want >= level:
-                # refused, with nothing to commit
-                assert d is None and obj._pending is None
-                continue
-            assert d == want
-        else:
-            assert obj.propose(trial) == want
+        d = obj.propose_below(trial, level)
+        if want >= level:
+            # refused, with nothing to commit
+            assert d is None and obj._pending is None
+            continue
+        assert d == want
         if data.draw(st.booleans()):
             obj.commit()
             cur = trial
             assert fresh.reset(cur) == want
 
 
-def test_objective_refusal_resolves_a_bound_the_move_leaves(monkeypatch):
-    # label 1 only shrank and keeps a bound; a swap between labels 0 and 2
-    # takes both below label 1's exact norm, so label 1 alone decides the
-    # refusal: its bound is resolved, written back to the committed state,
-    # and refuses before the changed blocks take an SVD
-    x = random_matrix(8, 47)
-    obj, fresh = _Objective(x), _Objective(x)
+def test_objective_refusing_check_refuses_a_state_that_holds_a_bound():
+    # label 1 only shrank, so anneal's check commits a bound on it; the
+    # refusing check reads exact committed norms only
+    obj = _Objective(random_matrix(8, 47))
     cur = np.array([0, 0, 0, 1, 1, 1, 2, 2])
     obj.reset(cur)
     shrink = cur.copy()
@@ -1196,15 +1223,8 @@ def test_objective_refusal_resolves_a_bound_the_move_leaves(monkeypatch):
     assert 1 in obj._bound
     swap = shrink.copy()
     swap[[0, 5]] = swap[[5, 0]]
-    want = fresh.defect(swap)
-    assert want == fresh._norm(swap, 1)
-    count = count_svds(monkeypatch)
-    assert obj.propose(swap, refuse_at=want) is None
-    assert count == [1] and obj._exact[1] == want and 1 not in obj._bound
-    # with the level above it, both changed blocks take their SVDs
-    count[0] = 0
-    assert obj.propose(swap, refuse_at=np.nextafter(want, np.inf)) == want
-    assert count == [2]
+    with pytest.raises(AssertionError, match="exact committed norms"):
+        obj.propose_below(swap, np.inf)
 
 
 def reference_search_draws(obj, target, budget, seed, n, tag, draw):
